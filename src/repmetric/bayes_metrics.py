@@ -2,7 +2,8 @@
 
 Both estimators average a per-index summand over N paired draws, one
 stream per distribution, so the reported standard error is simply the
-sample standard deviation of the summands over sqrt(N).
+sample standard deviation of the summands over sqrt(N). ``estimate``
+builds any subset of the metrics below from one shared set of draws.
 
 Total variation distance uses the one-sided density-ratio form
 
@@ -130,26 +131,44 @@ def _estimate_from_summands(s, metric, n_draws, seed):
     )
 
 
+def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
+             n_draws: int, seed: int) -> dict[str, DistanceEstimate]:
+    """Every requested metric of 'tvd', 'jsd' and 'js_distance' for one pair.
+
+    All three are functionals of the same four log-density arrays, so
+    the pair is sampled and cross-evaluated once however many metrics
+    are requested; each result equals a separate call with this seed.
+    """
+    unknown = [m for m in metrics if m not in BAYES_METRICS]
+    if unknown:
+        raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
+    _check_pair(model1, model2, n_draws)
+    _, _, *logs = _pair_log_densities(model1, model2, n_draws, seed)
+    out = {}
+    if "tvd" in metrics:
+        out["tvd"] = _estimate_from_summands(_tvd_summands(*logs), "tvd", n_draws, seed)
+    if "jsd" in metrics or "js_distance" in metrics:
+        out["jsd"] = _estimate_from_summands(_jsd_summands(*logs), "jsd", n_draws, seed)
+        out["js_distance"] = js_distance_from_jsd(out["jsd"])
+    return {m: out[m] for m in metrics}
+
+
 def tvd(model1: GaussianModel, model2: GaussianModel, n_draws: int,
         seed: int) -> DistanceEstimate:
     """Sampled total variation distance between two Gaussians."""
-    _check_pair(model1, model2, n_draws)
-    _, _, l11, l21, l12, l22 = _pair_log_densities(model1, model2, n_draws, seed)
-    return _estimate_from_summands(_tvd_summands(l11, l21, l12, l22), "tvd", n_draws, seed)
+    return estimate(("tvd",), model1, model2, n_draws, seed)["tvd"]
 
 
 def jsd(model1: GaussianModel, model2: GaussianModel, n_draws: int,
         seed: int) -> DistanceEstimate:
     """Sampled Jensen-Shannon divergence, in bits, clamped to [0, 1]."""
-    _check_pair(model1, model2, n_draws)
-    _, _, l11, l21, l12, l22 = _pair_log_densities(model1, model2, n_draws, seed)
-    return _estimate_from_summands(_jsd_summands(l11, l21, l12, l22), "jsd", n_draws, seed)
+    return estimate(("jsd",), model1, model2, n_draws, seed)["jsd"]
 
 
 def js_distance(model1: GaussianModel, model2: GaussianModel, n_draws: int,
                 seed: int) -> DistanceEstimate:
     """Square root of the Jensen-Shannon divergence; a metric."""
-    return js_distance_from_jsd(jsd(model1, model2, n_draws, seed))
+    return estimate(("js_distance",), model1, model2, n_draws, seed)["js_distance"]
 
 
 def js_distance_from_jsd(est: DistanceEstimate) -> DistanceEstimate:
@@ -170,18 +189,6 @@ def js_distance_from_jsd(est: DistanceEstimate) -> DistanceEstimate:
                    raw_value=root, degenerate_se=degenerate)
 
 
-def estimate(metric: str, model1: GaussianModel, model2: GaussianModel,
-             n_draws: int, seed: int) -> DistanceEstimate:
-    """Dispatch on metric name: 'tvd', 'jsd' or 'js_distance'."""
-    if metric == "tvd":
-        return tvd(model1, model2, n_draws, seed)
-    if metric == "jsd":
-        return jsd(model1, model2, n_draws, seed)
-    if metric == "js_distance":
-        return js_distance(model1, model2, n_draws, seed)
-    raise ValidationError(f"unknown Bayes metric {metric!r}")
-
-
 def estimator_variance_profile(pairs: Sequence[tuple], n_draws: int, seed: int,
                                metric: str = "jsd") -> list[tuple[float, float]]:
     """Per-pair (estimate, single-summand variance) over covariance pairs.
@@ -195,7 +202,7 @@ def estimator_variance_profile(pairs: Sequence[tuple], n_draws: int, seed: int,
     for i, (c1, c2) in enumerate(pairs):
         m1 = GaussianModel.from_covariance(c1)
         m2 = GaussianModel.from_covariance(c2)
-        est = estimate(metric, m1, m2, n_draws, seed + i)
+        est = estimate((metric,), m1, m2, n_draws, seed + i)[metric]
         out.append((est.value, est.summand_variance))
     return out
 

@@ -92,6 +92,16 @@ def cmd_gram(inputs, out_dir, fmt):
                             "format": fmt, "outputs": outputs})
 
 
+def _load_manifest_run(manifest_path, metrics, n_samples, seed, threads):
+    """(manifest, layers, metrics, n_samples, seed, threads); flags beat manifest defaults."""
+    manifest = read_manifest(manifest_path)
+    layers = harness.load_layer_kernels(manifest)
+    metric_list = _parse_list(metrics, str, "--metrics")
+    n_samples = n_samples if n_samples is not None else (manifest.n_samples or 10_000)
+    seed = seed if seed is not None else (manifest.seed or 0)
+    return manifest, layers, metric_list, n_samples, seed, _threads_option(threads)
+
+
 def _resolve_noise(a, b, manifest, n):
     """Mixture weight from --a/--b flags with manifest fallbacks."""
     if a is not None and b is not None:
@@ -130,14 +140,10 @@ def _resolve_noise(a, b, manifest, n):
 def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
                 fmt, rsa_squared, on_error):
     """Pairwise distance matrices over the layers of a manifest."""
-    manifest = read_manifest(manifest_path)
-    layers = harness.load_layer_kernels(manifest)
+    manifest, layers, metric_list, n_samples, seed, threads = _load_manifest_run(
+        manifest_path, metrics, n_samples, seed, threads)
     n = layers[0][1].n
-    metric_list = _parse_list(metrics, str, "--metrics")
     a, used_b = _resolve_noise(a, b, manifest, n)
-    n_samples = n_samples if n_samples is not None else (manifest.n_samples or 10_000)
-    seed = seed if seed is not None else (manifest.seed or 0)
-    threads = _threads_option(threads)
 
     matrices = harness.pairwise_matrix(
         layers, metric_list, a, n_samples, seed,
@@ -198,9 +204,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
     lines = ["metric,n,a,source,value,std_error"]
     for metric in metric_list:
         for i, n in enumerate(grid.n_values):
-            for j, noise in enumerate(grid.noise_values):
-                est = grid.grid[metric][i][j]
-                a_val = harness._noise_to_a(noise, noise_kind)
+            for est, a_val in zip(grid.grid[metric][i], grid.a_values):
                 lines.append(f"{metric},{n},{_fmt(a_val)},grid,"
                              f"{_fmt(est.value)},{_fmt(est.std_error)}")
             a_prop, est = grid.proportional[metric][i]
@@ -232,13 +236,9 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     """Stability of pairwise distances across random image subsets."""
     if repeats < 2:
         raise click.UsageError("--repeats must be >= 2")
-    manifest = read_manifest(manifest_path)
-    layers = harness.load_layer_kernels(manifest)
+    _, layers, metric_list, n_samples, seed, threads = _load_manifest_run(
+        manifest_path, metrics, n_samples, seed, threads)
     sizes = _parse_list(n_images, int, "--n-images")
-    metric_list = _parse_list(metrics, str, "--metrics")
-    n_samples = n_samples if n_samples is not None else (manifest.n_samples or 10_000)
-    seed = seed if seed is not None else (manifest.seed or 0)
-    threads = _threads_option(threads)
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b,
                                        n_samples, seed, threads=threads,

@@ -98,53 +98,34 @@ def _pair_distances(metrics_bayes, metrics_base, label_lo, label_hi, model_lo,
                     on_error):
     """All requested metrics for one unordered pair, smaller label first.
 
-    Failures are per metric: in skip mode the failing metric records a
-    hole for this pair while the others still get values.
+    Entries are (value, std_error, None), or (nan, nan, reason) for a
+    hole. All Bayes metrics share one call (one set of draws) and each
+    baseline metric has its own; in skip mode a failing call leaves
+    holes for its metrics only.
     """
     out = {}
     ps = pair_seed(seed, label_lo, label_hi)
 
-    def run(metric, fn):
+    def run(metrics, fn):
         try:
-            out[metric] = fn()
+            out.update(fn())
         except RepmetricError as exc:
             if on_error == "abort":
                 raise RepmetricError(f"pair ({label_lo}, {label_hi}): {exc}") from exc
-            out[metric] = ("__hole__", (label_lo, label_hi, str(exc)))
+            out.update((m, (np.nan, np.nan, str(exc))) for m in metrics)
 
-    def require_models():
+    def bayes():
         if model_lo is None or model_hi is None:
             raise DegenerateRepresentationError("layer has no predictive distribution")
+        ests = bayes_metrics.estimate(metrics_bayes, model_lo, model_hi, n_samples, ps)
+        return {m: (e.value, e.std_error, None) for m, e in ests.items()}
 
-    if "tvd" in metrics_bayes:
-        def tvd_fn():
-            require_models()
-            est = bayes_metrics.tvd(model_lo, model_hi, n_samples, ps)
-            return (est.value, est.std_error)
-        run("tvd", tvd_fn)
-    if "jsd" in metrics_bayes or "js_distance" in metrics_bayes:
-        def jsd_fn():
-            require_models()
-            est = bayes_metrics.jsd(model_lo, model_hi, n_samples, ps)
-            js = bayes_metrics.js_distance_from_jsd(est)
-            return est, js
-        try:
-            est, js = jsd_fn()
-            if "jsd" in metrics_bayes:
-                out["jsd"] = (est.value, est.std_error)
-            if "js_distance" in metrics_bayes:
-                out["js_distance"] = (js.value, js.std_error)
-        except RepmetricError as exc:
-            if on_error == "abort":
-                raise RepmetricError(f"pair ({label_lo}, {label_hi}): {exc}") from exc
-            hole = ("__hole__", (label_lo, label_hi, str(exc)))
-            for m in ("jsd", "js_distance"):
-                if m in metrics_bayes:
-                    out[m] = hole
+    if metrics_bayes:
+        run(metrics_bayes, bayes)
     for m in metrics_base:
-        run(m, lambda m=m: (
+        run([m], lambda m=m: {m: (
             baseline_metrics.baseline(m, kernel_lo, kernel_hi,
-                                      rsa_squared=rsa_squared).value, 0.0))
+                                      rsa_squared=rsa_squared).value, 0.0, None)})
     return out
 
 
@@ -175,10 +156,11 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     kernels = dict(layers)
     names = [name for name, _ in layers]
     order = {name: i for i, name in enumerate(names)}
-    pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
+    pairs = [tuple(sorted((names[i], names[j])))
+             for i in range(len(names)) for j in range(i + 1, len(names))]
 
     def compute(pair):
-        la, lb = sorted(pair)
+        la, lb = pair
         return _pair_distances(
             metrics_bayes, metrics_base, la, lb,
             models.get(la), models.get(lb), kernels[la], kernels[lb],
@@ -196,18 +178,13 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
         values = np.zeros((m, m))
         ses = np.zeros((m, m))
         holes = []
-        for pair, res in zip(pairs, results):
-            i, j = order[pair[0]], order[pair[1]]
-            entry = res[metric]
-            if entry[0] == "__hole__":
-                la, lb, reason = entry[1]
-                values[i, j] = values[j, i] = np.nan
-                ses[i, j] = ses[j, i] = np.nan
+        for (la, lb), res in zip(pairs, results):
+            i, j = order[la], order[lb]
+            v, se, reason = res[metric]
+            values[i, j] = values[j, i] = v
+            ses[i, j] = ses[j, i] = se
+            if reason is not None:
                 holes.append((la, lb, reason))
-            else:
-                v, se = entry
-                values[i, j] = values[j, i] = v
-                ses[i, j] = ses[j, i] = se
         matrices[metric] = DistanceMatrix(
             metric=metric, labels=tuple(names), values=values,
             std_errors=ses, holes=tuple(holes))
@@ -219,12 +196,14 @@ class SweepGrid:
     """JSD (and optionally TVD) over a stimulus-count x noise grid.
 
     ``grid[metric][i][j]`` is the estimate at n_values[i] and
-    noise_values[j]; ``proportional[metric][i]`` is the marked slice
-    where a follows the proportional-noise heuristic at n_values[i].
+    noise_values[j], whose mixture weight is a_values[j];
+    ``proportional[metric][i]`` is the marked slice where a follows the
+    proportional-noise heuristic at n_values[i].
     """
 
     n_values: tuple[int, ...]
     noise_values: tuple[float, ...]
+    a_values: tuple[float, ...]
     noise_kind: str
     b: float
     grid: dict[str, list[list[DistanceEstimate]]]
@@ -286,7 +265,8 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
         for m in metrics:
             proportional[m].append((a_prop, ests[m]))
     return SweepGrid(n_values=tuple(n_values), noise_values=tuple(float(v) for v in noise_values),
-                     noise_kind=noise_kind, b=float(b), grid=grid, proportional=proportional)
+                     a_values=tuple(a_grid), noise_kind=noise_kind, b=float(b), grid=grid,
+                     proportional=proportional)
 
 
 SWEEP_LABELS = ("kernel1", "kernel2")
@@ -306,7 +286,7 @@ def _sweep_cell(k1, k2, a, metrics, n_samples, seed):
     m1 = GaussianModel.from_predictive(predictive_covariance(k1, a))
     m2 = GaussianModel.from_predictive(predictive_covariance(k2, a))
     ps = pair_seed(seed, *SWEEP_LABELS)
-    return {m: bayes_metrics.estimate(m, m1, m2, n_samples, ps) for m in metrics}
+    return bayes_metrics.estimate(metrics, m1, m2, n_samples, ps)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,14 @@ JITTER_MAX = 1e-6
 JITTER_FACTOR = 10.0
 
 
+def default_labels(n: int) -> tuple[str, ...]:
+    """Stimulus labels ``s0, s1, ...`` for rows that carry none."""
+    return tuple(f"s{i}" for i in range(n))
+
+
 def _as_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
     if labels is None:
-        return tuple(f"s{i}" for i in range(n))
+        return default_labels(n)
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} labels for {n} rows")
@@ -188,17 +193,22 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> PredictiveCovarianc
     return PredictiveCovariance(C=C, a=float(a), cholesky=L, jitter_used=jitter)
 
 
-def squared_distance_matrix(kernel: KernelMatrix) -> np.ndarray:
-    """Squared Euclidean distances from the kernel.
+def squared_distances(G: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from a Gram matrix G = X Xᵀ.
 
-    ||x_i - x_j||^2 = K[i,i] + K[j,j] - 2 K[i,j]; clamped at zero and
+    ||x_i - x_j||^2 = G[i,i] + G[j,j] - 2 G[i,j]; clamped at zero and
     with an exactly zero diagonal.
     """
-    d = np.diag(kernel.K)
-    D2 = d[:, None] + d[None, :] - 2.0 * kernel.K
+    d = np.diag(G)
+    D2 = d[:, None] + d[None, :] - 2.0 * G
     np.maximum(D2, 0.0, out=D2)
     np.fill_diagonal(D2, 0.0)
     return D2
+
+
+def squared_distance_matrix(kernel: KernelMatrix) -> np.ndarray:
+    """Squared Euclidean distances between the stimuli of a kernel."""
+    return squared_distances(kernel.K)
 
 
 def centered_kernel(kernel: KernelMatrix) -> np.ndarray:

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .kernel import default_labels
 
 MAGIC = b"RMX1"
 _HEADER = struct.Struct("<4sBII")
@@ -73,10 +74,6 @@ def _coerce_kind(kind) -> MatrixKind:
         raise ValidationError(f"unknown matrix kind: {kind!r}") from None
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(n))
-
-
 def _validate_values(values: np.ndarray, kind: MatrixKind, origin: str) -> None:
     if values.ndim != 2:
         raise ValidationError(f"{origin}: expected a 2-D matrix, got ndim={values.ndim}")
@@ -112,7 +109,7 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
         values, labels = _read_binary(path, kind)
     _validate_values(values, kind, str(path))
     if labels is None:
-        labels = _default_labels(values.shape[0])
+        labels = default_labels(values.shape[0])
     elif len(labels) != values.shape[0]:
         raise ValidationError(
             f"{path}: header has {len(labels)} labels for {values.shape[0]} rows"
@@ -257,7 +254,7 @@ def read_manifest(path) -> LayerManifest:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValidationError(f"{path}: manifest must be an object with an 'entries' list")
     entries = []
     seen = set()
@@ -272,18 +269,16 @@ def read_manifest(path) -> LayerManifest:
         entries.append(ManifestEntry(name=str(name), path=str(epath), kind=_coerce_kind(kind)))
     if not entries:
         raise ValidationError(f"{path}: manifest has no entries")
-    a = doc.get("a")
-    b = doc.get("b")
-    if a is not None and b is not None:
+    if doc.get("a") is not None and doc.get("b") is not None:
         raise ValidationError(f"{path}: manifest sets both 'a' and 'b'")
-    return LayerManifest(
-        entries=tuple(entries),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-        a=None if a is None else float(a),
-        b=None if b is None else float(b),
-        n_samples=None if doc.get("n_samples") is None else int(doc["n_samples"]),
-        base_dir=path.parent,
-    )
+    defaults = {}
+    for key, cast in (("seed", int), ("a", float), ("b", float), ("n_samples", int)):
+        value = doc.get(key)
+        try:
+            defaults[key] = None if value is None else cast(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{path}: manifest {key!r} is not a number: {value!r}") from None
+    return LayerManifest(entries=tuple(entries), base_dir=path.parent, **defaults)
 
 
 def write_manifest(manifest: LayerManifest, path) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .kernel import squared_distances
 from .seeding import derive_seed, stream_generator
 
 
@@ -48,11 +49,8 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    G = X @ X.T
-    sq = np.diag(G)
-    D2 = sq[:, None] + sq[None, :] - 2.0 * G
-    np.maximum(D2, 0.0, out=D2)
-    return np.sqrt(D2)
+    D = squared_distances(X @ X.T)
+    return np.sqrt(D, out=D)
 
 
 def _smacof_single(D: np.ndarray, dims: int, rng: np.random.Generator,

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -19,10 +21,15 @@ def derive_seed(master_seed: int, *tokens) -> int:
     """Derive a 64-bit sub-seed from a master seed and hashable tokens.
 
     Tokens may be strings or integers; the derivation is a keyed
-    blake2b hash, stable across processes and platforms.
+    blake2b hash, stable across processes and platforms. The master
+    seed is packed into 16 signed bytes, so it must lie in
+    [-2**127, 2**127 - 1].
     """
+    master_seed = int(master_seed)
+    if not -(1 << 127) <= master_seed < (1 << 127):
+        raise ValidationError(f"seed {master_seed} outside [-2**127, 2**127 - 1]")
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(master_seed).to_bytes(16, "little", signed=True))
+    h.update(master_seed.to_bytes(16, "little", signed=True))
     for tok in tokens:
         if isinstance(tok, str):
             data = b"s" + tok.encode("utf-8")

@@ -5,8 +5,8 @@ from oracles import (closed_form_tvd_1d_scale, grid_quad_2d, quad_jsd_1d,
                      quad_tvd_1d)
 from synth import random_orthogonal, random_spd
 
-from repmetric.bayes_metrics import (estimator_variance_profile, js_distance,
-                                     js_distance_from_jsd, jsd, tvd)
+from repmetric.bayes_metrics import (estimate, estimator_variance_profile,
+                                     js_distance, js_distance_from_jsd, jsd, tvd)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import RepresentationMatrix, gram, predictive_covariance
@@ -135,6 +135,22 @@ class TestJsDistance:
         est = tvd(model([[1.0]]), model([[2.0]]), 100, seed=0)
         with pytest.raises(ValidationError):
             js_distance_from_jsd(est)
+
+
+class TestFusedEstimate:
+    def test_bitwise_equal_to_separate_calls(self):
+        rng = np.random.default_rng(40)
+        m1, m2 = model(random_spd(rng, 5)), model(random_spd(rng, 5))
+        ests = estimate(("js_distance", "tvd", "jsd"), m1, m2, 3000, seed=41)
+        assert list(ests) == ["js_distance", "tvd", "jsd"]
+        assert ests["tvd"] == tvd(m1, m2, 3000, seed=41)
+        assert ests["jsd"] == jsd(m1, m2, 3000, seed=41)
+        assert ests["js_distance"] == js_distance(m1, m2, 3000, seed=41)
+
+    def test_unknown_metric_rejected(self):
+        m = model(np.eye(2))
+        with pytest.raises(ValidationError, match="unknown Bayes metric 'cka'"):
+            estimate(("jsd", "cka"), m, m, 100, seed=0)
 
 
 class TestStandardErrors:

@@ -283,6 +283,54 @@ class TestEmbedCommand:
         assert code == 2
 
 
+BIG_SEED = str(2 ** 200)
+
+
+class TestSingleLineValidationErrors:
+    """Malformed input exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("args, manifest_extra", [
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--a", "0.5",
+          "--samples", "100", "--seed", BIG_SEED], None),
+        (["stability", "--manifest", "{manifest}", "--n-images", "5", "--repeats", "2",
+          "--metrics", "cka", "--seed", BIG_SEED], None),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
+          "--noise-values", "0.5", "--samples", "100", "--seed", BIG_SEED], None),
+        (["embed", "--input", "{distance}", "--seed", "-" + BIG_SEED], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"seed": "seven"}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka"], {"a": "half"}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka"], {"b": [0.01]}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"n_samples": "many"}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"entries": 5}),
+    ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
+            "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
+            "manifest-entries"])
+    def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
+        rng = np.random.default_rng(30)
+        layers = kernels_same_stimuli(rng, 8, 4, 2)
+        paths = {"manifest": str(write_manifest_dir(tmp_path, layers, manifest_extra)),
+                 "kernel": str(tmp_path / "layer0.csv"),
+                 "distance": str(tmp_path / "d.csv")}
+        write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
+                     MatrixKind.DISTANCE)
+        argv = [a.format(**paths) for a in args] + ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", [2 ** 127 - 1, -2 ** 127])
+    def test_seed_range_limits_accepted(self, tmp_path, seed):
+        write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
+                     MatrixKind.DISTANCE)
+        assert main(["embed", "--input", str(tmp_path / "d.csv"), "--seed", str(seed),
+                     "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
+
+
 class TestHelp:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from synth import kernels_same_stimuli, pooled_kernel_pair, random_orthogonal
 
+from repmetric import bayes_metrics
 from repmetric.errors import RepmetricError, ValidationError
 from repmetric.harness import (heuristic_a, load_layer_kernels, pairwise_matrix,
                                snr_sweep, stability_study)
@@ -126,6 +129,29 @@ class TestPairwiseMatrix:
         # jsd itself works fine on the constant layer, so no holes there
         assert mats["jsd"].holes == ()
         assert not np.any(np.isnan(mats["jsd"].values))
+
+    def test_bayes_metrics_share_one_draw_set_per_pair(self):
+        rng = np.random.default_rng(20)
+        layers = kernels_same_stimuli(rng, 8, 4, 3)
+        with mock.patch.object(bayes_metrics, "sample", wraps=bayes_metrics.sample) as spy:
+            pairwise_matrix(layers, ["jsd", "tvd", "js_distance"], a=0.5,
+                            n_samples=200, seed=21)
+        assert spy.call_count == 2 * 3  # one draw per model, three pairs
+
+    def test_skip_records_holes_for_layer_without_distribution(self):
+        rng = np.random.default_rng(22)
+        zero = KernelMatrix.from_array(np.zeros((6, 6)))  # trace 0: no predictive
+        good1 = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        good2 = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        layers = [("zero", zero), ("g1", good1), ("g2", good2)]
+        mats = pairwise_matrix(layers, ["tvd", "jsd", "js_distance"], a=0.5,
+                               n_samples=300, seed=23, on_error="skip")
+        reason = "layer has no predictive distribution"
+        for dm in mats.values():
+            assert dm.holes == (("g1", "zero", reason), ("g2", "zero", reason))
+            assert np.isnan(dm.values[0, 1:]).all() and np.isnan(dm.std_errors[1:, 0]).all()
+            assert np.isfinite(dm.values[1, 2]) and dm.values[1, 2] == dm.values[2, 1]
+            assert dm.std_errors[1, 2] > 0
 
     def test_many_layers_pair_count(self):
         rng = np.random.default_rng(7)
