@@ -21,10 +21,21 @@ delta-method standard error; near zero, where the delta method blows
 up, the square root of the divergence's standard error is reported
 instead and flagged as degenerate.
 
+Each side of a pair is evaluated in whitened coordinates and never as
+samples. The draws x = L1 z (z standard normal, one Philox block per
+side) give L2⁻¹x = T z with the n×n triangular T = L2⁻¹L1, so
+
+    log p2/p1 (x) = Σ log diag T - (‖T z‖² - ‖z‖²) / 2,
+
+one n×n triangular solve and one N×n product per side. Bitwise-equal
+factors give a log ratio of exactly zero.
+
 Gradients with respect to the two covariance matrices reuse the exact
 draws of the value estimate (common random numbers) and differentiate
-through both the log densities and the Cholesky factor of the sampling
-transformation y = L z.
+through x = L z as well as through the densities. Both pieces depend on
+the draws only through the weighted Gram matrix G = zᵀ diag(r) z, with
+r the per-draw sensitivity of the estimate to its log ratio, so all
+remaining work is n×n triangular algebra.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .mvn import GaussianModel, log_density, sample
+from .mvn import GaussianModel, standard_normal_block
 
 LN2 = math.log(2.0)
 
@@ -81,20 +92,24 @@ def _check_pair(model1: GaussianModel, model2: GaussianModel, n_draws: int) -> N
         raise ValidationError("need at least 2 draws for a standard error")
 
 
-def _pair_log_densities(model1, model2, n_draws, seed):
-    """Sample both models and cross-evaluate all four log densities."""
-    b1 = sample(model1, n_draws, seed, stream=0)
-    b2 = sample(model2, n_draws, seed, stream=1)
-    l11 = log_density(model1, b1.Y)
-    l21 = log_density(model2, b1.Y)
-    l12 = log_density(model1, b2.Y)
-    l22 = log_density(model2, b2.Y)
-    return b1, b2, l11, l21, l12, l22
+def _whitened_side(own, other, n_draws, seed, stream):
+    """Draws of P_own and the log ratio d = log p_other/p_own at each.
+
+    Returns (z, T, d): the standard normals behind x = L_own z, the
+    triangular T = L_other⁻¹ L_own that maps them to L_other⁻¹ x, and d.
+    """
+    z = standard_normal_block(n_draws, own.dim, seed, stream)
+    if np.array_equal(own.chol, other.chol):
+        # identical distributions: d is exactly zero, not rounding noise
+        return z, np.eye(own.dim), np.zeros(n_draws)
+    T = solve_triangular(other.chol, own.chol, lower=True, check_finite=False)
+    U = z @ T.T
+    quad = np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z)
+    d = float(np.sum(np.log(np.diag(T)))) - 0.5 * quad
+    return z, T, d
 
 
-def _tvd_summands(l11, l21, l12, l22):
-    d1 = l21 - l11
-    d2 = l12 - l22
+def _tvd_summands(d1, d2):
     u1 = np.where(d1 < 0.0, -np.expm1(np.minimum(d1, 0.0)), 0.0)
     u2 = np.where(d2 < 0.0, -np.expm1(np.minimum(d2, 0.0)), 0.0)
     return 0.5 * (u1 + u2)
@@ -110,9 +125,9 @@ def _log_mixture_fraction(d):
     return -(np.maximum(-d, 0.0) + np.log1p(np.exp(-np.abs(d))))
 
 
-def _jsd_summands(l11, l21, l12, l22):
-    t1 = _log_mixture_fraction(l11 - l21) / LN2
-    t2 = _log_mixture_fraction(l22 - l12) / LN2
+def _jsd_summands(d1, d2):
+    t1 = _log_mixture_fraction(-d1) / LN2
+    t2 = _log_mixture_fraction(-d2) / LN2
     return 1.0 + 0.5 * (t1 + t2)
 
 
@@ -135,20 +150,21 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
              n_draws: int, seed: int) -> dict[str, DistanceEstimate]:
     """Every requested metric of 'tvd', 'jsd' and 'js_distance' for one pair.
 
-    All three are functionals of the same four log-density arrays, so
-    the pair is sampled and cross-evaluated once however many metrics
-    are requested; each result equals a separate call with this seed.
+    All three are functionals of the same two log-ratio arrays, so the
+    pair is drawn and evaluated once however many metrics are
+    requested; each result equals a separate call with this seed.
     """
     unknown = [m for m in metrics if m not in BAYES_METRICS]
     if unknown:
         raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
     _check_pair(model1, model2, n_draws)
-    _, _, *logs = _pair_log_densities(model1, model2, n_draws, seed)
+    d1 = _whitened_side(model1, model2, n_draws, seed, stream=0)[2]
+    d2 = _whitened_side(model2, model1, n_draws, seed, stream=1)[2]
     out = {}
     if "tvd" in metrics:
-        out["tvd"] = _estimate_from_summands(_tvd_summands(*logs), "tvd", n_draws, seed)
+        out["tvd"] = _estimate_from_summands(_tvd_summands(d1, d2), "tvd", n_draws, seed)
     if "jsd" in metrics or "js_distance" in metrics:
-        out["jsd"] = _estimate_from_summands(_jsd_summands(*logs), "jsd", n_draws, seed)
+        out["jsd"] = _estimate_from_summands(_jsd_summands(d1, d2), "jsd", n_draws, seed)
         out["js_distance"] = js_distance_from_jsd(out["jsd"])
     return {m: out[m] for m in metrics}
 
@@ -211,75 +227,52 @@ def estimator_variance_profile(pairs: Sequence[tuple], n_draws: int, seed: int,
 # Reparameterized gradients
 # ---------------------------------------------------------------------------
 
-def _solve_cov(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """C^{-1} B via two triangular solves with C = L Lᵀ."""
-    t = solve_triangular(L, B, lower=True, check_finite=False)
-    return solve_triangular(L, t, lower=True, trans="T", check_finite=False)
+def _sensitivities(metric: str, d: np.ndarray) -> np.ndarray:
+    """r_i = -dV/dd_i, how fast the estimate V falls as draw i's log ratio rises.
+
+    Both summands decrease in d, so r is never negative.
+    """
+    if metric == "tvd":
+        return np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * d.size)
+    if metric == "jsd":
+        return np.exp(_log_mixture_fraction(d)) / (2.0 * d.size * LN2)  # p_other/(p1+p2)
+    raise ValidationError(f"no gradient for metric {metric!r}")
 
 
-def _cholesky_adjoint(L: np.ndarray, L_bar: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. the Cholesky factor back to the covariance."""
-    A = L.T @ L_bar
-    phi = np.tril(A)
-    phi[np.diag_indices_from(phi)] *= 0.5
-    T = solve_triangular(L, phi, lower=True, trans="T", check_finite=False)
-    G = solve_triangular(L, T.T, lower=True, trans="T", check_finite=False).T
-    return G
+def _side_gradient_terms(metric, own, other, n_draws, seed, stream):
+    """One side's share of L_own⁻ᵀ(.)L_own⁻¹ and L_other⁻ᵀ(.)L_other⁻¹.
+
+    With G = zᵀ diag(r) z the draws of this side contribute
+    (Sym(TᵀT G) - Σr I)/2 through x = L_own z and p_own, and
+    (Σr I - T G Tᵀ)/2 through p_other, where Sym(M) is the symmetric
+    matrix with the lower triangle of M (the Cholesky adjoint's tril).
+    """
+    z, T, d = _whitened_side(own, other, n_draws, seed, stream)
+    r = _sensitivities(metric, d)
+    S = z * np.sqrt(r)[:, None]
+    G = S.T @ S
+    total = float(r.sum())
+    P = np.tril((T.T @ T) @ G)
+    own_term = 0.5 * (P + np.tril(P, -1).T - total * np.eye(own.dim))
+    other_term = 0.5 * (total * np.eye(own.dim) - T @ G @ T.T)
+    return own_term, other_term
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+def _sandwich(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """L⁻ᵀ M L⁻¹ by two triangular solves, symmetrized."""
+    X = solve_triangular(L, M, lower=True, trans="T", check_finite=False)
+    G = solve_triangular(L, X.T, lower=True, trans="T", check_finite=False)
+    return 0.5 * (G + G.T)
 
 
 def _gradient(metric: str, cov1, cov2, n_draws: int, seed: int) -> DistanceGradient:
     model1 = GaussianModel.from_covariance(cov1)
     model2 = GaussianModel.from_covariance(cov2)
     _check_pair(model1, model2, n_draws)
-    b1, b2, l11, l21, l12, l22 = _pair_log_densities(model1, model2, n_draws, seed)
-    n = model1.dim
-    N = n_draws
-
-    # per-sample weights dV/dl_j at each draw; block 1 is x ~ P1, block 2 y ~ P2
-    if metric == "tvd":
-        d1 = l21 - l11
-        d2 = l12 - l22
-        r1 = np.where(d1 < 0.0, np.exp(np.minimum(d1, 0.0)), 0.0)
-        r2 = np.where(d2 < 0.0, np.exp(np.minimum(d2, 0.0)), 0.0)
-        w_l1_b1 = r1 / (2.0 * N)
-        w_l2_b1 = -r1 / (2.0 * N)
-        w_l1_b2 = -r2 / (2.0 * N)
-        w_l2_b2 = r2 / (2.0 * N)
-    elif metric == "jsd":
-        frac2_b1 = np.exp(_log_mixture_fraction(l21 - l11))  # p2/(p1+p2) at block 1
-        frac1_b2 = np.exp(_log_mixture_fraction(l12 - l22))  # p1/(p1+p2) at block 2
-        w_l1_b1 = frac2_b1 / (2.0 * N * LN2)
-        w_l2_b1 = -frac2_b1 / (2.0 * N * LN2)
-        w_l1_b2 = -frac1_b2 / (2.0 * N * LN2)
-        w_l2_b2 = frac1_b2 / (2.0 * N * LN2)
-    else:
-        raise ValidationError(f"no gradient for metric {metric!r}")
-
-    L1, L2 = model1.chol, model2.chol
-    V11 = _solve_cov(L1, b1.Y.T)  # C1^{-1} x_i as columns
-    V21 = _solve_cov(L2, b1.Y.T)
-    V12 = _solve_cov(L1, b2.Y.T)
-    V22 = _solve_cov(L2, b2.Y.T)
-    C1_inv = _solve_cov(L1, np.eye(n))
-    C2_inv = _solve_cov(L2, np.eye(n))
-
-    # explicit dependence: dl_j/dC_j = (v vᵀ - C_j^{-1}) / 2 with v = C_j^{-1} x
-    g1 = 0.5 * ((V11 * w_l1_b1) @ V11.T + (V12 * w_l1_b2) @ V12.T) \
-        - 0.5 * (w_l1_b1.sum() + w_l1_b2.sum()) * C1_inv
-    g2 = 0.5 * ((V21 * w_l2_b1) @ V21.T + (V22 * w_l2_b2) @ V22.T) \
-        - 0.5 * (w_l2_b1.sum() + w_l2_b2.sum()) * C2_inv
-
-    # sampling-path dependence: x = L z moves when C does; dl/dx = -C^{-1} x
-    X_bar1 = -(w_l1_b1[:, None] * V11.T + w_l2_b1[:, None] * V21.T)
-    X_bar2 = -(w_l1_b2[:, None] * V12.T + w_l2_b2[:, None] * V22.T)
-    g1 = g1 + _cholesky_adjoint(L1, X_bar1.T @ b1.Z)
-    g2 = g2 + _cholesky_adjoint(L2, X_bar2.T @ b2.Z)
-
-    return DistanceGradient(d_cov1=_symmetrize(g1), d_cov2=_symmetrize(g2),
+    own1, other2 = _side_gradient_terms(metric, model1, model2, n_draws, seed, 0)
+    own2, other1 = _side_gradient_terms(metric, model2, model1, n_draws, seed, 1)
+    return DistanceGradient(d_cov1=_sandwich(model1.chol, own1 + other1),
+                            d_cov2=_sandwich(model2.chol, own2 + other2),
                             seed=int(seed), metric=metric)
 
 

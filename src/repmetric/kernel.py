@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cholesky
 
 from .errors import DegenerateRepresentationError, NotPositiveDefiniteError, ValidationError
 
@@ -85,12 +86,21 @@ class KernelMatrix:
             if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
                 raise ValidationError("kernel is not symmetric")
             K = 0.5 * (K + K.T)
-            eigs = np.linalg.eigvalsh(K)
             floor = -PSD_RTOL * max(np.trace(K), 0.0) / K.shape[0] - PSD_RTOL
-            if eigs.min() < floor:
-                raise ValidationError(
-                    f"kernel is not positive semidefinite (min eigenvalue {eigs.min():.3e})"
-                )
+            # K - floor I factorizes exactly when no eigenvalue of K lies
+            # below floor; the eigenvalues are only needed to decide (and
+            # report) the borderline cases where the factorization fails.
+            # One Fortran-order copy, factorized in place, bounds the memory.
+            shifted = np.array(K, order="F")
+            shifted[np.diag_indices_from(shifted)] -= floor
+            try:
+                cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                min_eig = np.linalg.eigvalsh(K).min()
+                if min_eig < floor:
+                    raise ValidationError(
+                        f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+                    ) from None
         return cls(K=K, labels=_as_labels(labels, K.shape[0]))
 
     @property

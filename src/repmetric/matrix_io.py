@@ -13,7 +13,9 @@ Two on-disk formats are supported, selected by file extension:
 * CSV (``.csv``): comma-separated values rendered with 17 significant
   digits, which round-trips every finite double exactly. No header row
   by default; kernel and distance files may carry an optional first row
-  with stimulus labels.
+  with stimulus labels. The first row is read as labels when it does not
+  parse as numbers or, for kernel and distance files, when the file has
+  exactly one more row than columns, so numeric labels round-trip too.
 
 Values must be finite; kernel and distance matrices must be square and
 distance entries nonnegative. Binary files do not store labels, so
@@ -104,7 +106,7 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
     if not path.exists():
         raise ValidationError(f"{path}: no such file")
     if _is_csv(path):
-        values, labels = _read_csv(path)
+        values, labels = _read_csv(path, kind)
     else:
         values, labels = _read_binary(path, kind)
     _validate_values(values, kind, str(path))
@@ -141,7 +143,7 @@ def _read_binary(path: Path, expected: MatrixKind):
     return values, None
 
 
-def _read_csv(path: Path):
+def _read_csv(path: Path, kind: MatrixKind):
     text = path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -150,7 +152,12 @@ def _read_csv(path: Path):
     first = lines[0].split(",")
     try:
         [float(tok) for tok in first]
+        # numeric labels: the row is a header when it leaves a square matrix
+        is_header = (kind in (MatrixKind.KERNEL, MatrixKind.DISTANCE)
+                     and len(lines) == len(first) + 1)
     except ValueError:
+        is_header = True
+    if is_header:
         labels = [tok.strip() for tok in first]
         lines = lines[1:]
         if not lines:
@@ -263,10 +270,12 @@ def read_manifest(path) -> LayerManifest:
             name, epath, kind = item["name"], item["path"], item["kind"]
         except (TypeError, KeyError):
             raise ValidationError(f"{path}: each entry needs name, path and kind") from None
+        if not isinstance(name, str):
+            raise ValidationError(f"{path}: entry name must be a string, got {name!r}")
         if name in seen:
             raise ValidationError(f"{path}: duplicate entry name {name!r}")
         seen.add(name)
-        entries.append(ManifestEntry(name=str(name), path=str(epath), kind=_coerce_kind(kind)))
+        entries.append(ManifestEntry(name=name, path=str(epath), kind=_coerce_kind(kind)))
     if not entries:
         raise ValidationError(f"{path}: manifest has no entries")
     if doc.get("a") is not None and doc.get("b") is not None:

@@ -1,9 +1,10 @@
-"""Zero-mean multivariate Gaussian: seeded sampling and log densities.
+"""Zero-mean multivariate Gaussian: seeded draws, sampling and log densities.
 
-Sampling transforms counter-based standard-normal draws through the
-lower Cholesky factor (y = L z), keeping the raw draws around so that
-downstream gradients can differentiate through the transformation.
-Log densities use triangular solves; no inverse is ever formed.
+``standard_normal_block`` is the one source of randomness: the z block
+for a (seed, stream) pair. ``sample`` maps it through the lower Cholesky
+factor (y = L z); the Monte-Carlo estimators in ``bayes_metrics`` take
+the same z and never form y. Log densities use triangular solves; no
+inverse is ever formed.
 """
 
 from __future__ import annotations
@@ -59,11 +60,16 @@ class SampleBlock:
     stream: int
 
 
-def sample(model: GaussianModel, n_draws: int, seed: int, stream: int = 0) -> SampleBlock:
-    """Draw ``n_draws`` vectors, deterministically for (model, seed, stream)."""
+def standard_normal_block(n_draws: int, dim: int, seed: int, stream: int = 0) -> np.ndarray:
+    """``n_draws`` x ``dim`` standard normals, deterministic for (seed, stream)."""
     if n_draws < 1:
         raise ValidationError("need at least one draw")
-    Z = stream_generator(seed, stream).standard_normal((n_draws, model.dim))
+    return stream_generator(seed, stream).standard_normal((n_draws, dim))
+
+
+def sample(model: GaussianModel, n_draws: int, seed: int, stream: int = 0) -> SampleBlock:
+    """Draw ``n_draws`` vectors, deterministically for (model, seed, stream)."""
+    Z = standard_normal_block(n_draws, model.dim, seed, stream)
     Y = Z @ model.chol.T
     return SampleBlock(Z=Z, Y=Y, seed=int(seed), stream=int(stream))
 

@@ -133,6 +133,52 @@ def _diagonalize_pair(C1, C2):
     return np.maximum(lam, 0.0)
 
 
+def predictive_pair_eigenvalues(X1, X2, a):
+    """Generalized eigenvalues of (C2, C1) for C_i = s_i X_i X_iᵀ + a I.
+
+    s_i = (1 - a) n / tr(X_i X_iᵀ). Both covariances equal a I on the
+    orthogonal complement of span[X1 X2], so only the restriction to that
+    span (rank r <= k1 + k2) can carry eigenvalues other than 1.
+    """
+    n = X1.shape[0]
+    U, sv, _ = np.linalg.svd(np.hstack([X1, X2]), full_matrices=False)
+    Q = U[:, sv > 1e-12 * sv[0]]
+    restricted = []
+    for X in (X1, X2):
+        B = Q.T @ X
+        restricted.append((1.0 - a) * n / np.sum(X * X) * (B @ B.T)
+                          + a * np.eye(Q.shape[1]))
+    return _diagonalize_pair(*restricted)
+
+
+def eigenbasis_monte_carlo(lam, n_draws, rng, chunk=20_000):
+    """TVD and JSD (bits) of N(0, I) vs N(0, diag lam) with their SEs.
+
+    Plain Monte-Carlo in the r whitened coordinates, where the log ratio
+    is log p2/p1 = -(Σ log lam + Σ (1/lam - 1) x²) / 2. Returns
+    {"tvd": (value, se), "jsd": (value, se)}.
+    """
+    lam = np.asarray(lam, float)
+    log_det = float(np.sum(np.log(lam)))
+    curv = 1.0 / lam - 1.0
+    tvd_parts, jsd_parts = [], []
+    for start in range(0, n_draws, chunk):
+        m = min(chunk, n_draws - start)
+        x = rng.standard_normal((m, lam.size))  # x ~ P1
+        y = rng.standard_normal((m, lam.size)) * np.sqrt(lam)  # y ~ P2
+        r_x = -0.5 * (log_det + (x * x) @ curv)  # log p2/p1 at x
+        r_y = 0.5 * (log_det + (y * y) @ curv)   # log p1/p2 at y
+        tvd_parts.append(0.5 * (np.maximum(0.0, -np.expm1(r_x))
+                                + np.maximum(0.0, -np.expm1(r_y))))
+        jsd_parts.append(1.0 - 0.5 * (np.logaddexp(0.0, r_x)
+                                      + np.logaddexp(0.0, r_y)) / LN2)
+    out = {}
+    for name, parts in (("tvd", tvd_parts), ("jsd", jsd_parts)):
+        s = np.concatenate(parts)
+        out[name] = (float(s.mean()), float(s.std(ddof=1) / np.sqrt(s.size)))
+    return out
+
+
 def tvd_2d_exact(C1, C2):
     """TVD between two 2-D zero-mean Gaussians via nested 1-D quadrature.
 

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from oracles import (closed_form_tvd_1d_scale, grid_quad_2d, quad_jsd_1d,
+from oracles import (closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
+                     grid_quad_2d, predictive_pair_eigenvalues, quad_jsd_1d,
                      quad_tvd_1d)
 from synth import random_orthogonal, random_spd
 
 from repmetric.bayes_metrics import (estimate, estimator_variance_profile,
-                                     js_distance, js_distance_from_jsd, jsd, tvd)
+                                     js_distance, js_distance_from_jsd, jsd,
+                                     jsd_gradient, tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import RepresentationMatrix, gram, predictive_covariance
-from repmetric.mvn import GaussianModel
+from repmetric.mvn import GaussianModel, log_density, sample
 
 
 def model(C):
@@ -151,6 +153,113 @@ class TestFusedEstimate:
         m = model(np.eye(2))
         with pytest.raises(ValidationError, match="unknown Bayes metric 'cka'"):
             estimate(("jsd", "cka"), m, m, 100, seed=0)
+
+
+def per_point(C1, C2, n_draws, seed):
+    """Values and gradients of both estimators from explicit samples.
+
+    Draws x ~ P1 and y ~ P2 with the public ``sample``, evaluates all
+    four log densities with ``log_density`` and sums the per-draw
+    summands and their derivatives: the explicit dependence of log p_j
+    on C_j plus the sampling path x = L z, pulled back through the
+    Cholesky factor with dense inverses.
+    """
+    m1, m2 = model(C1), model(C2)
+    b1, b2 = sample(m1, n_draws, seed, stream=0), sample(m2, n_draws, seed, stream=1)
+    d1 = log_density(m2, b1.Y) - log_density(m1, b1.Y)  # log p2/p1 at x
+    d2 = log_density(m1, b2.Y) - log_density(m2, b2.Y)  # log p1/p2 at y
+    summands = {
+        "tvd": 0.5 * (np.maximum(0.0, -np.expm1(d1)) + np.maximum(0.0, -np.expm1(d2))),
+        "jsd": 1.0 - 0.5 * (np.logaddexp(0.0, d1) + np.logaddexp(0.0, d2)) / np.log(2.0),
+    }
+    # dV/dd per draw: both summands fall as the draw's log ratio rises
+    slopes = {
+        "tvd": lambda d: -np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2 * n_draws),
+        "jsd": lambda d: -1.0 / (1.0 + np.exp(-d)) / (2 * n_draws * np.log(2.0)),
+    }
+    chol = [m1.chol, m2.chol]
+    inv = [np.linalg.inv(m.cov) for m in (m1, m2)]
+    inv_chol = [np.linalg.inv(L) for L in chol]
+
+    def phi(M):
+        out = np.tril(M)
+        out[np.diag_indices_from(out)] *= 0.5
+        return out
+
+    out = {}
+    for metric, s in summands.items():
+        grads = [np.zeros_like(C1), np.zeros_like(C1)]
+        # block j: draws of P_j, log ratio d = log p_other - log p_own
+        for own, block, d in ((0, b1, d1), (1, b2, d2)):
+            other = 1 - own
+            w = slopes[metric](d)
+            V_own, V_other = block.Y @ inv[own], block.Y @ inv[other]
+            # dl/dC = (v vᵀ - C⁻¹)/2 with v = C⁻¹ x, for l_other (+) and l_own (-)
+            grads[other] += 0.5 * ((V_other * w[:, None]).T @ V_other - w.sum() * inv[other])
+            grads[own] -= 0.5 * ((V_own * w[:, None]).T @ V_own - w.sum() * inv[own])
+            # x = L_own z: dV/dx = w (C_own⁻¹ x - C_other⁻¹ x), through dL = L phi(L⁻¹ dC L⁻ᵀ)
+            X_bar = w[:, None] * (V_own - V_other)
+            Li = inv_chol[own]
+            grads[own] += Li.T @ phi(chol[own].T @ X_bar.T @ block.Z) @ Li
+        grads = [0.5 * (g + g.T) for g in grads]
+        out[metric] = (float(s.mean()), float(s.std(ddof=1) / np.sqrt(n_draws)), grads)
+    return out
+
+
+class TestWhitenedMatchesPerPoint:
+    """The whitened evaluation reproduces the per-point definition."""
+
+    @pytest.mark.parametrize("n", [3, 100, 300])
+    def test_values_and_gradients(self, n):
+        rng = np.random.default_rng(50 + n)
+        if n == 3:
+            C1, C2 = random_spd(rng, 3), random_spd(rng, 3)
+        else:
+            X1 = rng.standard_normal((n, 20))
+            X2 = 0.8 * X1 + 0.6 * rng.standard_normal((n, 20))
+            C1, C2 = (model_from_X(X).cov for X in (X1, X2))
+        ref = per_point(C1, C2, 2000, seed=51)
+        ests = estimate(("tvd", "jsd"), model(C1), model(C2), 2000, seed=51)
+        for metric, grad_fn in (("tvd", tvd_gradient), ("jsd", jsd_gradient)):
+            value, se, (g1, g2) = ref[metric]
+            assert abs(ests[metric].raw_value - value) < 1e-12
+            assert abs(ests[metric].std_error - se) < 1e-12
+            grad = grad_fn(C1, C2, 2000, seed=51)
+            assert np.abs(grad.d_cov1 - g1).max() < 1e-12
+            assert np.abs(grad.d_cov2 - g2).max() < 1e-12
+
+
+class TestBitwiseEqualFactors:
+    @pytest.mark.parametrize("n", [4, 60])
+    def test_every_metric_exactly_zero(self, n):
+        rng = np.random.default_rng(60 + n)
+        X = rng.standard_normal((n, 7))
+        m1, m2 = model_from_X(X), model_from_X(-2.0 * X)  # exact in floats
+        assert np.array_equal(m1.chol, m2.chol) and m1 is not m2
+        for est in estimate(("tvd", "jsd", "js_distance"), m1, m2, 2000, seed=61).values():
+            assert est.value == 0.0
+            assert est.std_error == 0.0
+
+
+class TestHighDimensionalOracle:
+    """Agreement with an independent eigenbasis Monte-Carlo at n = 300, k = 50."""
+
+    @pytest.mark.parametrize("t, b", [(0.3, 0.01), (0.5, 0.05)])
+    def test_within_five_combined_se(self, t, b):
+        n, k = 300, 50
+        rng = np.random.default_rng(70)
+        X1 = rng.standard_normal((n, k))
+        X2 = np.sqrt(1.0 - t * t) * X1 + t * rng.standard_normal((n, k))
+        a = b * n / (1.0 + b * n)
+        ests = estimate(("tvd", "jsd"), model_from_X(X1, a), model_from_X(X2, a),
+                        4000, seed=71)
+        lam = predictive_pair_eigenvalues(X1, X2, a)
+        assert lam.size == 2 * k
+        ref = eigenbasis_monte_carlo(lam, 200_000, np.random.default_rng(72))
+        for metric, est in ests.items():
+            value, se = ref[metric]
+            assert 0.05 < value < 0.95  # away from the clamps, where the SE holds
+            assert abs(est.raw_value - value) < 5.0 * np.hypot(est.std_error, se)
 
 
 class TestStandardErrors:

@@ -305,9 +305,11 @@ class TestSingleLineValidationErrors:
          {"n_samples": "many"}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"entries": 5}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"entries": [{"name": [1], "path": "layer0.csv", "kind": "kernel"}]}),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
-            "manifest-entries"])
+            "manifest-entries", "manifest-name"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)

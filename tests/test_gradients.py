@@ -119,12 +119,12 @@ class TestStationaryAtEquality:
 
         rng = np.random.default_rng(80)
         C = random_spd(rng, 3)
-        real = bm.sample
+        real = bm.standard_normal_block
 
-        def shared(model, n, seed, stream=0):
-            return real(model, n, seed, stream=0)
+        def shared(n, dim, seed, stream=0):
+            return real(n, dim, seed, stream=0)
 
-        with mock.patch.object(bm, "sample", side_effect=shared):
+        with mock.patch.object(bm, "standard_normal_block", side_effect=shared):
             grad = _gradient("jsd", C, C, 2000, seed=5)
         assert np.abs(grad.d_cov1).max() < 1e-14
         assert np.abs(grad.d_cov2).max() < 1e-14

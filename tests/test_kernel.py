@@ -5,8 +5,9 @@ from oracles import naive_gram, naive_squared_distances
 from synth import random_orthogonal
 
 from repmetric.errors import DegenerateRepresentationError, ValidationError
-from repmetric.kernel import (KernelMatrix, RepresentationMatrix, centered_kernel,
-                              gram, predictive_covariance, squared_distance_matrix)
+from repmetric.kernel import (PSD_RTOL, KernelMatrix, RepresentationMatrix,
+                              centered_kernel, gram, predictive_covariance,
+                              squared_distance_matrix)
 
 
 class TestGram:
@@ -171,6 +172,26 @@ class TestKernelValidation:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValidationError, match="semidefinite"):
             KernelMatrix.from_array(K)
+
+    def test_rejection_reports_min_eigenvalue(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"min eigenvalue -1\.000e\+00"):
+            KernelMatrix.from_array(K)
+
+    @pytest.mark.parametrize("depth, accepted", [(0.0, True), (0.5, True), (2.0, False)])
+    def test_decision_at_the_floor(self, depth, accepted):
+        # a rank-5 kernel pushed `depth` floors below zero in its null space
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((60, 5))
+        K = X @ X.T
+        K = 0.5 * (K + K.T)
+        floor = PSD_RTOL * np.trace(K) / 60 + PSD_RTOL
+        K -= depth * floor * np.eye(60)
+        if accepted:
+            assert KernelMatrix.from_array(K).n == 60
+        else:
+            with pytest.raises(ValidationError, match="semidefinite"):
+                KernelMatrix.from_array(K)
 
     def test_subset_is_principal_submatrix(self):
         rng = np.random.default_rng(14)

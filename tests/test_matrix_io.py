@@ -56,6 +56,14 @@ class TestCsvRoundTrip:
         assert loaded.labels == ("conv1", "conv2")
         assert np.array_equal(loaded.values, K)
 
+    @pytest.mark.parametrize("kind", [MatrixKind.KERNEL, MatrixKind.DISTANCE])
+    def test_numeric_header_labels(self, tmp_path, kind):
+        # labels that parse as numbers are still a header: they leave a square matrix
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        loaded = roundtrip(tmp_path, D, kind, ".csv", labels=["1", "2", "3"])
+        assert loaded.labels == ("1", "2", "3")
+        assert loaded.values.tobytes() == D.tobytes()
+
     def test_header_rejected_for_representation(self, tmp_path):
         with pytest.raises(ValidationError):
             write_matrix(np.ones((2, 2)), tmp_path / "m.csv",
