@@ -45,9 +45,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
+from .kernel import solve_lower
 from .mvn import GaussianModel, standard_normal_block
 
 LN2 = math.log(2.0)
@@ -102,7 +102,7 @@ def _whitened_side(own, other, n_draws, seed, stream):
     if np.array_equal(own.chol, other.chol):
         # identical distributions: d is exactly zero, not rounding noise
         return z, np.eye(own.dim), np.zeros(n_draws)
-    T = solve_triangular(other.chol, own.chol, lower=True, check_finite=False)
+    T = solve_lower(other.chol, own.chol)
     U = z @ T.T
     quad = np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z)
     d = float(np.sum(np.log(np.diag(T)))) - 0.5 * quad
@@ -259,9 +259,9 @@ def _side_gradient_terms(metric, own, other, n_draws, seed, stream):
 
 
 def _sandwich(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """L⁻ᵀ M L⁻¹ by two triangular solves, symmetrized."""
-    X = solve_triangular(L, M, lower=True, trans="T", check_finite=False)
-    G = solve_triangular(L, X.T, lower=True, trans="T", check_finite=False)
+    """L⁻ᵀ M L⁻¹ from W = L⁻¹, symmetrized."""
+    W = solve_lower(L, np.eye(L.shape[0]))
+    G = W.T @ M @ W
     return 0.5 * (G + G.T)
 
 

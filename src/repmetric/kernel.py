@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import DegenerateRepresentationError, NotPositiveDefiniteError, ValidationError
 
@@ -82,25 +81,33 @@ class KernelMatrix:
         if not np.all(np.isfinite(K)):
             raise ValidationError("kernel contains non-finite values")
         if validate:
-            scale = max(np.abs(K).max(), 1.0)
-            if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
+            n = K.shape[0]
+            # one n×n buffer S serves the symmetry check, the PSD check and
+            # the symmetrized result, so validation adds no other temporary
+            scale = max(K.max(), -K.min(), 1.0)
+            S = np.subtract(K, K.T)
+            if np.abs(S, out=S).max() > SYMMETRY_RTOL * scale:
                 raise ValidationError("kernel is not symmetric")
-            K = 0.5 * (K + K.T)
-            floor = -PSD_RTOL * max(np.trace(K), 0.0) / K.shape[0] - PSD_RTOL
+            np.add(K, K.T, out=S)
+            S *= 0.5
+            floor = -PSD_RTOL * max(np.trace(S), 0.0) / n - PSD_RTOL
             # K - floor I factorizes exactly when no eigenvalue of K lies
             # below floor; the eigenvalues are only needed to decide (and
             # report) the borderline cases where the factorization fails.
-            # One Fortran-order copy, factorized in place, bounds the memory.
-            shifted = np.array(K, order="F")
-            shifted[np.diag_indices_from(shifted)] -= floor
+            S[np.diag_indices(n)] -= floor
             try:
-                cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+                np.linalg.cholesky(S)
+                factorized = True
             except np.linalg.LinAlgError:
+                factorized = False
+            np.add(K, K.T, out=S)
+            K = np.multiply(S, 0.5, out=S)
+            if not factorized:
                 min_eig = np.linalg.eigvalsh(K).min()
                 if min_eig < floor:
                     raise ValidationError(
                         f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-                    ) from None
+                    )
         return cls(K=K, labels=_as_labels(labels, K.shape[0]))
 
     @property
@@ -180,6 +187,22 @@ def cholesky_with_jitter(C: np.ndarray):
             eps = min(eps * JITTER_FACTOR, max_eps)
 
 
+def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L⁻¹B for a lower-triangular L, by recursive block forward substitution.
+
+    Leaves of at most 64 rows go to ``np.linalg.solve`` and each
+    off-diagonal block is one matrix product, so all the work runs in
+    numpy's own BLAS.
+    """
+    n = L.shape[0]
+    if n <= 64:
+        return np.linalg.solve(L, B)
+    h = n // 2
+    top = solve_lower(L[:h, :h], B[:h])
+    bottom = solve_lower(L[h:, h:], B[h:] - L[h:, :h] @ top)
+    return np.concatenate((top, bottom))
+
+
 def predictive_covariance(kernel: KernelMatrix, a: float) -> PredictiveCovariance:
     """Mix the trace-normalized kernel with isotropic noise and factorize.
 
@@ -203,14 +226,16 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> PredictiveCovarianc
     return PredictiveCovariance(C=C, a=float(a), cholesky=L, jitter_used=jitter)
 
 
-def squared_distances(G: np.ndarray) -> np.ndarray:
+def squared_distances(G: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances from a Gram matrix G = X Xᵀ.
 
     ||x_i - x_j||^2 = G[i,i] + G[j,j] - 2 G[i,j]; clamped at zero and
-    with an exactly zero diagonal.
+    with an exactly zero diagonal. Given ``out``, the result is written
+    there and G is overwritten (with 2 G), so no temporary is allocated.
     """
     d = np.diag(G)
-    D2 = d[:, None] + d[None, :] - 2.0 * G
+    D2 = np.add(d[:, None], d[None, :], out=out)
+    D2 -= np.multiply(G, 2.0, out=None if out is None else G)
     np.maximum(D2, 0.0, out=D2)
     np.fill_diagonal(D2, 0.0)
     return D2

@@ -48,8 +48,10 @@ def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
     return 0.5 * (D + D.T)
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    D = squared_distances(X @ X.T)
+def _pairwise_distances(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Distances between the rows of X into ``out``; ``scratch`` is overwritten."""
+    G = np.matmul(X, X.T, out=scratch)
+    D = squared_distances(G, out=out)
     return np.sqrt(D, out=D)
 
 
@@ -59,17 +61,26 @@ def _smacof_single(D: np.ndarray, dims: int, rng: np.random.Generator,
     denom = float(np.sum(np.triu(D, k=1) ** 2))
     X = rng.standard_normal((m, dims))
     history = []
-    dis = _pairwise_distances(X)
+    # every m×m array lives in one of these buffers for the whole run
+    dis, B, work = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    positive = np.empty((m, m), dtype=bool)
+    lower = np.tri(m, dtype=bool)  # diagonal and below: each pair counts once
+    _pairwise_distances(X, dis, work)
     prev = None
     for it in range(1, max_iter + 1):
         # Guttman transform; zero embedded distances contribute nothing
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dis > 0, D / np.where(dis > 0, dis, 1.0), 0.0)
-        B = -ratio
-        B[np.diag_indices_from(B)] += ratio.sum(axis=1)
+        np.greater(dis, 0.0, out=positive)
+        B.fill(0.0)
+        np.divide(D, dis, out=B, where=positive)
+        row_sums = B.sum(axis=1)
+        np.negative(B, out=B)
+        B[np.diag_indices_from(B)] += row_sums
         X = (B @ X) / m
-        dis = _pairwise_distances(X)
-        raw = float(np.sum(np.triu(dis - D, k=1) ** 2))
+        _pairwise_distances(X, dis, work)
+        np.subtract(dis, D, out=work)
+        np.square(work, out=work)
+        work[lower] = 0.0
+        raw = float(np.sum(work))
         stress = np.sqrt(raw / denom) if denom > 0 else 0.0
         history.append(stress)
         if prev is not None and prev - stress < tol * max(prev, np.finfo(float).tiny):

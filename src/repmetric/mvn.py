@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .kernel import PredictiveCovariance, cholesky_with_jitter
+from .kernel import PredictiveCovariance, cholesky_with_jitter, solve_lower
 from .seeding import stream_generator
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -81,6 +80,6 @@ def log_density(model: GaussianModel, points) -> np.ndarray:
         raise ValidationError(f"points have dimension {P.shape[1]}, model has {model.dim}")
     if not np.all(np.isfinite(P)):
         raise ValidationError("points contain non-finite values")
-    U = solve_triangular(model.chol, P.T, lower=True, check_finite=False)
+    U = solve_lower(model.chol, P.T)
     quad = np.einsum("ij,ij->j", U, U)
     return -0.5 * (model.dim * LOG_2PI + model.log_det + quad)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,19 @@ class TestSingleLineValidationErrors:
                      MatrixKind.DISTANCE)
         assert main(["embed", "--input", str(tmp_path / "d.csv"), "--seed", str(seed),
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestSingleBlas:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy would load a second OpenBLAS with its own thread pool
+        import repmetric
+        src = str(Path(repmetric.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, repmetric.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestHelp:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from oracles import naive_gram, naive_squared_distances
 from synth import random_orthogonal
@@ -7,7 +8,7 @@ from synth import random_orthogonal
 from repmetric.errors import DegenerateRepresentationError, ValidationError
 from repmetric.kernel import (PSD_RTOL, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, predictive_covariance,
-                              squared_distance_matrix)
+                              solve_lower, squared_distance_matrix)
 
 
 class TestGram:
@@ -95,6 +96,26 @@ class TestPredictiveCovariance:
         assert pc.jitter_used == 0.0
         assert np.allclose(pc.cholesky @ pc.cholesky.T, pc.C, atol=1e-12)
         assert np.all(np.tril(pc.cholesky) == pc.cholesky)
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("rhs", ["general", "lower"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_matches_dense_triangular_solve(self, n, rhs):
+        # factor of a rank-5 predictive covariance, as the estimators see
+        # it, at sizes on both sides of the 64-row leaf
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 5))
+        K = X @ X.T
+        L = np.linalg.cholesky(0.9 * n * K / np.trace(K) + 0.1 * np.eye(n))
+        if rhs == "general":
+            B = rng.standard_normal((n, 7))
+        else:
+            B = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+        expected = solve_triangular(L, B, lower=True)
+        got = solve_lower(L, B)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestSquaredDistances:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repmetric.errors import ValidationError
-from repmetric.mds import mds_embed
+from repmetric.mds import _smacof_single, mds_embed
 
 
 def pairwise(X):
@@ -71,6 +71,44 @@ class TestStressBehaviour:
         D = pairwise(pts)
         emb = mds_embed(D, seed=12)
         assert np.abs(emb.coords.mean(axis=0)).max() < 1e-9
+
+
+def allocating_smacof(D, dims, rng, max_iter):
+    """SMACOF with a fresh array for every intermediate, no tolerance stop."""
+    def distances(X):
+        G = X @ X.T
+        d = np.diag(G)
+        D2 = np.maximum(d[:, None] + d[None, :] - 2.0 * G, 0.0)
+        np.fill_diagonal(D2, 0.0)
+        return np.sqrt(D2)
+
+    m = D.shape[0]
+    denom = float(np.sum(np.triu(D, k=1) ** 2))
+    X = rng.standard_normal((m, dims))
+    dis = distances(X)
+    history = []
+    for _ in range(max_iter):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dis > 0, D / np.where(dis > 0, dis, 1.0), 0.0)
+        B = -ratio
+        B[np.diag_indices_from(B)] += ratio.sum(axis=1)
+        X = (B @ X) / m
+        dis = distances(X)
+        history.append(np.sqrt(float(np.sum(np.triu(dis - D, k=1) ** 2)) / denom))
+    return X, history
+
+
+class TestBufferedIterations:
+    def test_bitwise_equal_to_allocating_reference(self):
+        rng = np.random.default_rng(16)
+        D = pairwise(rng.standard_normal((40, 5)))
+        np.fill_diagonal(D, 0.0)
+        X_ref, history_ref = allocating_smacof(D, 2, np.random.default_rng(17), 60)
+        X, stress, iters, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
+        assert iters == 60
+        assert np.array_equal(X, X_ref)
+        assert history == history_ref
+        assert stress == history_ref[-1]
 
 
 class TestValidation:
