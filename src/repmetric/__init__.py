@@ -19,13 +19,12 @@ from .errors import (DegenerateRepresentationError, NotPositiveDefiniteError,
                      RepmetricError, ValidationError)
 from .harness import (DistanceMatrix, StabilityReport, SweepGrid, heuristic_a,
                       pairwise_matrix, snr_sweep, stability_study)
-from .kernel import (KernelMatrix, PredictiveCovariance, RepresentationMatrix,
+from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix,
                      centered_kernel, gram, predictive_covariance,
                      squared_distance_matrix)
 from .matrix_io import (LayerManifest, LoadedMatrix, ManifestEntry, MatrixKind,
                         read_manifest, read_matrix, write_manifest, write_matrix)
 from .mds import Embedding, mds_embed
-from .mvn import GaussianModel, SampleBlock, log_density, sample
 
 __all__ = [
     "__version__",
@@ -37,10 +36,9 @@ __all__ = [
     "RepmetricError", "ValidationError",
     "DistanceMatrix", "StabilityReport", "SweepGrid", "heuristic_a",
     "pairwise_matrix", "snr_sweep", "stability_study",
-    "KernelMatrix", "PredictiveCovariance", "RepresentationMatrix",
+    "GaussianModel", "KernelMatrix", "RepresentationMatrix",
     "centered_kernel", "gram", "predictive_covariance", "squared_distance_matrix",
     "LayerManifest", "LoadedMatrix", "ManifestEntry", "MatrixKind",
     "read_manifest", "read_matrix", "write_manifest", "write_matrix",
     "Embedding", "mds_embed",
-    "GaussianModel", "SampleBlock", "log_density", "sample",
 ]

@@ -47,8 +47,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import solve_lower
-from .mvn import GaussianModel, standard_normal_block
+from .kernel import GaussianModel, solve_lower
+from .mvn import standard_normal_block
 
 LN2 = math.log(2.0)
 

@@ -19,9 +19,9 @@ import numpy as np
 from . import baseline_metrics, bayes_metrics
 from .bayes_metrics import DistanceEstimate
 from .errors import DegenerateRepresentationError, RepmetricError, ValidationError
-from .kernel import KernelMatrix, RepresentationMatrix, gram, predictive_covariance
+from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
+                     predictive_covariance)
 from .matrix_io import LayerManifest, MatrixKind, read_matrix
-from .mvn import GaussianModel
 from .seeding import derive_seed, pair_seed, stream_generator
 
 ALL_METRICS = bayes_metrics.BAYES_METRICS + baseline_metrics.BASELINE_METRICS
@@ -147,7 +147,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     if metrics_bayes:
         for name, kern in layers:
             try:
-                models[name] = GaussianModel.from_predictive(predictive_covariance(kern, a))
+                models[name] = predictive_covariance(kern, a)
             except RepmetricError as exc:
                 if on_error == "abort":
                     raise RepmetricError(f"layer {name!r}: {exc}") from exc
@@ -234,6 +234,8 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     """
     if pool1.n != pool2.n:
         raise ValidationError("kernel pools have different sizes")
+    if not metrics:
+        raise ValidationError("no metrics requested")
     for m in metrics:
         if m not in ("jsd", "tvd"):
             raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
@@ -283,8 +285,8 @@ def cell_seed(seed: int, n: int, noise_index) -> int:
 
 
 def _sweep_cell(k1, k2, a, metrics, n_samples, seed):
-    m1 = GaussianModel.from_predictive(predictive_covariance(k1, a))
-    m2 = GaussianModel.from_predictive(predictive_covariance(k2, a))
+    m1 = predictive_covariance(k1, a)
+    m2 = predictive_covariance(k2, a)
     ps = pair_seed(seed, *SWEEP_LABELS)
     return bayes_metrics.estimate(metrics, m1, m2, n_samples, ps)
 

@@ -9,7 +9,8 @@ covariance actually compared downstream:
     C = (1 - a) * n * K / tr(K) + a * I,   a in [0, 1],
 
 which always has trace n, making comparisons invariant to feature
-rotations and to rescaling of X.
+rotations and to rescaling of X. ``predictive_covariance`` returns it
+as a ``GaussianModel``, N(0, C) with the Cholesky factor of C.
 """
 
 from __future__ import annotations
@@ -73,41 +74,39 @@ class KernelMatrix:
     labels: tuple[str, ...]
 
     @classmethod
-    def from_array(cls, K, labels: Optional[Sequence[str]] = None,
-                   validate: bool = True) -> "KernelMatrix":
+    def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
         K = np.asarray(K, dtype=np.float64)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValidationError("kernel must be a square matrix")
         if not np.all(np.isfinite(K)):
             raise ValidationError("kernel contains non-finite values")
-        if validate:
-            n = K.shape[0]
-            # one n×n buffer S serves the symmetry check, the PSD check and
-            # the symmetrized result, so validation adds no other temporary
-            scale = max(K.max(), -K.min(), 1.0)
-            S = np.subtract(K, K.T)
-            if np.abs(S, out=S).max() > SYMMETRY_RTOL * scale:
-                raise ValidationError("kernel is not symmetric")
-            np.add(K, K.T, out=S)
-            S *= 0.5
-            floor = -PSD_RTOL * max(np.trace(S), 0.0) / n - PSD_RTOL
-            # K - floor I factorizes exactly when no eigenvalue of K lies
-            # below floor; the eigenvalues are only needed to decide (and
-            # report) the borderline cases where the factorization fails.
-            S[np.diag_indices(n)] -= floor
-            try:
-                np.linalg.cholesky(S)
-                factorized = True
-            except np.linalg.LinAlgError:
-                factorized = False
-            np.add(K, K.T, out=S)
-            K = np.multiply(S, 0.5, out=S)
-            if not factorized:
-                min_eig = np.linalg.eigvalsh(K).min()
-                if min_eig < floor:
-                    raise ValidationError(
-                        f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-                    )
+        n = K.shape[0]
+        # one n×n buffer S serves the symmetry check, the PSD check and
+        # the symmetrized result, so validation adds no other temporary
+        scale = max(K.max(), -K.min(), 1.0)
+        S = np.subtract(K, K.T)
+        if np.abs(S, out=S).max() > SYMMETRY_RTOL * scale:
+            raise ValidationError("kernel is not symmetric")
+        np.add(K, K.T, out=S)
+        S *= 0.5
+        floor = -PSD_RTOL * max(np.trace(S), 0.0) / n - PSD_RTOL
+        # K - floor I factorizes exactly when no eigenvalue of K lies
+        # below floor; the eigenvalues are only needed to decide (and
+        # report) the borderline cases where the factorization fails.
+        S[np.diag_indices(n)] -= floor
+        try:
+            np.linalg.cholesky(S)
+            factorized = True
+        except np.linalg.LinAlgError:
+            factorized = False
+        np.add(K, K.T, out=S)
+        K = np.multiply(S, 0.5, out=S)
+        if not factorized:
+            min_eig = np.linalg.eigvalsh(K).min()
+            if min_eig < floor:
+                raise ValidationError(
+                    f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+                )
         return cls(K=K, labels=_as_labels(labels, K.shape[0]))
 
     @property
@@ -132,24 +131,6 @@ class KernelMatrix:
         labels = tuple(self.labels[i] for i in idx)
         # principal submatrix of a PSD matrix is PSD, skip re-validation
         return KernelMatrix(K=K, labels=labels)
-
-
-@dataclass(frozen=True)
-class PredictiveCovariance:
-    """Trace-normalized covariance with its Cholesky factor.
-
-    ``jitter_used`` is the diagonal boost (0 when none was needed) that
-    made the factorization succeed; ``C`` includes it.
-    """
-
-    C: np.ndarray
-    a: float
-    cholesky: np.ndarray
-    jitter_used: float
-
-    @property
-    def n(self) -> int:
-        return self.C.shape[0]
 
 
 def gram(rep: RepresentationMatrix) -> KernelMatrix:
@@ -187,6 +168,39 @@ def cholesky_with_jitter(C: np.ndarray):
             eps = min(eps * JITTER_FACTOR, max_eps)
 
 
+@dataclass(frozen=True)
+class GaussianModel:
+    """Zero-mean Gaussian N(0, C) with the lower Cholesky factor of C.
+
+    ``jitter_used`` is the diagonal boost (0 when none was needed) that
+    made the factorization succeed; ``C`` includes it.
+    """
+
+    C: np.ndarray
+    chol: np.ndarray
+    jitter_used: float
+
+    @classmethod
+    def from_covariance(cls, C) -> "GaussianModel":
+        """Factorize any symmetric positive-definite matrix."""
+        C = np.atleast_2d(np.asarray(C, dtype=np.float64))
+        if C.ndim != 2 or C.shape[0] != C.shape[1]:
+            raise ValidationError("covariance must be square")
+        if not np.all(np.isfinite(C)):
+            raise ValidationError("covariance contains non-finite values")
+        L, C, jitter = cholesky_with_jitter(C)
+        return cls(C=C, chol=L, jitter_used=jitter)
+
+    @classmethod
+    def from_predictive(cls, model: "GaussianModel") -> "GaussianModel":
+        """``model`` itself: ``predictive_covariance`` already returns one."""
+        return model
+
+    @property
+    def dim(self) -> int:
+        return self.C.shape[0]
+
+
 def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """L⁻¹B for a lower-triangular L, by recursive block forward substitution.
 
@@ -203,7 +217,7 @@ def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.concatenate((top, bottom))
 
 
-def predictive_covariance(kernel: KernelMatrix, a: float) -> PredictiveCovariance:
+def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     """Mix the trace-normalized kernel with isotropic noise and factorize.
 
     Raises DegenerateRepresentationError when tr(K) <= 0 and a < 1: a
@@ -222,8 +236,7 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> PredictiveCovarianc
                 "kernel trace is not positive; cannot build a predictive distribution"
             )
         C = (1.0 - a) * n * (K / trace) + a * np.eye(n)
-    L, C, jitter = cholesky_with_jitter(C)
-    return PredictiveCovariance(C=C, a=float(a), cholesky=L, jitter_used=jitter)
+    return GaussianModel.from_covariance(C)
 
 
 def squared_distances(G: np.ndarray, out=None) -> np.ndarray:

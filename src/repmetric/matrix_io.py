@@ -248,9 +248,6 @@ class LayerManifest:
         p = Path(entry.path)
         return p if p.is_absolute() else self.base_dir / p
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
 
 def read_manifest(path) -> LayerManifest:
     """Parse a JSON layer manifest and check entry-name uniqueness."""

@@ -86,7 +86,7 @@ def _smacof_single(D: np.ndarray, dims: int, rng: np.random.Generator,
         if prev is not None and prev - stress < tol * max(prev, np.finfo(float).tiny):
             break
         prev = stress
-    return X, history[-1] if history else 0.0, len(history), history
+    return X, history[-1], len(history), history
 
 
 def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
@@ -103,6 +103,8 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
         raise ValidationError("dims must be >= 1")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
     m = D.shape[0]
     if m < 2:
         raise ValidationError("need at least 2 points")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from oracles import (closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      grid_quad_2d, predictive_pair_eigenvalues, quad_jsd_1d,
@@ -11,8 +12,8 @@ from repmetric.bayes_metrics import (estimate, estimator_variance_profile,
                                      jsd_gradient, tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
-from repmetric.kernel import RepresentationMatrix, gram, predictive_covariance
-from repmetric.mvn import GaussianModel, log_density, sample
+from repmetric.kernel import GaussianModel, RepresentationMatrix, gram, predictive_covariance
+from repmetric.mvn import standard_normal_block
 
 
 def model(C):
@@ -21,7 +22,7 @@ def model(C):
 
 def model_from_X(X, a=0.5):
     rep = RepresentationMatrix.from_array(X)
-    return GaussianModel.from_predictive(predictive_covariance(gram(rep), a))
+    return predictive_covariance(gram(rep), a)
 
 
 class TestTvd:
@@ -158,16 +159,23 @@ class TestFusedEstimate:
 def per_point(C1, C2, n_draws, seed):
     """Values and gradients of both estimators from explicit samples.
 
-    Draws x ~ P1 and y ~ P2 with the public ``sample``, evaluates all
-    four log densities with ``log_density`` and sums the per-draw
-    summands and their derivatives: the explicit dependence of log p_j
-    on C_j plus the sampling path x = L z, pulled back through the
-    Cholesky factor with dense inverses.
+    Draws x = L1 z ~ P1 and y = L2 z' ~ P2 from the estimator's z blocks,
+    evaluates all four log densities with triangular solves and sums the
+    per-draw summands and their derivatives: the explicit dependence of
+    log p_j on C_j plus the sampling path x = L z, pulled back through
+    the Cholesky factor with dense inverses.
     """
     m1, m2 = model(C1), model(C2)
-    b1, b2 = sample(m1, n_draws, seed, stream=0), sample(m2, n_draws, seed, stream=1)
-    d1 = log_density(m2, b1.Y) - log_density(m1, b1.Y)  # log p2/p1 at x
-    d2 = log_density(m1, b2.Y) - log_density(m2, b2.Y)  # log p1/p2 at y
+    Z = [standard_normal_block(n_draws, m.dim, seed, stream) for stream, m in enumerate((m1, m2))]
+    Y = [z @ m.chol.T for z, m in zip(Z, (m1, m2))]
+
+    def log_density(m, P):
+        # up to the constant -n log(2π)/2, which cancels in every ratio
+        U = solve_triangular(m.chol, P.T, lower=True)
+        return -np.sum(np.log(np.diag(m.chol))) - 0.5 * np.einsum("ij,ij->j", U, U)
+
+    d1 = log_density(m2, Y[0]) - log_density(m1, Y[0])  # log p2/p1 at x
+    d2 = log_density(m1, Y[1]) - log_density(m2, Y[1])  # log p1/p2 at y
     summands = {
         "tvd": 0.5 * (np.maximum(0.0, -np.expm1(d1)) + np.maximum(0.0, -np.expm1(d2))),
         "jsd": 1.0 - 0.5 * (np.logaddexp(0.0, d1) + np.logaddexp(0.0, d2)) / np.log(2.0),
@@ -178,7 +186,7 @@ def per_point(C1, C2, n_draws, seed):
         "jsd": lambda d: -1.0 / (1.0 + np.exp(-d)) / (2 * n_draws * np.log(2.0)),
     }
     chol = [m1.chol, m2.chol]
-    inv = [np.linalg.inv(m.cov) for m in (m1, m2)]
+    inv = [np.linalg.inv(m.C) for m in (m1, m2)]
     inv_chol = [np.linalg.inv(L) for L in chol]
 
     def phi(M):
@@ -190,17 +198,17 @@ def per_point(C1, C2, n_draws, seed):
     for metric, s in summands.items():
         grads = [np.zeros_like(C1), np.zeros_like(C1)]
         # block j: draws of P_j, log ratio d = log p_other - log p_own
-        for own, block, d in ((0, b1, d1), (1, b2, d2)):
+        for own, d in ((0, d1), (1, d2)):
             other = 1 - own
             w = slopes[metric](d)
-            V_own, V_other = block.Y @ inv[own], block.Y @ inv[other]
+            V_own, V_other = Y[own] @ inv[own], Y[own] @ inv[other]
             # dl/dC = (v vᵀ - C⁻¹)/2 with v = C⁻¹ x, for l_other (+) and l_own (-)
             grads[other] += 0.5 * ((V_other * w[:, None]).T @ V_other - w.sum() * inv[other])
             grads[own] -= 0.5 * ((V_own * w[:, None]).T @ V_own - w.sum() * inv[own])
             # x = L_own z: dV/dx = w (C_own⁻¹ x - C_other⁻¹ x), through dL = L phi(L⁻¹ dC L⁻ᵀ)
             X_bar = w[:, None] * (V_own - V_other)
             Li = inv_chol[own]
-            grads[own] += Li.T @ phi(chol[own].T @ X_bar.T @ block.Z) @ Li
+            grads[own] += Li.T @ phi(chol[own].T @ X_bar.T @ Z[own]) @ Li
         grads = [0.5 * (g + g.T) for g in grads]
         out[metric] = (float(s.mean()), float(s.std(ddof=1) / np.sqrt(n_draws)), grads)
     return out
@@ -217,7 +225,7 @@ class TestWhitenedMatchesPerPoint:
         else:
             X1 = rng.standard_normal((n, 20))
             X2 = 0.8 * X1 + 0.6 * rng.standard_normal((n, 20))
-            C1, C2 = (model_from_X(X).cov for X in (X1, X2))
+            C1, C2 = (model_from_X(X).C for X in (X1, X2))
         ref = per_point(C1, C2, 2000, seed=51)
         ests = estimate(("tvd", "jsd"), model(C1), model(C2), 2000, seed=51)
         for metric, grad_fn in (("tvd", tvd_gradient), ("jsd", jsd_gradient)):
@@ -327,7 +335,7 @@ class TestPseudoMetricProperties:
         X = rng.standard_normal((10, 4))
         m1 = model_from_X(X)
         m2 = model_from_X(-2.0 * X)
-        assert np.array_equal(m1.cov, m2.cov)
+        assert np.array_equal(m1.C, m2.C)
         est = tvd(m1, m2, 2000, seed=7)
         assert est.value == 0.0
 

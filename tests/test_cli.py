@@ -288,6 +288,7 @@ class TestEmbedCommand:
 
 
 BIG_SEED = str(2 ** 200)
+HUGE_SAMPLES = str(10 ** 30)  # a draw block numpy cannot even shape
 
 
 class TestSingleLineValidationErrors:
@@ -311,9 +312,19 @@ class TestSingleLineValidationErrors:
          {"entries": 5}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"entries": [{"name": [1], "path": "layer0.csv", "kind": "kernel"}]}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--a", "0.5",
+          "--samples", HUGE_SAMPLES], None),
+        (["stability", "--manifest", "{manifest}", "--n-images", "5", "--repeats", "2",
+          "--metrics", "jsd", "--samples", HUGE_SAMPLES], None),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
+          "--noise-values", "0.5", "--samples", HUGE_SAMPLES], None),
+        (["embed", "--input", "{distance}", "--max-iter", "0"], None),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
+          "--noise-values", "0.5", "--metrics", ""], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
-            "manifest-entries", "manifest-name"])
+            "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
+            "sweep-samples", "embed-max-iter", "sweep-metrics"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)

@@ -1,22 +1,51 @@
+"""Draws and densities of the zero-mean Gaussian model.
+
+The program draws only z blocks (``standard_normal_block``) and maps them
+to x = L z in whitened form, so the sampling tests check the z block and
+that map. It evaluates log densities only as the whitened per-draw ratio
+of ``bayes_metrics``; ``log_density`` below recovers log p(x) from that
+ratio against the standard normal, so the density tests check the
+estimators' own arithmetic.
+"""
+
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from oracles import dense_logpdf
 from synth import random_spd
 
+from repmetric import bayes_metrics
 from repmetric.errors import ValidationError
-from repmetric.kernel import KernelMatrix, predictive_covariance
-from repmetric.mvn import GaussianModel, log_density, sample
+from repmetric.kernel import GaussianModel, KernelMatrix, predictive_covariance
+from repmetric.mvn import standard_normal_block
 
 LOG_2PI = np.log(2 * np.pi)
 
 
+def draws(model, n_draws, seed, stream=0):
+    """x = L z for the z block of (seed, stream)."""
+    return standard_normal_block(n_draws, model.dim, seed, stream) @ model.chol.T
+
+
+def log_density(model, points):
+    """log p(x) = log N(x; 0, I) + d(x), with d = log p/N(0, I) as the estimators compute it.
+
+    The standard normal is the pair's own side, so its z block is x itself.
+    """
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    standard = GaussianModel.from_covariance(np.eye(model.dim))
+    with mock.patch.object(bayes_metrics, "standard_normal_block", lambda *args: P):
+        d = bayes_metrics._whitened_side(standard, model, len(P), 0, 0)[2]
+    return d - 0.5 * (model.dim * LOG_2PI + np.einsum("ij,ij->i", P, P))
+
+
 class TestSampling:
     def test_identity_covariance_statistics(self):
-        model = GaussianModel.from_covariance(np.eye(3))
         N = 100_000
-        block = sample(model, N, seed=123)
-        emp = block.Y.T @ block.Y / N
+        Z = standard_normal_block(N, 3, seed=123)
+        emp = Z.T @ Z / N
         # per-entry sampling SE of the empirical covariance
         se = np.sqrt((np.ones((3, 3)) + np.eye(3)) / N)
         assert np.all(np.abs(emp - np.eye(3)) < 5 * se)
@@ -24,36 +53,37 @@ class TestSampling:
     def test_general_covariance_statistics(self):
         rng = np.random.default_rng(0)
         C = random_spd(rng, 4)
-        model = GaussianModel.from_covariance(C)
         N = 100_000
-        block = sample(model, N, seed=99)
-        emp = block.Y.T @ block.Y / N
+        Y = draws(GaussianModel.from_covariance(C), N, seed=99)
+        emp = Y.T @ Y / N
         d = np.diag(C)
         se = np.sqrt((np.outer(d, d) + C**2) / N)
         assert np.all(np.abs(emp - C) < 5 * se)
 
     def test_deterministic(self):
-        model = GaussianModel.from_covariance([[2.0, 0.3], [0.3, 1.0]])
-        b1 = sample(model, 50, seed=7)
-        b2 = sample(model, 50, seed=7)
-        assert np.array_equal(b1.Y, b2.Y)
-        assert np.array_equal(b1.Z, b2.Z)
+        z1 = standard_normal_block(50, 2, seed=7)
+        z2 = standard_normal_block(50, 2, seed=7)
+        assert np.array_equal(z1, z2)
 
     def test_streams_differ(self):
-        model = GaussianModel.from_covariance(np.eye(2))
-        b0 = sample(model, 50, seed=7, stream=0)
-        b1 = sample(model, 50, seed=7, stream=1)
-        assert not np.array_equal(b0.Z, b1.Z)
+        z0 = standard_normal_block(50, 2, seed=7, stream=0)
+        z1 = standard_normal_block(50, 2, seed=7, stream=1)
+        assert not np.array_equal(z0, z1)
 
     def test_scalar_unit_factor_passthrough(self):
         model = GaussianModel.from_covariance([[1.0]])
-        block = sample(model, 1, seed=5)
-        assert np.array_equal(block.Y, block.Z)
+        assert np.array_equal(draws(model, 1, seed=5), standard_normal_block(1, 1, seed=5))
 
     def test_draw_count_validated(self):
-        model = GaussianModel.from_covariance([[1.0]])
         with pytest.raises(ValidationError):
-            sample(model, 0, seed=1)
+            standard_normal_block(0, 1, seed=1)
+
+    @pytest.mark.parametrize("n_draws", [10**30, 10**18])
+    def test_unallocatable_block_is_validation_error(self, n_draws):
+        # 10**30 overflows numpy's shape (ValueError); 10**18 float64s are
+        # 8 EB, refused by the allocator (MemoryError) before any is written
+        with pytest.raises(ValidationError, match=f"cannot allocate {n_draws} draws of dimension 1"):
+            standard_normal_block(n_draws, 1, seed=1)
 
 
 class TestLogDensity:
@@ -77,9 +107,10 @@ class TestLogDensity:
         assert np.abs(got - want).max() < 1e-8
 
     def test_dimension_checked(self):
-        model = GaussianModel.from_covariance(np.eye(3))
-        with pytest.raises(ValidationError):
-            log_density(model, [[1.0, 2.0]])
+        m3 = GaussianModel.from_covariance(np.eye(3))
+        m2 = GaussianModel.from_covariance(np.eye(2))
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            bayes_metrics.estimate(("jsd",), m3, m2, 10, seed=0)
 
     def test_integrates_to_one_1d(self):
         model = GaussianModel.from_covariance([[2.5]])
@@ -98,14 +129,13 @@ class TestLogDensity:
         assert abs(total - 1.0) < 1e-4
 
     def test_entropy_consistency(self):
-        # mean log density of own samples matches the analytic value
+        # mean log density of own draws matches the analytic value
         rng = np.random.default_rng(2)
         C = random_spd(rng, 3)
         model = GaussianModel.from_covariance(C)
         N = 100_000
-        block = sample(model, N, seed=11)
-        lp = log_density(model, block.Y)
-        analytic = -0.5 * (model.dim * (LOG_2PI + 1.0) + model.log_det)
+        lp = log_density(model, draws(model, N, seed=11))
+        analytic = -0.5 * (model.dim * (LOG_2PI + 1.0) + np.linalg.slogdet(C)[1])
         se = lp.std(ddof=1) / np.sqrt(N)
         assert abs(lp.mean() - analytic) < 3 * se
 
@@ -116,15 +146,15 @@ class TestConstruction:
         A = rng.standard_normal((6, 9))
         K = KernelMatrix.from_array(A @ A.T)
         pc = predictive_covariance(K, 0.3)
-        m1 = GaussianModel.from_predictive(pc)
-        m2 = GaussianModel.from_covariance(pc.C)
-        assert np.array_equal(m1.cov, m2.cov)
-        assert m1.log_det == pytest.approx(m2.log_det, rel=1e-12)
+        assert GaussianModel.from_predictive(pc) is pc
+        assert np.array_equal(GaussianModel.from_covariance(pc.C).chol, pc.chol)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             GaussianModel.from_covariance(np.ones((2, 3)))
 
     def test_log_det_value(self):
+        # the whitened log ratio carries -log|C|/2 through diag L⁻¹
         model = GaussianModel.from_covariance(np.diag([1.0, 4.0, 9.0]))
-        assert model.log_det == pytest.approx(np.log(36.0), rel=1e-12)
+        lp = log_density(model, np.zeros((1, 3)))
+        assert lp[0] == pytest.approx(-0.5 * (3 * LOG_2PI + np.log(36.0)), rel=1e-12)
