@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .baseline_metrics import (BaselineResult, cka, cka_distance, rsa_arccos,
                                rsa_one_minus_corr, shape_metric)
-from .bayes_metrics import (DistanceEstimate, DistanceGradient,
-                            estimator_variance_profile, js_distance, jsd,
-                            jsd_gradient, tvd, tvd_gradient)
+from .bayes_metrics import (DistanceEstimate, DistanceGradient, js_distance,
+                            jsd, jsd_gradient, tvd, tvd_gradient)
 from .errors import (DegenerateRepresentationError, NotPositiveDefiniteError,
                      RepmetricError, ValidationError)
 from .harness import (DistanceMatrix, StabilityReport, SweepGrid, heuristic_a,
@@ -30,7 +29,7 @@ __all__ = [
     "__version__",
     "BaselineResult", "cka", "cka_distance", "rsa_arccos", "rsa_one_minus_corr",
     "shape_metric",
-    "DistanceEstimate", "DistanceGradient", "estimator_variance_profile",
+    "DistanceEstimate", "DistanceGradient",
     "js_distance", "jsd", "jsd_gradient", "tvd", "tvd_gradient",
     "DegenerateRepresentationError", "NotPositiveDefiniteError",
     "RepmetricError", "ValidationError",

@@ -205,24 +205,6 @@ def js_distance_from_jsd(est: DistanceEstimate) -> DistanceEstimate:
                    raw_value=root, degenerate_se=degenerate)
 
 
-def estimator_variance_profile(pairs: Sequence[tuple], n_draws: int, seed: int,
-                               metric: str = "jsd") -> list[tuple[float, float]]:
-    """Per-pair (estimate, single-summand variance) over covariance pairs.
-
-    The estimator variance for a pair is its summand variance divided
-    by ``n_draws``.
-    """
-    if len(pairs) == 0:
-        raise ValidationError("need at least one covariance pair")
-    out = []
-    for i, (c1, c2) in enumerate(pairs):
-        m1 = GaussianModel.from_covariance(c1)
-        m2 = GaussianModel.from_covariance(c2)
-        est = estimate((metric,), m1, m2, n_draws, seed + i)[metric]
-        out.append((est.value, est.summand_variance))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reparameterized gradients
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import baseline_metrics, bayes_metrics
 from .bayes_metrics import DistanceEstimate
-from .errors import DegenerateRepresentationError, RepmetricError, ValidationError
+from .errors import RepmetricError, ValidationError
 from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
                      predictive_covariance)
 from .matrix_io import LayerManifest, MatrixKind, read_matrix
@@ -93,65 +93,37 @@ def _split_metrics(metrics: Sequence[str]):
     return bayes, base
 
 
-def _pair_distances(metrics_bayes, metrics_base, label_lo, label_hi, model_lo,
-                    model_hi, kernel_lo, kernel_hi, n_samples, seed, rsa_squared,
-                    on_error):
-    """All requested metrics for one unordered pair, smaller label first.
-
-    Entries are (value, std_error, None), or (nan, nan, reason) for a
-    hole. All Bayes metrics share one call (one set of draws) and each
-    baseline metric has its own; in skip mode a failing call leaves
-    holes for its metrics only.
-    """
-    out = {}
-    ps = pair_seed(seed, label_lo, label_hi)
-
-    def run(metrics, fn):
-        try:
-            out.update(fn())
-        except RepmetricError as exc:
-            if on_error == "abort":
-                raise RepmetricError(f"pair ({label_lo}, {label_hi}): {exc}") from exc
-            out.update((m, (np.nan, np.nan, str(exc))) for m in metrics)
-
-    def bayes():
-        if model_lo is None or model_hi is None:
-            raise DegenerateRepresentationError("layer has no predictive distribution")
-        ests = bayes_metrics.estimate(metrics_bayes, model_lo, model_hi, n_samples, ps)
-        return {m: (e.value, e.std_error, None) for m, e in ests.items()}
-
-    if metrics_bayes:
-        run(metrics_bayes, bayes)
-    for m in metrics_base:
-        run([m], lambda m=m: {m: (
-            baseline_metrics.baseline(m, kernel_lo, kernel_hi,
-                                      rsa_squared=rsa_squared).value, 0.0, None)})
-    return out
-
-
 def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequence[str],
                     a: float, n_samples: int, seed: int, threads: int = 1,
                     rsa_squared: bool = True,
                     on_error: str = "abort") -> dict[str, DistanceMatrix]:
     """Distance matrices over all unordered layer pairs, one per metric.
 
-    ``on_error='skip'`` records failing pairs as holes (NaN entries)
-    instead of aborting the run.
+    ``on_error='skip'`` records pairs that fail numerically
+    (DegenerateRepresentationError, NotPositiveDefiniteError) as holes,
+    NaN entries with the failure's reason, instead of aborting the run.
+    Layers and metrics are validated before any pair runs, so a
+    ValidationError raised by a pair would recur in every pair; it
+    aborts in both modes. ``threads > 1`` runs pairs on a thread pool
+    with identical results.
     """
     if on_error not in ("abort", "skip"):
         raise ValidationError("on_error must be 'abort' or 'skip'")
     _check_layers(layers)
     metrics_bayes, metrics_base = _split_metrics(metrics)
 
-    models: dict[str, Optional[GaussianModel]] = {}
+    # a layer's predictive distribution, or in skip mode the error that
+    # prevented it, which becomes the hole reason of each of its pairs
+    models: dict[str, GaussianModel | RepmetricError] = {}
     if metrics_bayes:
         for name, kern in layers:
             try:
                 models[name] = predictive_covariance(kern, a)
             except RepmetricError as exc:
-                if on_error == "abort":
-                    raise RepmetricError(f"layer {name!r}: {exc}") from exc
-                models[name] = None
+                error = type(exc)(f"layer {name!r}: {exc}")
+                if on_error == "abort" or isinstance(exc, ValidationError):
+                    raise error from exc
+                models[name] = error
 
     kernels = dict(layers)
     names = [name for name, _ in layers]
@@ -160,11 +132,39 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
              for i in range(len(names)) for j in range(i + 1, len(names))]
 
     def compute(pair):
+        """{metric: (value, std_error, None) or (nan, nan, reason)} for one pair.
+
+        All Bayes metrics share one call (one set of draws) and each
+        baseline metric has its own; in skip mode a failing call leaves
+        holes for its metrics only.
+        """
         la, lb = pair
-        return _pair_distances(
-            metrics_bayes, metrics_base, la, lb,
-            models.get(la), models.get(lb), kernels[la], kernels[lb],
-            n_samples, seed, rsa_squared, on_error)
+        ps = pair_seed(seed, la, lb)
+        out = {}
+
+        def run(metrics, fn):
+            try:
+                out.update(fn())
+            except RepmetricError as exc:
+                if on_error == "abort" or isinstance(exc, ValidationError):
+                    raise type(exc)(f"pair ({la}, {lb}): {exc}") from exc
+                out.update((m, (np.nan, np.nan, str(exc))) for m in metrics)
+
+        def bayes():
+            for model in (models[la], models[lb]):
+                if isinstance(model, RepmetricError):
+                    raise model
+            ests = bayes_metrics.estimate(metrics_bayes, models[la], models[lb],
+                                          n_samples, ps)
+            return {m: (e.value, e.std_error, None) for m, e in ests.items()}
+
+        if metrics_bayes:
+            run(metrics_bayes, bayes)
+        for m in metrics_base:
+            run([m], lambda m=m: {m: (
+                baseline_metrics.baseline(m, kernels[la], kernels[lb],
+                                          rsa_squared=rsa_squared).value, 0.0, None)})
+        return out
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

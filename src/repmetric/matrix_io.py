@@ -103,7 +103,7 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
     """
     path = Path(path)
     kind = _coerce_kind(expected_kind)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"{path}: no such file")
     if _is_csv(path):
         values, labels = _read_csv(path, kind)
@@ -143,8 +143,15 @@ def _read_binary(path: Path, expected: MatrixKind):
     return values, None
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def _read_csv(path: Path, kind: MatrixKind):
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty CSV file")
@@ -252,10 +259,10 @@ class LayerManifest:
 def read_manifest(path) -> LayerManifest:
     """Parse a JSON layer manifest and check entry-name uniqueness."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"{path}: no such manifest")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -269,6 +276,9 @@ def read_manifest(path) -> LayerManifest:
             raise ValidationError(f"{path}: each entry needs name, path and kind") from None
         if not isinstance(name, str):
             raise ValidationError(f"{path}: entry name must be a string, got {name!r}")
+        if "," in name or "".join(name.splitlines()) != name:
+            # names become CSV labels and the context of one-line messages
+            raise ValidationError(f"{path}: entry name {name!r} contains a separator")
         if name in seen:
             raise ValidationError(f"{path}: duplicate entry name {name!r}")
         seen.add(name)

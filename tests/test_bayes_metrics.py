@@ -7,9 +7,8 @@ from oracles import (closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      quad_tvd_1d)
 from synth import random_orthogonal, random_spd
 
-from repmetric.bayes_metrics import (estimate, estimator_variance_profile,
-                                     js_distance, js_distance_from_jsd, jsd,
-                                     jsd_gradient, tvd, tvd_gradient)
+from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd,
+                                     jsd, jsd_gradient, tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import GaussianModel, RepresentationMatrix, gram, predictive_covariance
@@ -285,27 +284,6 @@ class TestStandardErrors:
         est = jsd(model([[1.0]]), model([[9.0]]), 4000, seed=2)
         assert est.std_error == pytest.approx(
             np.sqrt(est.summand_variance / est.n_samples), rel=1e-12)
-
-
-class TestVarianceProfile:
-    def test_identical_pair_degenerate(self):
-        C = np.eye(2)
-        out = estimator_variance_profile([(C, C)], 1000, seed=0, metric="tvd")
-        assert out == [(0.0, 0.0)]
-
-    def test_jsd_sweep_peak_bounded(self):
-        pairs = [(np.eye(1), np.eye(1) * r) for r in np.logspace(0, 4, 15)]
-        out = estimator_variance_profile(pairs, 10_000, seed=3, metric="jsd")
-        assert max(v for _, v in out) <= 0.40
-
-    def test_tvd_sweep_peak_bounded(self):
-        pairs = [(np.eye(1), np.eye(1) * r) for r in np.logspace(0, 4, 15)]
-        out = estimator_variance_profile(pairs, 10_000, seed=4, metric="tvd")
-        assert max(v for _, v in out) <= 0.10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            estimator_variance_profile([], 100, seed=0)
 
 
 class TestPseudoMetricProperties:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import kernels_same_stimuli
 
 from repmetric.cli import main
 from repmetric.harness import cell_seed
 from repmetric.kernel import RepresentationMatrix, gram
-from repmetric.matrix_io import MatrixKind, read_matrix, write_matrix
+from repmetric.matrix_io import MAGIC, MatrixKind, read_matrix, write_matrix
 
 
 def write_manifest_dir(tmp_path, layers, extra=None):
@@ -141,15 +145,19 @@ class TestCompareCommand:
         for name in ("jsd.csv", "tvd.csv", "jsd.se.csv", "tvd.se.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+    def test_threads_default_is_serial(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(8)
         mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
-        monkeypatch.setenv("REPMETRIC_THREADS", "2")
+        monkeypatch.setenv("REPMETRIC_THREADS", "2")  # not read
         out = tmp_path / "out"
         assert main(["compare", "--manifest", str(mpath), "--metrics", "cka",
                      "--a", "0.5", "--out", str(out)]) == 0
         record = json.loads((out / "record.json").read_text())
-        assert record["threads"] == 2
+        assert record["threads"] == 1
+        capsys.readouterr()
+        assert main(["compare", "--manifest", str(mpath), "--metrics", "cka",
+                     "--a", "0.5", "--threads", "0", "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant layer: zero centered kernel breaks cka in abort mode
@@ -321,18 +329,37 @@ class TestSingleLineValidationErrors:
         (["embed", "--input", "{distance}", "--max-iter", "0"], None),
         (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
           "--noise-values", "0.5", "--metrics", ""], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd,cka", "--a", "0.5",
+          "--samples", HUGE_SAMPLES, "--on-error", "skip"], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd,cka", "--a", "0.5",
+          "--samples", "1", "--on-error", "skip"], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--samples", "1"],
+         {"entries": [{"name": "x\ny", "path": "layer0.csv", "kind": "kernel"},
+                      {"name": "z", "path": "layer1.csv", "kind": "kernel"}]}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka"],
+         {"entries": [{"name": "here", "path": ".", "kind": "kernel"},
+                      {"name": "z", "path": "layer1.csv", "kind": "kernel"}]}),
+        (["embed", "--input", "{not_utf8_csv}"], None),
+        (["compare", "--manifest", "{not_utf8_manifest}", "--metrics", "cka"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
-            "sweep-samples", "embed-max-iter", "sweep-metrics"])
+            "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
+            "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
+            "csv-not-utf8", "manifest-not-utf8"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
         paths = {"manifest": str(write_manifest_dir(tmp_path, layers, manifest_extra)),
                  "kernel": str(tmp_path / "layer0.csv"),
-                 "distance": str(tmp_path / "d.csv")}
+                 "distance": str(tmp_path / "d.csv"),
+                 "not_utf8_csv": str(tmp_path / "utf16.csv"),
+                 "not_utf8_manifest": str(tmp_path / "not_utf8.json")}
         write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
                      MatrixKind.DISTANCE)
+        (tmp_path / "utf16.csv").write_bytes("0,1\n1,0\n".encode("utf-16"))  # BOM ff fe
+        (tmp_path / "not_utf8.json").write_bytes(
+            b'{"entries": [{"name": "\xff", "path": "layer0.csv", "kind": "kernel"}]}')
         argv = [a.format(**paths) for a in args] + ["--out", str(tmp_path / "out")]
         capsys.readouterr()
         assert main(argv) == 2
@@ -367,3 +394,123 @@ class TestHelp:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Small valid and malformed CSVs and manifests, keyed by a short name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(40)
+    for name, kern in kernels_same_stimuli(rng, 6, 3, 3):
+        write_matrix(kern.K, root / f"{name}.csv", MatrixKind.KERNEL, labels=kern.labels)
+    write_matrix(np.zeros((6, 6)), root / "zero.csv", MatrixKind.KERNEL)
+    write_matrix(rng.standard_normal((6, 3)), root / "rep.csv", MatrixKind.REPRESENTATION)
+    X = rng.standard_normal((4, 3))
+    D = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
+    write_matrix(D, root / "dist.csv", MatrixKind.DISTANCE, labels=["p0", "p1", "p2", "p3"])
+    raw = {"ragged.csv": b"0,1\n1\n", "empty.csv": b"", "text.csv": b"0,1\nx,0\n",
+           "utf16.csv": "0,1\n1,0\n".encode("utf-16"), "trunc.rmx": MAGIC,
+           "empty.json": b"", "brace.json": b"{", "not_utf8.json": b'{"entries": "\xff"}'}
+    for name, data in raw.items():
+        (root / name).write_bytes(data)
+
+    def entry(name, path, kind="kernel"):
+        return {"name": name, "path": path, "kind": kind}
+
+    good = [entry(f"layer{j}", f"layer{j}.csv") for j in range(3)]
+    manifests = {
+        "good": {"entries": good},
+        "mixed": {"entries": [entry("layer0", "layer0.csv"), entry("rep", "rep.csv",
+                                                                    "representation"),
+                              entry("zero", "zero.csv")]},
+        "defaults": {"entries": good, "seed": 5, "n_samples": 50, "a": 0.5},
+        "bad-defaults": {"entries": good, "b": -1, "seed": 2 ** 200},
+        "ragged": {"entries": [entry("layer0", "layer0.csv"), entry("r", "ragged.csv")]},
+        "not-utf8-layer": {"entries": [entry("layer0", "layer0.csv"), entry("u", "utf16.csv")]},
+        "missing": {"entries": [entry("layer0", "layer0.csv"), entry("m", "nope.csv")]},
+        "directory": {"entries": [entry("layer0", "layer0.csv"), entry("d", ".")]},
+        "distance": {"entries": [entry("layer0", "layer0.csv"), entry("d", "dist.csv",
+                                                                       "distance")]},
+        "odd-names": {"entries": [entry("x\ny", "layer0.csv"), entry("z,w", "layer1.csv"),
+                                  entry("\u2028", "layer2.csv")]},
+        "one-layer": {"entries": good[:1]},
+        "no-entries": {"entries": []},
+    }
+    for name, doc in manifests.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+def _command(words, required, optional):
+    """argv for one command; each optional flag is left out or takes one value."""
+    parts = [values.map(lambda v, f=flag: [f, v]) for flag, values in required.items()]
+    parts += [st.one_of(st.none(), values).map(lambda v, f=flag: [] if v is None else [f, v])
+              for flag, values in optional.items()]
+    return st.tuples(*parts).map(lambda groups: words + [tok for g in groups for tok in g])
+
+
+def _mostly(valid, invalid):
+    """Valid values in about half the draws, so runs get past validation too."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_KERNEL_CSVS = ["layer0.csv", "layer1.csv"]
+_BAD_CSVS = ["zero.csv", "rep.csv", "dist.csv", "ragged.csv", "empty.csv", "text.csv",
+             "utf16.csv", "trunc.rmx"]
+_MANIFESTS = _mostly(["good.json", "defaults.json"], [
+    "mixed.json", "bad-defaults.json", "ragged.json", "not-utf8-layer.json", "missing.json",
+    "directory.json", "distance.json", "odd-names.json", "one-layer.json",
+    "no-entries.json", "empty.json", "brace.json", "not_utf8.json"])
+_SEEDS = st.one_of(
+    st.sampled_from([0, 7, -1, 2 ** 127 - 1, -2 ** 127, 2 ** 127, -2 ** 127 - 1]),
+    st.integers(-2 ** 130, 2 ** 130)).map(str)
+_WEIGHTS = _mostly(["0", "0.5", "1"], ["-0.5", "2", "nan", "inf", "-inf", "1e308", "x"])
+_SAMPLES = st.sampled_from(["0", "1", "2", "50", str(10 ** 30)])
+_METRICS = _mostly(["jsd", "tvd,js_distance", "cka,shape", "rsa_corr,rsa_arccos",
+                    "jsd,tvd,js_distance,cka,shape,rsa_corr,rsa_arccos"],
+                   ["", "nope", "jsd,,cka", " jsd", "jsd,jsd"])
+_THREADS = _mostly(["1", "2"], ["-1", "0"])
+
+_ARGV = st.one_of(
+    st.tuples(st.lists(_mostly(["rep.csv", "layer0.csv"], _BAD_CSVS), min_size=1, max_size=2),
+              _command([], {}, {"--format": st.sampled_from(["auto", "csv", "binary", "x"])})
+              ).map(lambda t: ["gram"] + t[0] + t[1]),
+    _command(["compare"], {"--manifest": _MANIFESTS}, {
+        "--metrics": _METRICS, "--a": _WEIGHTS, "--b": _WEIGHTS, "--samples": _SAMPLES,
+        "--seed": _SEEDS, "--threads": _THREADS,
+        "--on-error": st.sampled_from(["abort", "skip"]),
+        "--format": st.sampled_from(["auto", "binary"])}),
+    _command(["sweep"], {
+        "--kernel1": _mostly(_KERNEL_CSVS, _BAD_CSVS), "--kernel2": st.just("layer1.csv"),
+        "--n-values": _mostly(["2", "3,6"], ["1", "7", "", "x", "-3"]),
+        "--noise-values": _mostly(["0.5", "0,1"], ["-1", "nan", "inf", "x"])}, {
+        "--noise-kind": st.sampled_from(["a", "variance"]), "--b": _WEIGHTS,
+        "--metrics": _mostly(["jsd", "tvd", "jsd,tvd"], ["", "cka", "js_distance"]),
+        "--samples": _SAMPLES, "--seed": _SEEDS}),
+    _command(["stability"], {
+        "--manifest": _MANIFESTS, "--n-images": _mostly(["2", "3,5", "6"], ["7", "0", "", "x"]),
+        "--repeats": _mostly(["2", "3"], ["-1", "1"])}, {
+        "--metrics": _METRICS, "--b": _WEIGHTS, "--samples": _SAMPLES, "--seed": _SEEDS,
+        "--threads": _THREADS}),
+    _command(["embed"], {
+        "--input": _mostly(["dist.csv"], ["layer0.csv"] + _BAD_CSVS),
+        "--restarts": _mostly(["1", "2"], ["0"]),
+        "--max-iter": _mostly(["1", "20"], ["-1", "0"])}, {
+        "--dims": st.sampled_from(["-1", "0", "1", "3"]), "--seed": _SEEDS, "--tol": _WEIGHTS}),
+)
+
+
+class TestFuzzedCommandLine:
+    """Any argv over the five commands exits 0-3; a failure is one stderr line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_ARGV)
+    def test_exit_code_contract(self, fuzz_files, argv):
+        # file arguments are relative to the fixture directory
+        argv = [str(fuzz_files / a) if (fuzz_files / a).is_file() else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(fuzz_files / "out")])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -147,7 +147,7 @@ class TestPairwiseMatrix:
         layers = [("zero", zero), ("g1", good1), ("g2", good2)]
         mats = pairwise_matrix(layers, ["tvd", "jsd", "js_distance"], a=0.5,
                                n_samples=300, seed=23, on_error="skip")
-        reason = "layer has no predictive distribution"
+        reason = "layer 'zero': kernel trace is not positive; cannot build a predictive distribution"
         for dm in mats.values():
             assert dm.holes == (("g1", "zero", reason), ("g2", "zero", reason))
             assert np.isnan(dm.values[0, 1:]).all() and np.isnan(dm.std_errors[1:, 0]).all()
