@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, harness, mds
 from .errors import RepmetricError, ValidationError
 from .kernel import KernelMatrix, RepresentationMatrix, gram
-from .matrix_io import MatrixKind, read_manifest, read_matrix, write_matrix
+from .matrix_io import MatrixKind, format_value, read_manifest, read_matrix, write_matrix
 
 CSV_SIZE_LIMIT = 200  # matrices up to this order default to CSV output
 
@@ -42,10 +42,6 @@ def _write_record(out_dir: Path, record: dict) -> None:
     record = dict(record, version=__version__)
     (out_dir / "record.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @click.group()
@@ -148,8 +144,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
         outputs[metric] = target.name
         if metric in ("tvd", "jsd", "js_distance"):
             se_target = out_dir / f"{metric}.se.csv"
-            write_matrix(dm.std_errors, se_target, MatrixKind.DISTANCE,
-                         labels=dm.labels, header=True)
+            write_matrix(dm.std_errors, se_target, MatrixKind.DISTANCE, labels=dm.labels)
             outputs[f"{metric}.se"] = se_target.name
         click.echo(f"{metric}: wrote {target.name}")
     _write_record(out_dir, {
@@ -192,11 +187,11 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
     for metric in metric_list:
         for i, n in enumerate(grid.n_values):
             for est, a_val in zip(grid.grid[metric][i], grid.a_values):
-                lines.append(f"{metric},{n},{_fmt(a_val)},grid,"
-                             f"{_fmt(est.value)},{_fmt(est.std_error)}")
+                lines.append(f"{metric},{n},{format_value(a_val)},grid,"
+                             f"{format_value(est.value)},{format_value(est.std_error)}")
             a_prop, est = grid.proportional[metric][i]
-            lines.append(f"{metric},{n},{_fmt(a_prop)},proportional,"
-                         f"{_fmt(est.value)},{_fmt(est.std_error)}")
+            lines.append(f"{metric},{n},{format_value(a_prop)},proportional,"
+                         f"{format_value(est.value)},{format_value(est.std_error)}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"wrote sweep.csv ({len(lines) - 1} cells)")
     _write_record(out_dir, {
@@ -212,7 +207,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
 @click.option("--n-images", "n_images", required=True, help="comma-separated subset sizes")
 @click.option("--repeats", type=int, required=True)
 @click.option("--metrics", default="jsd,tvd", show_default=True)
-@click.option("--b", type=float, default=0.01, show_default=True)
+@click.option("--b", type=float, default=None, help="[default: manifest b, else 0.01]")
 @click.option("--samples", "n_samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
@@ -224,8 +219,10 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     """Stability of pairwise distances across random image subsets."""
     if repeats < 2:
         raise click.UsageError("--repeats must be >= 2")
-    _, layers, metric_list, n_samples, seed = _load_manifest_run(
+    manifest, layers, metric_list, n_samples, seed = _load_manifest_run(
         manifest_path, metrics, n_samples, seed)
+    if b is None:
+        b = manifest.b if manifest.b is not None else 0.01
     sizes = _parse_list(n_images, int, "--n-images")
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b,
@@ -238,7 +235,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     for rep in reports:
         for metric in metric_list:
             for (la, lb), sd in rep.per_pair_sd[metric].items():
-                pair_lines.append(f"{metric},{rep.n_images},{la},{lb},{_fmt(sd)}")
+                pair_lines.append(f"{metric},{rep.n_images},{la},{lb},{format_value(sd)}")
     (out_dir / "stability_pairs.csv").write_text("\n".join(pair_lines) + "\n", encoding="utf-8")
 
     # summary in the median/max table layout: one row per subset size
@@ -275,7 +272,7 @@ def cmd_embed(input_path, dims, restarts, max_iter, tol, seed, out_dir):
     header = "label," + ",".join(f"dim{i}" for i in range(dims))
     lines = [header]
     for lab, row in zip(loaded.labels, emb.coords):
-        lines.append(lab + "," + ",".join(_fmt(x) for x in row))
+        lines.append(lab + "," + ",".join(format_value(x) for x in row))
     (out_dir / "embedding.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"stress={emb.stress:.8g} iterations={emb.n_iterations}")
     _write_record(out_dir, {
@@ -308,3 +305,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

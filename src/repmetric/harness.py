@@ -99,9 +99,9 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
                     on_error: str = "abort") -> dict[str, DistanceMatrix]:
     """Distance matrices over all unordered layer pairs, one per metric.
 
-    ``on_error='skip'`` records pairs that fail numerically
-    (DegenerateRepresentationError, NotPositiveDefiniteError) as holes,
-    NaN entries with the failure's reason, instead of aborting the run.
+    ``on_error='skip'`` records each metric a pair leaves undefined
+    (DegenerateRepresentationError, NotPositiveDefiniteError) as a hole,
+    a NaN entry with the failure's reason, instead of aborting the run.
     Layers and metrics are validated before any pair runs, so a
     ValidationError raised by a pair would recur in every pair; it
     aborts in both modes. ``threads > 1`` runs pairs on a thread pool
@@ -134,37 +134,28 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     def compute(pair):
         """{metric: (value, std_error, None) or (nan, nan, reason)} for one pair.
 
-        All Bayes metrics share one call (one set of draws) and each
-        baseline metric has its own; in skip mode a failing call leaves
-        holes for its metrics only.
+        One estimate call (one set of draws) gives every Bayes metric and
+        one distances call every baseline; an error that leaves a metric
+        undefined is its hole in skip mode and aborts the run otherwise.
         """
         la, lb = pair
-        ps = pair_seed(seed, la, lb)
-        out = {}
-
-        def run(metrics, fn):
-            try:
-                out.update(fn())
-            except RepmetricError as exc:
-                if on_error == "abort" or isinstance(exc, ValidationError):
-                    raise type(exc)(f"pair ({la}, {lb}): {exc}") from exc
-                out.update((m, (np.nan, np.nan, str(exc))) for m in metrics)
-
-        def bayes():
-            for model in (models[la], models[lb]):
-                if isinstance(model, RepmetricError):
-                    raise model
+        results = {}
+        failed = [models[x] for x in pair if isinstance(models.get(x), RepmetricError)]
+        if failed:
+            results = dict.fromkeys(metrics_bayes, failed[0])
+        elif metrics_bayes:
             ests = bayes_metrics.estimate(metrics_bayes, models[la], models[lb],
-                                          n_samples, ps)
-            return {m: (e.value, e.std_error, None) for m, e in ests.items()}
-
-        if metrics_bayes:
-            run(metrics_bayes, bayes)
-        for m in metrics_base:
-            run([m], lambda m=m: {m: (
-                baseline_metrics.baseline(m, kernels[la], kernels[lb],
-                                          rsa_squared=rsa_squared).value, 0.0, None)})
-        return out
+                                          n_samples, pair_seed(seed, la, lb))
+            results = {m: (e.value, e.std_error, None) for m, e in ests.items()}
+        for m, r in baseline_metrics.distances(metrics_base, kernels[la], kernels[lb],
+                                               rsa_squared).items():
+            results[m] = r if isinstance(r, RepmetricError) else (r.value, 0.0, None)
+        for m, r in results.items():
+            if isinstance(r, RepmetricError):
+                if on_error == "abort":
+                    raise type(r)(f"pair ({la}, {lb}): {r}") from r
+                results[m] = (np.nan, np.nan, str(r))
+        return results
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -182,13 +182,15 @@ class GaussianModel:
 
     @classmethod
     def from_covariance(cls, C) -> "GaussianModel":
-        """Factorize any symmetric positive-definite matrix."""
+        """Factorize any symmetric positive-definite matrix, keeping its exact symmetric part."""
         C = np.atleast_2d(np.asarray(C, dtype=np.float64))
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValidationError("covariance must be square")
         if not np.all(np.isfinite(C)):
             raise ValidationError("covariance contains non-finite values")
-        L, C, jitter = cholesky_with_jitter(C)
+        if np.abs(C - C.T).max() > SYMMETRY_RTOL * max(np.abs(C).max(), 1.0):
+            raise ValidationError("covariance is not symmetric")
+        L, C, jitter = cholesky_with_jitter(0.5 * (C + C.T))
         return cls(C=C, chol=L, jitter_used=jitter)
 
     @classmethod
@@ -236,7 +238,9 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
                 "kernel trace is not positive; cannot build a predictive distribution"
             )
         C = (1.0 - a) * n * (K / trace) + a * np.eye(n)
-    return GaussianModel.from_covariance(C)
+    # C is exactly symmetric, so from_covariance's check would only add an n×n pass
+    L, C, jitter = cholesky_with_jitter(C)
+    return GaussianModel(C=C, chol=L, jitter_used=jitter)
 
 
 def squared_distances(G: np.ndarray, out=None) -> np.ndarray:

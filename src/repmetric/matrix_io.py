@@ -184,13 +184,11 @@ def _read_csv(path: Path, kind: MatrixKind):
     return np.array(rows, dtype=np.float64), labels
 
 
-def write_matrix(values, path, kind, labels: Optional[Sequence[str]] = None,
-                 header: Optional[bool] = None) -> None:
+def write_matrix(values, path, kind, labels: Optional[Sequence[str]] = None) -> None:
     """Write a matrix so that reading it back reproduces it bit-exactly.
 
-    ``header`` controls the CSV label row: the default writes one
-    exactly when labels are given and the kind is kernel or distance.
-    Binary files never store labels.
+    A CSV gets a label row exactly when labels are given and the kind
+    is kernel or distance. Binary files never store labels.
     """
     path = Path(path)
     kind = _coerce_kind(kind)
@@ -199,12 +197,7 @@ def write_matrix(values, path, kind, labels: Optional[Sequence[str]] = None,
     if labels is not None and len(labels) != values.shape[0]:
         raise ValidationError(f"{path}: {len(labels)} labels for {values.shape[0]} rows")
     if _is_csv(path):
-        if header is None:
-            header = labels is not None and kind in (MatrixKind.KERNEL, MatrixKind.DISTANCE)
-        if header and kind is MatrixKind.REPRESENTATION:
-            raise ValidationError("label headers are only supported for kernel/distance CSV")
-        if header and labels is None:
-            raise ValidationError("header requested but no labels given")
+        header = kind in (MatrixKind.KERNEL, MatrixKind.DISTANCE)
         _write_csv(path, values, labels if header else None)
     else:
         _write_binary(path, values, kind)
@@ -217,7 +210,8 @@ def _write_binary(path: Path, values: np.ndarray, kind: MatrixKind) -> None:
     path.write_bytes(header + payload)
 
 
-def _format_value(x: float) -> str:
+def format_value(x: float) -> str:
+    """17 significant digits: any finite double round-trips exactly."""
     return f"{x:.17g}"
 
 
@@ -229,7 +223,7 @@ def _write_csv(path: Path, values: np.ndarray, labels: Optional[Sequence[str]]) 
                 raise ValidationError(f"label {lab!r} contains a separator")
         out.append(",".join(labels))
     for row in values:
-        out.append(",".join(_format_value(x) for x in row))
+        out.append(",".join(format_value(x) for x in row))
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

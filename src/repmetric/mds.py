@@ -95,12 +95,11 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
 
     Runs SMACOF from ``restarts`` independent random initializations and
     keeps the lowest-stress solution (ties broken by restart index).
+    ``dims`` may not exceed the number of points m; m - 1 already fit them exactly.
     Coordinates are centered at the origin; orientation is arbitrary.
     Deterministic for a given seed.
     """
     D = _validate_distance_matrix(D)
-    if dims < 1:
-        raise ValidationError("dims must be >= 1")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     if max_iter < 1:
@@ -108,6 +107,8 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
     m = D.shape[0]
     if m < 2:
         raise ValidationError("need at least 2 points")
+    if not 1 <= dims <= m:
+        raise ValidationError(f"dims must be between 1 and the number of points ({m})")
 
     if not np.any(D > 0):
         coords = np.zeros((m, dims))

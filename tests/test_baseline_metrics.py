@@ -7,8 +7,8 @@ from oracles import (cosine_of_upper_triangles, feature_space_cka,
                      vectorize_and_correlate)
 from synth import random_orthogonal
 
-from repmetric.baseline_metrics import (cka, cka_distance, rsa_arccos,
-                                        rsa_one_minus_corr, shape_metric)
+from repmetric.baseline_metrics import (BASELINE_METRICS, cka, cka_distance, distances,
+                                        rsa_arccos, rsa_one_minus_corr, shape_metric)
 from repmetric.errors import DegenerateRepresentationError, ValidationError
 from repmetric.kernel import (KernelMatrix, RepresentationMatrix, gram,
                               squared_distance_matrix)
@@ -50,6 +50,13 @@ class TestCka:
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             cka(KernelMatrix.from_array(np.eye(3)), KernelMatrix.from_array(np.eye(4)))
+
+    def test_constant_kernel_rounding_noise_degenerate(self):
+        # centering 0.1 * ones leaves only rounding noise, ~1e-17 per entry
+        K = KernelMatrix.from_array(0.1 * np.ones((5, 5)))
+        rng = np.random.default_rng(17)
+        with pytest.raises(DegenerateRepresentationError):
+            cka(K, kern(rng.standard_normal((5, 3))))
 
 
 class TestCkaDistance:
@@ -141,6 +148,15 @@ class TestRsaCorr:
         with pytest.raises(DegenerateRepresentationError):
             rsa_one_minus_corr(K, kern(rng.standard_normal((4, 3))))
 
+    @pytest.mark.parametrize("scale, squared", [(0.7, True), (1.0, False)],
+                             ids=["scaled-one-hot", "one-hot-unsquared"])
+    def test_rounding_noise_variance_degenerate(self, scale, squared):
+        # equal distances whose computed spread is a few ulps, not zero
+        K = KernelMatrix.from_array(scale * np.eye(6))
+        rng = np.random.default_rng(10)
+        with pytest.raises(DegenerateRepresentationError):
+            rsa_one_minus_corr(K, kern(rng.standard_normal((6, 3))), squared=squared)
+
 
 class TestRsaArccos:
     def test_identical(self):
@@ -159,6 +175,35 @@ class TestRsaArccos:
         want = math.acos(cosine_of_upper_triangles(squared_distance_matrix(K1),
                                                    squared_distance_matrix(K2)))
         assert abs(rsa_arccos(K1, K2).value - want) < 1e-12
+
+
+class TestDistances:
+    def test_matches_single_metric_functions(self):
+        rng = np.random.default_rng(18)
+        K1, K2 = kern(rng.standard_normal((12, 5))), kern(rng.standard_normal((12, 5)))
+        for squared in (True, False):
+            got = distances(["rsa_arccos", "cka", "rsa_corr", "shape"], K1, K2, squared)
+            assert list(got) == ["rsa_arccos", "cka", "rsa_corr", "shape"]
+            assert got["cka"].value == 1.0 - cka(K1, K2)
+            assert got["shape"].value == math.acos(cka(K1, K2))
+            assert got["rsa_corr"] == rsa_one_minus_corr(K1, K2, squared)
+            assert got["rsa_arccos"] == rsa_arccos(K1, K2, squared)
+
+    def test_undefined_measure_leaves_the_others(self):
+        rng = np.random.default_rng(19)
+        one_hot = KernelMatrix.from_array(np.eye(6))
+        got = distances(BASELINE_METRICS, one_hot, kern(rng.standard_normal((6, 3))))
+        assert isinstance(got["rsa_corr"], DegenerateRepresentationError)
+        assert all(np.isfinite(got[m].value) for m in ("cka", "shape", "rsa_arccos"))
+
+    def test_validation_still_raises(self):
+        K3, K4 = KernelMatrix.from_array(np.eye(3)), KernelMatrix.from_array(np.eye(4))
+        with pytest.raises(ValidationError, match="sizes differ"):
+            distances(["cka"], K3, K4)
+        with pytest.raises(ValidationError, match="unknown"):
+            distances(["jsd"], K3, K3)
+        with pytest.raises(ValidationError, match="3 stimuli"):
+            distances(["cka", "rsa_arccos"], np.eye(2), np.eye(2))
 
 
 class TestInvariances:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.stats import chi2
 
 from oracles import (closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
-                     grid_quad_2d, predictive_pair_eigenvalues, quad_jsd_1d,
-                     quad_tvd_1d)
+                     grid_quad_2d, imhof_upper_tail, predictive_pair_eigenvalues,
+                     quad_jsd_1d, quad_tvd_1d, tvd_exact_diag)
 from synth import random_orthogonal, random_spd
 
 from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd,
@@ -267,6 +268,25 @@ class TestHighDimensionalOracle:
             value, se = ref[metric]
             assert 0.05 < value < 0.95  # away from the clamps, where the SE holds
             assert abs(est.raw_value - value) < 5.0 * np.hypot(est.std_error, se)
+
+
+class TestExactTvdOracle:
+    """Agreement with the exact TVD of (I, diag λ) from Imhof's inversion."""
+
+    @pytest.mark.parametrize("scale, x", [(1.0, 4.0), (2.0, 15.0), (-0.5, -2.0)])
+    def test_imhof_tail_matches_chi_square(self, scale, x):
+        # scale * Q with Q ~ chi-square(6); a negative scale flips the tail
+        q = x / scale
+        want = chi2.sf(q, 6) if scale > 0 else chi2.cdf(q, 6)
+        assert imhof_upper_tail(np.full(6, scale), x) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n, spread", [(100, 0.2), (300, 0.12)])
+    def test_within_four_se(self, n, spread):
+        lam = np.exp(np.random.default_rng(n).normal(0.0, spread, n))
+        exact = tvd_exact_diag(lam)
+        assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
+        est = tvd(model(np.eye(n)), model(np.diag(lam)), 20_000, seed=73)
+        assert abs(est.raw_value - exact) < 4.0 * est.std_error
 
 
 class TestStandardErrors:

@@ -272,6 +272,18 @@ class TestStabilityCommand:
         assert len(pairs) == 1 + 2 * 2 * 3  # metrics x sizes x pairs
 
 
+    def test_manifest_b_applies_unless_flag_given(self, tmp_path):
+        rng = np.random.default_rng(16)
+        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 12, 4, 2),
+                                   extra={"b": 0.5})
+        args = ["stability", "--manifest", str(mpath), "--n-images", "6", "--repeats", "2",
+                "--metrics", "jsd", "--samples", "50"]
+        for flags, b in (([], 0.5), (["--b", "0.2"], 0.2)):
+            out = tmp_path / f"out{b}"
+            assert main(args + flags + ["--out", str(out)]) == 0
+            assert json.loads((out / "record.json").read_text())["b"] == b
+
+
 class TestEmbedCommand:
     def test_triangle_embedding(self, tmp_path, capsys):
         D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -341,12 +353,13 @@ class TestSingleLineValidationErrors:
                       {"name": "z", "path": "layer1.csv", "kind": "kernel"}]}),
         (["embed", "--input", "{not_utf8_csv}"], None),
         (["compare", "--manifest", "{not_utf8_manifest}", "--metrics", "cka"], None),
+        (["embed", "--input", "{distance}", "--dims", str(10 ** 20)], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
-            "csv-not-utf8", "manifest-not-utf8"])
+            "csv-not-utf8", "manifest-not-utf8", "embed-dims"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
@@ -366,6 +379,18 @@ class TestSingleLineValidationErrors:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ")
         assert len(err.splitlines()) == 1
+
+    def test_module_entry_point(self, tmp_path):
+        rng = np.random.default_rng(31)
+        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
+        import repmetric
+        env = dict(os.environ, PYTHONPATH=str(Path(repmetric.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "repmetric.cli", "compare", "--manifest",
+                               str(mpath), "--samples", "1", "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("seed", [2 ** 127 - 1, -2 ** 127])
     def test_seed_range_limits_accepted(self, tmp_path, seed):
@@ -404,6 +429,9 @@ def fuzz_files(tmp_path_factory):
     for name, kern in kernels_same_stimuli(rng, 6, 3, 3):
         write_matrix(kern.K, root / f"{name}.csv", MatrixKind.KERNEL, labels=kern.labels)
     write_matrix(np.zeros((6, 6)), root / "zero.csv", MatrixKind.KERNEL)
+    asym = np.eye(6)
+    asym[0, 1] = 0.5
+    write_matrix(asym, root / "asym.csv", MatrixKind.REPRESENTATION)  # unchecked as a kernel
     write_matrix(rng.standard_normal((6, 3)), root / "rep.csv", MatrixKind.REPRESENTATION)
     X = rng.standard_normal((4, 3))
     D = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
@@ -425,6 +453,9 @@ def fuzz_files(tmp_path_factory):
                               entry("zero", "zero.csv")]},
         "defaults": {"entries": good, "seed": 5, "n_samples": 50, "a": 0.5},
         "bad-defaults": {"entries": good, "b": -1, "seed": 2 ** 200},
+        "b-half": {"entries": good, "b": 0.5},
+        "b-huge": {"entries": good, "b": 1e308},
+        "asymmetric": {"entries": [entry("layer0", "layer0.csv"), entry("s", "asym.csv")]},
         "ragged": {"entries": [entry("layer0", "layer0.csv"), entry("r", "ragged.csv")]},
         "not-utf8-layer": {"entries": [entry("layer0", "layer0.csv"), entry("u", "utf16.csv")]},
         "missing": {"entries": [entry("layer0", "layer0.csv"), entry("m", "nope.csv")]},
@@ -456,9 +487,9 @@ def _mostly(valid, invalid):
 
 _KERNEL_CSVS = ["layer0.csv", "layer1.csv"]
 _BAD_CSVS = ["zero.csv", "rep.csv", "dist.csv", "ragged.csv", "empty.csv", "text.csv",
-             "utf16.csv", "trunc.rmx"]
-_MANIFESTS = _mostly(["good.json", "defaults.json"], [
-    "mixed.json", "bad-defaults.json", "ragged.json", "not-utf8-layer.json", "missing.json",
+             "utf16.csv", "trunc.rmx", "asym.csv"]
+_MANIFESTS = _mostly(["good.json", "defaults.json", "b-half.json"], [
+    "mixed.json", "bad-defaults.json", "b-huge.json", "asymmetric.json", "ragged.json", "not-utf8-layer.json", "missing.json",
     "directory.json", "distance.json", "odd-names.json", "one-layer.json",
     "no-entries.json", "empty.json", "brace.json", "not_utf8.json"])
 _SEEDS = st.one_of(
@@ -496,7 +527,7 @@ _ARGV = st.one_of(
         "--input": _mostly(["dist.csv"], ["layer0.csv"] + _BAD_CSVS),
         "--restarts": _mostly(["1", "2"], ["0"]),
         "--max-iter": _mostly(["1", "20"], ["-1", "0"])}, {
-        "--dims": st.sampled_from(["-1", "0", "1", "3"]), "--seed": _SEEDS, "--tol": _WEIGHTS}),
+        "--dims": st.sampled_from(["-1", "0", "1", "3", "5", str(10 ** 20)]), "--seed": _SEEDS, "--tol": _WEIGHTS}),
 )
 
 

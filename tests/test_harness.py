@@ -5,7 +5,7 @@ import pytest
 
 from synth import kernels_same_stimuli, pooled_kernel_pair, random_orthogonal
 
-from repmetric import bayes_metrics
+from repmetric import baseline_metrics, bayes_metrics
 from repmetric.errors import RepmetricError, ValidationError
 from repmetric.harness import (heuristic_a, load_layer_kernels, pairwise_matrix,
                                snr_sweep, stability_study)
@@ -138,6 +138,31 @@ class TestPairwiseMatrix:
             pairwise_matrix(layers, ["jsd", "tvd", "js_distance"], a=0.5,
                             n_samples=200, seed=21)
         assert spy.call_count == 2 * 3  # one draw per model, three pairs
+
+    def test_baselines_prepare_each_kernel_once_per_pair(self):
+        rng = np.random.default_rng(24)
+        layers = kernels_same_stimuli(rng, 8, 4, 3)
+        with mock.patch.object(baseline_metrics, "centered_kernel",
+                               wraps=baseline_metrics.centered_kernel) as centered, \
+                mock.patch.object(baseline_metrics, "squared_distance_matrix",
+                                  wraps=baseline_metrics.squared_distance_matrix) as dist:
+            pairwise_matrix(layers, ["cka", "shape", "rsa_corr", "rsa_arccos"], a=0.5,
+                            n_samples=10, seed=25)
+        assert centered.call_count == dist.call_count == 2 * 3  # both kernels, three pairs
+
+    def test_skip_holes_are_per_metric(self):
+        rng = np.random.default_rng(26)
+        one_hot = KernelMatrix.from_array(np.eye(6))  # equal distances: no rsa_corr
+        good1 = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        good2 = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        layers = [("g1", good1), ("g2", good2), ("one_hot", one_hot)]
+        mats = pairwise_matrix(layers, ["jsd", "cka", "shape", "rsa_corr", "rsa_arccos"],
+                               a=0.5, n_samples=100, seed=27, on_error="skip")
+        reason = "distance vector has zero variance"
+        assert mats["rsa_corr"].holes == (("g1", "one_hot", reason), ("g2", "one_hot", reason))
+        for metric in ("jsd", "cka", "shape", "rsa_arccos"):
+            assert mats[metric].holes == ()
+            assert np.isfinite(mats[metric].values).all()
 
     def test_skip_records_holes_for_layer_without_distribution(self):
         rng = np.random.default_rng(22)

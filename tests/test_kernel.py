@@ -5,8 +5,9 @@ from scipy.linalg import solve_triangular
 from oracles import naive_gram, naive_squared_distances
 from synth import random_orthogonal
 
+from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import DegenerateRepresentationError, ValidationError
-from repmetric.kernel import (PSD_RTOL, KernelMatrix, RepresentationMatrix,
+from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, predictive_covariance,
                               solve_lower, squared_distance_matrix)
 
@@ -188,6 +189,20 @@ class TestKernelValidation:
         K = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValidationError, match="symmetric"):
             KernelMatrix.from_array(K)
+
+    def test_asymmetric_covariance_rejected(self):
+        # the Cholesky factor would read only the lower triangle, [[2, 0.1], [0.1, 1]]
+        C = np.array([[2.0, 5.0], [0.1, 1.0]])
+        with pytest.raises(ValidationError, match="symmetric"):
+            GaussianModel.from_covariance(C)
+        with pytest.raises(ValidationError, match="symmetric"):
+            tvd_gradient(C, np.eye(2), 100, 0)
+
+    def test_covariance_keeps_exact_symmetric_part(self):
+        C = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])  # within SYMMETRY_RTOL
+        model = GaussianModel.from_covariance(C)
+        assert np.array_equal(model.C, model.C.T)
+        assert np.allclose(model.chol @ model.chol.T, model.C, rtol=0, atol=1e-15)
 
     def test_negative_definite_rejected(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1

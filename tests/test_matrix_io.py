@@ -64,11 +64,6 @@ class TestCsvRoundTrip:
         assert loaded.labels == ("1", "2", "3")
         assert loaded.values.tobytes() == D.tobytes()
 
-    def test_header_rejected_for_representation(self, tmp_path):
-        with pytest.raises(ValidationError):
-            write_matrix(np.ones((2, 2)), tmp_path / "m.csv",
-                         MatrixKind.REPRESENTATION, labels=["a", "b"], header=True)
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                     min_size=4, max_size=4))
