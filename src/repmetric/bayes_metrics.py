@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernel import GaussianModel, solve_lower
-from .mvn import standard_normal_block
+from .seeding import standard_normal_block
 
 LN2 = math.log(2.0)
 

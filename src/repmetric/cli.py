@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import __version__, harness, mds
+from .bayes_metrics import BAYES_METRICS
 from .errors import RepmetricError, ValidationError
 from .kernel import KernelMatrix, RepresentationMatrix, gram
 from .matrix_io import MatrixKind, format_value, read_manifest, read_matrix, write_matrix
@@ -85,22 +86,17 @@ def _load_manifest_run(manifest_path, metrics, n_samples, seed):
 
 
 def _resolve_noise(a, b, manifest, n):
-    """Mixture weight from --a/--b flags with manifest fallbacks."""
+    """(a, b it came from): the flags, else the manifest's a/b, else DEFAULT_B."""
     if a is not None and b is not None:
         raise click.UsageError("--a and --b are mutually exclusive")
-    used_b = None
+    if a is None and b is None:
+        a, b = manifest.a, manifest.b
     if a is None:
-        if b is None:
-            a = manifest.a
-            if a is None:
-                used_b = manifest.b if manifest.b is not None else 0.01
-                a = harness.heuristic_a(n, used_b)
-        else:
-            used_b = b
-            a = harness.heuristic_a(n, used_b)
+        b = harness.DEFAULT_B if b is None else b
+        a = harness.heuristic_a(n, b)
     if not 0.0 <= a <= 1.0:
         raise ValidationError(f"a={a} outside [0, 1]")
-    return float(a), used_b
+    return float(a), b
 
 
 @cli.command("compare")
@@ -142,7 +138,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
         target = _matrix_path(out_dir, metric, len(dm.labels), fmt)
         write_matrix(dm.values, target, MatrixKind.DISTANCE, labels=dm.labels)
         outputs[metric] = target.name
-        if metric in ("tvd", "jsd", "js_distance"):
+        if metric in BAYES_METRICS:
             se_target = out_dir / f"{metric}.se.csv"
             write_matrix(dm.std_errors, se_target, MatrixKind.DISTANCE, labels=dm.labels)
             outputs[f"{metric}.se"] = se_target.name
@@ -162,7 +158,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
 @click.option("--n-values", required=True, help="comma-separated stimulus counts")
 @click.option("--noise-values", required=True, help="comma-separated noise levels")
 @click.option("--noise-kind", type=click.Choice(["a", "variance"]), default="a", show_default=True)
-@click.option("--b", type=float, default=0.01, show_default=True,
+@click.option("--b", type=float, default=harness.DEFAULT_B, show_default=True,
               help="constant for the proportional-noise slice")
 @click.option("--metrics", default="jsd", show_default=True, help="subset of jsd,tvd")
 @click.option("--samples", "n_samples", type=int, default=10_000, show_default=True)
@@ -207,7 +203,8 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
 @click.option("--n-images", "n_images", required=True, help="comma-separated subset sizes")
 @click.option("--repeats", type=int, required=True)
 @click.option("--metrics", default="jsd,tvd", show_default=True)
-@click.option("--b", type=float, default=None, help="[default: manifest b, else 0.01]")
+@click.option("--b", type=float, default=None,
+              help=f"[default: manifest b, else {harness.DEFAULT_B}]")
 @click.option("--samples", "n_samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
@@ -222,7 +219,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     manifest, layers, metric_list, n_samples, seed = _load_manifest_run(
         manifest_path, metrics, n_samples, seed)
     if b is None:
-        b = manifest.b if manifest.b is not None else 0.01
+        b = manifest.b if manifest.b is not None else harness.DEFAULT_B
     sizes = _parse_list(n_images, int, "--n-images")
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b,

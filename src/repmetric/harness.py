@@ -25,6 +25,7 @@ from .matrix_io import LayerManifest, MatrixKind, read_matrix
 from .seeding import derive_seed, pair_seed, stream_generator
 
 ALL_METRICS = bayes_metrics.BAYES_METRICS + baseline_metrics.BASELINE_METRICS
+DEFAULT_B = 0.01  # proportional-noise constant when neither a nor b is given
 
 
 def heuristic_a(n: int, b: float) -> float:
@@ -32,14 +33,14 @@ def heuristic_a(n: int, b: float) -> float:
 
     Models noise variance growing proportionally with the stimulus
     count, which keeps discriminability roughly flat once enough
-    stimuli are used.
+    stimuli are used. b must be finite and >= 0; an overflowing b*n gives a = 1.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
-    if b < 0:
-        raise ValidationError("b must be >= 0")
+    if not 0.0 <= b < np.inf:
+        raise ValidationError(f"b={b} must be finite and >= 0")
     bn = b * n
-    return bn / (1.0 + bn)
+    return bn / (1.0 + bn) if bn < np.inf else 1.0
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def _noise_to_a(value: float, noise_kind: str) -> float:
 
 def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
               noise_values: Sequence[float], n_samples: int, seed: int,
-              b: float = 0.01, metrics: Sequence[str] = ("jsd",),
+              b: float = DEFAULT_B, metrics: Sequence[str] = ("jsd",),
               noise_kind: str = "a") -> SweepGrid:
     """Estimate distances over every (stimulus count, noise level) cell.
 
@@ -239,9 +240,10 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
         raise ValidationError("need n >= 2")
 
     a_grid = [_noise_to_a(v, noise_kind) for v in noise_values]
+    a_props = [heuristic_a(n, b) for n in n_values]
     grid = {m: [] for m in metrics}
     proportional = {m: [] for m in metrics}
-    for n in n_values:
+    for n, a_prop in zip(n_values, a_props):
         idx = np.arange(n)
         k1 = pool1.subset(idx)
         k2 = pool2.subset(idx)
@@ -252,7 +254,6 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
                                cell_seed(seed, n, j))
             for m in metrics:
                 grid[m][-1].append(ests[m])
-        a_prop = heuristic_a(n, b)
         ests = _sweep_cell(k1, k2, a_prop, metrics, n_samples,
                            cell_seed(seed, n, "prop"))
         for m in metrics:

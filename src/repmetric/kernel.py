@@ -43,6 +43,25 @@ def _as_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
     return labels
 
 
+def symmetric_part(M, what: str) -> np.ndarray:
+    """(M + Mᵀ)/2 of a square, finite M, in one n×n buffer.
+
+    The one symmetry rule, for kernels, covariances and distance matrices:
+    |M - Mᵀ| ≤ ``SYMMETRY_RTOL``·max(|M|, 1) entrywise, else a
+    ValidationError naming ``what``.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValidationError(f"{what} must be a nonempty square matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValidationError(f"{what} contains non-finite values")
+    S = np.subtract(M, M.T)
+    if np.abs(S, out=S).max() > SYMMETRY_RTOL * max(M.max(), -M.min(), 1.0):
+        raise ValidationError(f"{what} is not symmetric")
+    np.add(M, M.T, out=S)
+    return np.multiply(S, 0.5, out=S)
+
+
 @dataclass(frozen=True)
 class RepresentationMatrix:
     """n stimuli by k features, rows labelled by stimulus."""
@@ -61,10 +80,6 @@ class RepresentationMatrix:
             raise ValidationError("representation contains non-finite values")
         return cls(X=X, labels=_as_labels(labels, X.shape[0]))
 
-    @property
-    def n_stimuli(self) -> int:
-        return self.X.shape[0]
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -75,32 +90,20 @@ class KernelMatrix:
 
     @classmethod
     def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
-        K = np.asarray(K, dtype=np.float64)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValidationError("kernel must be a square matrix")
-        if not np.all(np.isfinite(K)):
-            raise ValidationError("kernel contains non-finite values")
+        K = symmetric_part(K, "kernel")
         n = K.shape[0]
-        # one n×n buffer S serves the symmetry check, the PSD check and
-        # the symmetrized result, so validation adds no other temporary
-        scale = max(K.max(), -K.min(), 1.0)
-        S = np.subtract(K, K.T)
-        if np.abs(S, out=S).max() > SYMMETRY_RTOL * scale:
-            raise ValidationError("kernel is not symmetric")
-        np.add(K, K.T, out=S)
-        S *= 0.5
-        floor = -PSD_RTOL * max(np.trace(S), 0.0) / n - PSD_RTOL
-        # K - floor I factorizes exactly when no eigenvalue of K lies
-        # below floor; the eigenvalues are only needed to decide (and
-        # report) the borderline cases where the factorization fails.
-        S[np.diag_indices(n)] -= floor
+        floor = -PSD_RTOL * max(np.trace(K), 0.0) / n - PSD_RTOL
+        # K - floor I factorizes exactly when no eigenvalue of K lies below
+        # floor; eigenvalues only decide (and report) borderline failures.
+        # The shift is undone from a saved diagonal: no n×n temporary.
+        diag = K.diagonal().copy()
+        K[np.diag_indices(n)] -= floor
         try:
-            np.linalg.cholesky(S)
+            np.linalg.cholesky(K)
             factorized = True
         except np.linalg.LinAlgError:
             factorized = False
-        np.add(K, K.T, out=S)
-        K = np.multiply(S, 0.5, out=S)
+        K[np.diag_indices(n)] = diag
         if not factorized:
             min_eig = np.linalg.eigvalsh(K).min()
             if min_eig < floor:
@@ -183,14 +186,7 @@ class GaussianModel:
     @classmethod
     def from_covariance(cls, C) -> "GaussianModel":
         """Factorize any symmetric positive-definite matrix, keeping its exact symmetric part."""
-        C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ValidationError("covariance must be square")
-        if not np.all(np.isfinite(C)):
-            raise ValidationError("covariance contains non-finite values")
-        if np.abs(C - C.T).max() > SYMMETRY_RTOL * max(np.abs(C).max(), 1.0):
-            raise ValidationError("covariance is not symmetric")
-        L, C, jitter = cholesky_with_jitter(0.5 * (C + C.T))
+        L, C, jitter = cholesky_with_jitter(symmetric_part(np.atleast_2d(C), "covariance"))
         return cls(C=C, chol=L, jitter_used=jitter)
 
     @classmethod

@@ -215,12 +215,17 @@ def format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _check_label(label: str, what: str) -> None:
+    """Labels are CSV cells and one-line message context: no comma, no line break."""
+    if "," in label or "".join(label.splitlines()) != label:
+        raise ValidationError(f"{what} {label!r} contains a separator")
+
+
 def _write_csv(path: Path, values: np.ndarray, labels: Optional[Sequence[str]]) -> None:
     out = []
     if labels is not None:
         for lab in labels:
-            if "," in lab or "\n" in lab:
-                raise ValidationError(f"label {lab!r} contains a separator")
+            _check_label(lab, "label")
         out.append(",".join(labels))
     for row in values:
         out.append(",".join(format_value(x) for x in row))
@@ -270,9 +275,7 @@ def read_manifest(path) -> LayerManifest:
             raise ValidationError(f"{path}: each entry needs name, path and kind") from None
         if not isinstance(name, str):
             raise ValidationError(f"{path}: entry name must be a string, got {name!r}")
-        if "," in name or "".join(name.splitlines()) != name:
-            # names become CSV labels and the context of one-line messages
-            raise ValidationError(f"{path}: entry name {name!r} contains a separator")
+        _check_label(name, f"{path}: entry name")
         if name in seen:
             raise ValidationError(f"{path}: duplicate entry name {name!r}")
         seen.add(name)

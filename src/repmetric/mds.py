@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import squared_distances
+from .kernel import squared_distances, symmetric_part
 from .seeding import derive_seed, stream_generator
 
 
@@ -33,19 +33,13 @@ class Embedding:
     stress_history: tuple[float, ...]
 
 
-def _validate_distance_matrix(D: np.ndarray) -> np.ndarray:
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValidationError("distance matrix must be square")
-    if not np.all(np.isfinite(D)):
-        raise ValidationError("distance matrix contains non-finite values")
-    if np.abs(D - D.T).max() > 1e-8:
-        raise ValidationError("distance matrix is not symmetric")
-    if np.any(D < 0):
+def _validate_distance_matrix(D) -> np.ndarray:
+    S = symmetric_part(D, "distance matrix")
+    if np.any(np.asarray(D) < 0):
         raise ValidationError("distance matrix has negative entries")
-    if np.any(np.diag(D) != 0):
+    if np.any(np.diag(S) != 0):
         raise ValidationError("distance matrix diagonal must be zero")
-    return 0.5 * (D + D.T)
+    return S
 
 
 def _pairwise_distances(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -104,6 +98,8 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
         raise ValidationError("restarts must be >= 1")
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol={tol} must be finite and >= 0")
     m = D.shape[0]
     if m < 2:
         raise ValidationError("need at least 2 points")

@@ -3,7 +3,8 @@
 Every stochastic computation in the package draws from a Philox
 generator keyed by a 64-bit seed plus a stream index. Derived seeds are
 stable hashes of the master seed and string/int tokens, so results do
-not depend on scheduling or iteration order.
+not depend on scheduling or iteration order. The Monte-Carlo draws all
+come from ``standard_normal_block``.
 """
 
 from __future__ import annotations
@@ -61,3 +62,16 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """
     key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def standard_normal_block(n_draws: int, dim: int, seed: int, stream: int = 0) -> np.ndarray:
+    """``n_draws`` x ``dim`` standard normals, deterministic for (seed, stream)."""
+    if n_draws < 1:
+        raise ValidationError("need at least one draw")
+    rng = stream_generator(seed, stream)
+    try:
+        return rng.standard_normal((n_draws, dim))
+    except (ValueError, MemoryError):
+        # numpy cannot index (ValueError) or allocate (MemoryError) the block
+        raise ValidationError(
+            f"cannot allocate {n_draws} draws of dimension {dim}") from None

@@ -252,17 +252,20 @@ def imhof_upper_tail(c, x):
     Inverts the characteristic function of the quadratic form:
     1/2 + (1/π) ∫₀^∞ sin θ(u) / (u ρ(u)) du with θ(u) = Σ arctan(cⱼu)/2 − xu/2
     and ρ(u) = Π (1 + cⱼ²u²)^¼, whose inverse is taken in log space so
-    it underflows to 0 instead of overflowing. The integrand decays like
-    u^(-1-r/2) with r nonzero cⱼ, so quad converges cleanly from r ≈ 4
-    up; with one or two it reaches its subdivision limit.
+    it underflows to 0 instead of overflowing. x may be an array: it
+    enters θ only through xu/2, so one adaptive vector integration
+    (``quad_vec``) serves every x. The integrand decays like u^(-1-r/2)
+    with r nonzero cⱼ, so the integration converges cleanly from r ≈ 4
+    up and struggles with one or two.
     """
     c = np.asarray(c, float)
+    x = np.asarray(x, float)
 
     def integrand(u):
         theta = 0.5 * np.sum(np.arctan(c * u)) - 0.5 * x * u
         return np.sin(theta) * np.exp(-0.25 * np.sum(np.log1p((c * u) ** 2))) / u
 
-    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=500)
+    val, _ = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-8)
     return 0.5 + val / np.pi
 
 
@@ -276,5 +279,29 @@ def tvd_exact_diag(lam):
     """
     lam = np.asarray(lam, float)
     log_det = float(np.sum(np.log(lam)))
-    return (imhof_upper_tail(1.0 / lam - 1.0, -log_det)
-            - (1.0 - imhof_upper_tail(lam - 1.0, log_det)))
+    return float(imhof_upper_tail(1.0 / lam - 1.0, -log_det)
+                 - (1.0 - imhof_upper_tail(lam - 1.0, log_det)))
+
+
+def jsd_exact_diag(lam, nodes=200):
+    """Exact JSD (bits) of N(0, I) and N(0, diag lam), by Imhof inversions.
+
+    With D₁ = log p2/p1 under P1 and D₂ = log p1/p2 under P2,
+    JSD = 1 − (E softplus D₁ + E softplus D₂)/(2 ln 2), and
+    E softplus(D) = ∫ σ(t) P(D > t) dt. D₁ > t is the event
+    Σ(1 − 1/λⱼ)zⱼ² > 2t + Σ log λⱼ, and D₂ > t is
+    Σ(1 − λⱼ)zⱼ² > 2t − Σ log λⱼ. The integrand is at most e^t below 0
+    and, since E e^D = 1, at most e^−t above 0, so [−40, 40] leaves out
+    less than 2e^−40. A Gauss–Legendre rule with 200 nodes agrees with
+    400 to 1e-11 at n = 100 and 300. Where every 1 − λⱼ has one sign, D
+    is bounded on one side and P(D > t) is not smooth there; with few
+    coefficients the rule then loses digits (2e-6 at six equal ones).
+    """
+    lam = np.asarray(lam, float)
+    log_det = float(np.sum(np.log(lam)))
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = 40.0 * t, 40.0 * w
+    weight = w / (1.0 + np.exp(-t))  # quadrature weight times σ(t)
+    e1 = weight @ imhof_upper_tail(1.0 - 1.0 / lam, 2.0 * t + log_det)
+    e2 = weight @ imhof_upper_tail(1.0 - lam, 2.0 * t - log_det)
+    return float(1.0 - (e1 + e2) / (2.0 * LN2))

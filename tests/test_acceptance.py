@@ -29,7 +29,7 @@ from repmetric.kernel import (RepresentationMatrix, gram, predictive_covariance,
                               squared_distance_matrix)
 from repmetric.matrix_io import MatrixKind, write_matrix
 from repmetric.mds import mds_embed
-from repmetric.mvn import GaussianModel
+from repmetric.kernel import GaussianModel
 
 
 @contextmanager

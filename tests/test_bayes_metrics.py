@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy import integrate
 from scipy.stats import chi2
 
-from oracles import (closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
-                     grid_quad_2d, imhof_upper_tail, predictive_pair_eigenvalues,
-                     quad_jsd_1d, quad_tvd_1d, tvd_exact_diag)
+from oracles import (LN2, closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
+                     grid_quad_2d, imhof_upper_tail, jsd_exact_diag,
+                     predictive_pair_eigenvalues, quad_jsd_1d, quad_tvd_1d,
+                     tvd_exact_diag)
 from synth import random_orthogonal, random_spd
 
 from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd,
@@ -13,7 +15,7 @@ from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import GaussianModel, RepresentationMatrix, gram, predictive_covariance
-from repmetric.mvn import standard_normal_block
+from repmetric.seeding import standard_normal_block
 
 
 def model(C):
@@ -286,6 +288,32 @@ class TestExactTvdOracle:
         exact = tvd_exact_diag(lam)
         assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
         est = tvd(model(np.eye(n)), model(np.diag(lam)), 20_000, seed=73)
+        assert abs(est.raw_value - exact) < 4.0 * est.std_error
+
+
+class TestExactJsdOracle:
+    """Agreement with the exact JSD of (I, diag λ) from Imhof inversions."""
+
+    def test_matches_chi_square_quadrature(self):
+        # λ = s·1: each log ratio is affine in one χ²_k variable
+        k, s = 40, 1.5
+        half_log_det = 0.5 * k * np.log(s)
+
+        def mean_softplus(offset, slope):
+            f = lambda q: np.logaddexp(0.0, offset + slope * q) * chi2.pdf(q, k)
+            return integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-13)[0]
+
+        e1 = mean_softplus(-half_log_det, -0.5 * (1.0 / s - 1.0))  # log p2/p1 under P1
+        e2 = mean_softplus(half_log_det, 0.5 * (1.0 - s))          # log p1/p2 under P2
+        want = 1.0 - (e1 + e2) / (2.0 * LN2)
+        assert jsd_exact_diag(np.full(k, s)) == pytest.approx(want, abs=1e-9)
+
+    def test_within_four_se(self):
+        n = 300
+        lam = np.exp(np.random.default_rng(n).normal(0.0, 0.12, n))  # TestExactTvdOracle's λ
+        exact = jsd_exact_diag(lam)
+        assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
+        est = jsd(model(np.eye(n)), model(np.diag(lam)), 20_000, seed=73)
         assert abs(est.raw_value - exact) < 4.0 * est.std_error
 
 

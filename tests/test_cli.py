@@ -112,6 +112,16 @@ class TestCompareCommand:
         assert record["a"] == 0.5  # 100 stimuli at b = 1/100
         assert record["b"] == 0.01
 
+    def test_overflowing_b_gives_pure_noise(self, tmp_path):
+        rng = np.random.default_rng(7)
+        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
+        out = tmp_path / "out"
+        assert main(["compare", "--manifest", str(mpath), "--b", "1e308",
+                     "--metrics", "jsd,cka", "--samples", "100", "--out", str(out)]) == 0
+        assert json.loads((out / "record.json").read_text())["a"] == 1.0
+        jsd = read_matrix(out / "jsd.csv", MatrixKind.DISTANCE)
+        assert not np.any(jsd.values)  # both layers are N(0, I)
+
     def test_manifest_defaults_apply(self, tmp_path):
         rng = np.random.default_rng(5)
         mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2),
@@ -354,12 +364,17 @@ class TestSingleLineValidationErrors:
         (["embed", "--input", "{not_utf8_csv}"], None),
         (["compare", "--manifest", "{not_utf8_manifest}", "--metrics", "cka"], None),
         (["embed", "--input", "{distance}", "--dims", str(10 ** 20)], None),
+        (["embed", "--input", "{distance}", "--tol", "nan"], None),
+        (["embed", "--input", "{distance}", "--tol", "inf"], None),
+        (["stability", "--manifest", "{manifest}", "--n-images", "5", "--repeats", "2",
+          "--metrics", "cka", "--b", "nan"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
-            "csv-not-utf8", "manifest-not-utf8", "embed-dims"])
+            "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
+            "embed-tol-inf", "stability-b-nan"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
@@ -455,6 +470,11 @@ def fuzz_files(tmp_path_factory):
         "bad-defaults": {"entries": good, "b": -1, "seed": 2 ** 200},
         "b-half": {"entries": good, "b": 0.5},
         "b-huge": {"entries": good, "b": 1e308},
+        "b-nan": {"entries": good, "b": float("nan")},
+        "b-inf": {"entries": good, "b": float("inf")},
+        "a-nan": {"entries": good, "a": float("nan")},
+        "a-inf": {"entries": good, "a": float("inf")},
+        "a-huge": {"entries": good, "a": 1e308},
         "asymmetric": {"entries": [entry("layer0", "layer0.csv"), entry("s", "asym.csv")]},
         "ragged": {"entries": [entry("layer0", "layer0.csv"), entry("r", "ragged.csv")]},
         "not-utf8-layer": {"entries": [entry("layer0", "layer0.csv"), entry("u", "utf16.csv")]},
@@ -489,7 +509,9 @@ _KERNEL_CSVS = ["layer0.csv", "layer1.csv"]
 _BAD_CSVS = ["zero.csv", "rep.csv", "dist.csv", "ragged.csv", "empty.csv", "text.csv",
              "utf16.csv", "trunc.rmx", "asym.csv"]
 _MANIFESTS = _mostly(["good.json", "defaults.json", "b-half.json"], [
-    "mixed.json", "bad-defaults.json", "b-huge.json", "asymmetric.json", "ragged.json", "not-utf8-layer.json", "missing.json",
+    "mixed.json", "bad-defaults.json", "b-huge.json", "b-nan.json", "b-inf.json",
+    "a-nan.json", "a-inf.json", "a-huge.json", "asymmetric.json", "ragged.json",
+    "not-utf8-layer.json", "missing.json",
     "directory.json", "distance.json", "odd-names.json", "one-layer.json",
     "no-entries.json", "empty.json", "brace.json", "not_utf8.json"])
 _SEEDS = st.one_of(
@@ -514,7 +536,7 @@ _ARGV = st.one_of(
     _command(["sweep"], {
         "--kernel1": _mostly(_KERNEL_CSVS, _BAD_CSVS), "--kernel2": st.just("layer1.csv"),
         "--n-values": _mostly(["2", "3,6"], ["1", "7", "", "x", "-3"]),
-        "--noise-values": _mostly(["0.5", "0,1"], ["-1", "nan", "inf", "x"])}, {
+        "--noise-values": _mostly(["0.5", "0,1"], ["-1", "nan", "inf", "1e308", "x"])}, {
         "--noise-kind": st.sampled_from(["a", "variance"]), "--b": _WEIGHTS,
         "--metrics": _mostly(["jsd", "tvd", "jsd,tvd"], ["", "cka", "js_distance"]),
         "--samples": _SAMPLES, "--seed": _SEEDS}),
@@ -531,6 +553,10 @@ _ARGV = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"record.json holds {name}")
+
+
 class TestFuzzedCommandLine:
     """Any argv over the five commands exits 0-3; a failure is one stderr line."""
 
@@ -539,9 +565,13 @@ class TestFuzzedCommandLine:
     def test_exit_code_contract(self, fuzz_files, argv):
         # file arguments are relative to the fixture directory
         argv = [str(fuzz_files / a) if (fuzz_files / a).is_file() else a for a in argv]
+        record = fuzz_files / "out" / "record.json"
+        record.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv + ["--out", str(fuzz_files / "out")])
         assert code in (0, 1, 2, 3)
         if code:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        else:  # strict JSON: NaN and Infinity are not numbers there
+            json.loads(record.read_text(), parse_constant=_reject_constant)

@@ -5,7 +5,7 @@ from synth import random_spd
 
 from repmetric.bayes_metrics import jsd, jsd_gradient, tvd, tvd_gradient
 from repmetric.errors import ValidationError
-from repmetric.mvn import GaussianModel
+from repmetric.kernel import GaussianModel
 
 
 def value(metric, C1, C2, n_draws, seed):

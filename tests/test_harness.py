@@ -35,6 +35,15 @@ class TestHeuristicA:
         with pytest.raises(ValidationError):
             heuristic_a(10, -0.5)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_b_rejected(self, b):
+        with pytest.raises(ValidationError, match="finite"):
+            heuristic_a(10, b)
+
+    def test_overflowing_product_gives_the_limit(self):
+        assert heuristic_a(300, 1e308) == 1.0
+        assert heuristic_a(300, 1e300) == 1.0  # finite b*n: the same expression rounds to 1
+
 
 class TestPairwiseMatrix:
     def test_duplicated_layer_is_zero(self):

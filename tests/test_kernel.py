@@ -7,6 +7,7 @@ from synth import random_orthogonal
 
 from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import DegenerateRepresentationError, ValidationError
+from repmetric.mds import mds_embed
 from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, predictive_covariance,
                               solve_lower, squared_distance_matrix)
@@ -182,6 +183,34 @@ class TestEquivalenceInvariances:
         C1 = predictive_covariance(gram(RepresentationMatrix.from_array(X)), a).C
         C2 = predictive_covariance(gram(RepresentationMatrix.from_array(X + v)), a).C
         assert np.abs(C1 - C2).max() > 1e-3
+
+
+class TestSymmetricPart:
+    """Kernels, covariances and distance matrices share one relative symmetry rule."""
+
+    VALIDATORS = {
+        "kernel": KernelMatrix.from_array,
+        "covariance": GaussianModel.from_covariance,
+        "distance": lambda D: mds_embed(D, restarts=1, max_iter=3),
+    }
+
+    @pytest.mark.parametrize("what", list(VALIDATORS))
+    @pytest.mark.parametrize("scale, accepted", [(1e9, True), (1e-9, False)])
+    def test_relative_rule(self, what, scale, accepted):
+        P = np.random.default_rng(12).standard_normal((20, 3))
+        if what == "distance":
+            M = np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1))
+        else:
+            M = P @ P.T + np.eye(20)
+            M = 0.5 * (M + M.T)
+        M *= scale
+        if accepted:  # one ulp: 1.2e-17 of the largest entry
+            M[0, 1] = np.nextafter(M[0, 1], np.inf)
+            self.VALIDATORS[what](M)
+        else:  # 50% off, yet only ~1e-9 in absolute terms
+            M[0, 1] *= 1.5
+            with pytest.raises(ValidationError, match="not symmetric"):
+                self.VALIDATORS[what](M)
 
 
 class TestKernelValidation:

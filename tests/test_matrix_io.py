@@ -154,6 +154,26 @@ class TestValidation:
             read_matrix(path, MatrixKind.REPRESENTATION)
 
 
+class TestLabelRule:
+    """CSV labels and manifest names: no comma and no line break of str.splitlines."""
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r", "a\x0bb", "a\x1cb",
+                                       "a\x85b", "a\u2028b"])
+    def test_rejected_by_writer_and_manifest(self, tmp_path, label):
+        K = np.eye(2)
+        with pytest.raises(ValidationError, match="separator"):
+            write_matrix(K, tmp_path / "k.csv", MatrixKind.KERNEL, labels=[label, "z"])
+        write_manifest(LayerManifest(entries=(ManifestEntry(label, "k.csv", MatrixKind.KERNEL),)),
+                       tmp_path / "m.json")
+        with pytest.raises(ValidationError, match="separator"):
+            read_manifest(tmp_path / "m.json")
+
+    def test_accepted_labels_round_trip(self, tmp_path):
+        labels = ["a b", "x\ty", "x;y", "\u00e9"]
+        loaded = roundtrip(tmp_path, np.eye(4), MatrixKind.KERNEL, ".csv", labels=labels)
+        assert loaded.labels == tuple(labels)
+
+
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         write_matrix(np.eye(3), tmp_path / "k1.rmx", MatrixKind.KERNEL)

@@ -19,7 +19,7 @@ from synth import random_spd
 from repmetric import bayes_metrics
 from repmetric.errors import ValidationError
 from repmetric.kernel import GaussianModel, KernelMatrix, predictive_covariance
-from repmetric.mvn import standard_normal_block
+from repmetric.seeding import standard_normal_block
 
 LOG_2PI = np.log(2 * np.pi)
 
