@@ -15,27 +15,44 @@ with x ~ P1 and y ~ P2. The Jensen-Shannon divergence is normalized to
     JSD ≈ 1 + mean_i [ log2(p1/(p1+p2))(x_i) + log2(p2/(p1+p2))(y_i) ] / 2,
 
 so identical distributions score 0 and disjoint ones 1. All density
-ratios are evaluated in log space via log-sum-exp. The Jensen-Shannon
+ratios are evaluated in log space, and each JSD summand as
+[log2(2p1/(p1+p2))(x_i) + log2(2p2/(p1+p2))(y_i)] / 2, which stays
+accurate for tiny divergences where 1 + log2(.) would cancel. The Jensen-Shannon
 distance is the square root of the (clamped) divergence, with a
 delta-method standard error; near zero, where the delta method blows
 up, the square root of the divergence's standard error is reported
 instead and flagged as degenerate.
 
-Each side of a pair is evaluated in whitened coordinates and never as
-samples. The draws x = L1 z (z standard normal, one Philox block per
-side) give L2⁻¹x = T z with the n×n triangular T = L2⁻¹L1, so
+Each side of a pair is evaluated from its standard normals, never as
+samples, by one of two exact paths (one Philox block per side either
+way):
 
-    log p2/p1 (x) = Σ log diag T - (‖T z‖² - ‖z‖²) / 2,
+* Dense. The draws x = L1 z give L2⁻¹x = T z with the n×n triangular
+  T = L2⁻¹L1, so
 
-one n×n triangular solve and one N×n product per side. Bitwise-equal
-factors give a log ratio of exactly zero.
+      log p2/p1 (x) = Σ log diag T - (‖T z‖² - ‖z‖²) / 2,
 
-Gradients with respect to the two covariance matrices reuse the exact
-draws of the value estimate (common random numbers) and differentiate
-through x = L z as well as through the densities. Both pieces depend on
-the draws only through the weighted Gram matrix G = zᵀ diag(r) z, with
-r the per-draw sensitivity of the estimate to its log ratio, so all
-remaining work is n×n triangular algebra.
+  one n×n triangular solve and one N×n product per side.
+* Low rank, when both models carry C_i = a I + U_i U_iᵀ with the same a
+  (``predictive_covariance`` of a kernel of rank k_i ≤ n/4 with
+  0 < a < 1). Only the part of x in span[U1 U2], of rank r ≤ k1 + k2,
+  tells the two apart: the rest is N(0, a I) under both and cancels
+  from every log ratio, as it does in Woodbury's identity and the
+  matrix determinant lemma. One pivoted Cholesky of the Gram of
+  [U1 U2] writes both U's in an orthonormal basis of that span, and the
+  dense evaluation of the two r×r covariances a I + V_i V_iᵀ, with N×r
+  draws per side, gives exactly these log ratios: O(r³ + N·r²) per
+  side, whatever n is.
+
+Both paths draw different normals for the same seed. Bitwise-equal
+factors (L, or U and a) give a log ratio of exactly zero.
+
+Gradients with respect to the two covariance matrices always take the
+dense path and reuse its exact draws (common random numbers), and
+differentiate through x = L z as well as through the densities. Both
+pieces depend on the draws only through the weighted Gram matrix
+G = zᵀ diag(r) z, with r the per-draw sensitivity of the estimate to its
+log ratio, so all remaining work is n×n triangular algebra.
 """
 
 from __future__ import annotations
@@ -47,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import GaussianModel, solve_lower
+from .kernel import GaussianModel, pivoted_cholesky, solve_lower
 from .seeding import standard_normal_block
 
 LN2 = math.log(2.0)
@@ -109,6 +126,32 @@ def _whitened_side(own, other, n_draws, seed, stream):
     return z, T, d
 
 
+def _span_models(model1, model2):
+    """The pair restricted to span[U1 U2]: r-dimensional models, same log ratios.
+
+    Both models carry U and the same a. One pivoted Cholesky of the Gram
+    of W = [U1 U2] gives WᵀW = RᵀR with R r×(k1+k2), r = rank W, so the
+    column blocks V1, V2 of R are U1, U2 in an orthonormal basis Q of
+    span W. With x = Q y + x⊥, x⊥ is N(0, a(I - QQᵀ)) under both models
+    and cancels from every log ratio, while y ~ N(0, a I + Vᵢ Vᵢᵀ). Returns
+    None when one of these r×r covariances fails to factorize (a below
+    the rounding level of Vᵢ Vᵢᵀ).
+    """
+    same = np.array_equal(model1.U, model2.U)  # then d is exactly zero
+    W = model1.U if same else np.hstack((model1.U, model2.U))
+    R = pivoted_cholesky(W.T @ W, W.shape[1]).G.T
+    k1 = model1.U.shape[1]
+    models = []
+    for V in (R,) if same else (R[:, :k1], R[:, k1:]):
+        C = V @ V.T + model1.a * np.eye(R.shape[0])
+        try:
+            L = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            return None
+        models.append(GaussianModel.factored(L, C))
+    return models * 2 if same else models
+
+
 def _tvd_summands(d1, d2):
     u1 = np.where(d1 < 0.0, -np.expm1(np.minimum(d1, 0.0)), 0.0)
     u2 = np.where(d2 < 0.0, -np.expm1(np.minimum(d2, 0.0)), 0.0)
@@ -125,10 +168,18 @@ def _log_mixture_fraction(d):
     return -(np.maximum(-d, 0.0) + np.log1p(np.exp(-np.abs(d))))
 
 
+def _log_twice_mixture_fraction(d):
+    """log(2 p_own / (p_own + p_other)) from d = log p_other - log p_own.
+
+    As -max(d, 0) - log1p(expm1(-|d|)/2) it is exactly 0 at d = 0 and
+    relatively accurate for tiny |d|, where 1 + log2(p_own/(p_own + p_other))
+    would cancel to rounding noise with a bias of its own.
+    """
+    return -np.maximum(d, 0.0) - np.log1p(0.5 * np.expm1(-np.abs(d)))
+
+
 def _jsd_summands(d1, d2):
-    t1 = _log_mixture_fraction(-d1) / LN2
-    t2 = _log_mixture_fraction(-d2) / LN2
-    return 1.0 + 0.5 * (t1 + t2)
+    return (_log_twice_mixture_fraction(d1) + _log_twice_mixture_fraction(d2)) / (2.0 * LN2)
 
 
 def _estimate_from_summands(s, metric, n_draws, seed):
@@ -152,12 +203,15 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
 
     All three are functionals of the same two log-ratio arrays, so the
     pair is drawn and evaluated once however many metrics are
-    requested; each result equals a separate call with this seed.
+    requested; each result equals a separate call with this seed. The
+    low-rank path is taken when both models carry U and the same a.
     """
     unknown = [m for m in metrics if m not in BAYES_METRICS]
     if unknown:
         raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
     _check_pair(model1, model2, n_draws)
+    if model1.U is not None and model2.U is not None and model1.a == model2.a:
+        model1, model2 = _span_models(model1, model2) or (model1, model2)
     d1 = _whitened_side(model1, model2, n_draws, seed, stream=0)[2]
     d2 = _whitened_side(model2, model1, n_draws, seed, stream=1)[2]
     out = {}
@@ -261,8 +315,9 @@ def _gradient(metric: str, cov1, cov2, n_draws: int, seed: int) -> DistanceGradi
 def tvd_gradient(cov1, cov2, n_draws: int, seed: int) -> DistanceGradient:
     """Gradient of the sampled TVD w.r.t. both covariances.
 
-    Uses the same draws as ``tvd`` with the same seed; the hinge
-    max(0, .) contributes zero derivative at its kink.
+    Uses the same draws as ``tvd`` on dense models (``from_covariance``
+    of cov1 and cov2) with the same seed, not those of the low-rank
+    path; the hinge max(0, .) contributes zero derivative at its kink.
     """
     return _gradient("tvd", cov1, cov2, n_draws, seed)
 

@@ -167,10 +167,14 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
 def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
               n_samples, seed, out_dir):
     """Distance grid over stimulus counts and noise levels for two pooled kernels."""
-    k1 = read_matrix(kernel1, MatrixKind.KERNEL)
-    k2 = read_matrix(kernel2, MatrixKind.KERNEL)
-    pool1 = KernelMatrix.from_array(k1.values, k1.labels)
-    pool2 = KernelMatrix.from_array(k2.values, k2.labels)
+    pools = []
+    for path in (kernel1, kernel2):
+        loaded = read_matrix(path, MatrixKind.KERNEL)
+        try:
+            pools.append(KernelMatrix.from_array(loaded.values, loaded.labels))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    pool1, pool2 = pools
     ns = _parse_list(n_values, int, "--n-values")
     noises = _parse_list(noise_values, float, "--noise-values")
     metric_list = _parse_list(metrics, str, "--metrics")
@@ -221,6 +225,8 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     if b is None:
         b = manifest.b if manifest.b is not None else harness.DEFAULT_B
     sizes = _parse_list(n_images, int, "--n-images")
+    if not sizes:
+        raise ValidationError("--n-images lists no subset size")
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b,
                                        n_samples, seed, threads=threads,

@@ -59,15 +59,18 @@ def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]
     layers = []
     for entry in manifest.entries:
         loaded = read_matrix(manifest.resolve(entry), entry.kind)
-        if entry.kind is MatrixKind.REPRESENTATION:
-            rep = RepresentationMatrix.from_array(loaded.values, loaded.labels)
-            layers.append((entry.name, gram(rep)))
-        elif entry.kind is MatrixKind.KERNEL:
-            layers.append((entry.name, KernelMatrix.from_array(loaded.values, loaded.labels)))
-        else:
+        if entry.kind is MatrixKind.DISTANCE:
             raise ValidationError(
                 f"manifest entry {entry.name!r}: distance matrices cannot be compared"
             )
+        try:
+            if entry.kind is MatrixKind.REPRESENTATION:
+                kern = gram(RepresentationMatrix.from_array(loaded.values, loaded.labels))
+            else:
+                kern = KernelMatrix.from_array(loaded.values, loaded.labels)
+        except ValidationError as exc:
+            raise ValidationError(f"layer {entry.name!r}: {exc}") from None
+        layers.append((entry.name, kern))
     return layers
 
 

@@ -11,11 +11,19 @@ covariance actually compared downstream:
 which always has trace n, making comparisons invariant to feature
 rotations and to rescaling of X. ``predictive_covariance`` returns it
 as a ``GaussianModel``, N(0, C) with the Cholesky factor of C.
+
+Kernels of low rank r (the usual case: k features, k << n) also get one
+pivoted Cholesky factor K ≈ G Gᵀ, G n×r. For 0 < a < 1 the model then
+also carries C = a I + U Uᵀ with U = sqrt((1 - a) n / tr K) G, which
+the estimators evaluate exactly from r-vectors; its dense C and Cholesky
+factor are only built when something asks for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +35,11 @@ PSD_RTOL = 1e-8
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 JITTER_FACTOR = 10.0
+# Largest total-variation distance allowed between the dense C and the
+# factor model a I + U Uᵀ that drops the residual diagonal E of the
+# kernel's pivoted Cholesky: TVD ≤ (3/2)·tr(s E)/a (Devroye, Mehrabian &
+# Reddad 2018). Above it the model stays dense.
+LOW_RANK_TVD_BOUND = 1e-9
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -55,11 +68,14 @@ def symmetric_part(M, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a nonempty square matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError(f"{what} contains non-finite values")
-    S = np.subtract(M, M.T)
+    with np.errstate(over="ignore"):  # a difference beyond the double range fails the test
+        S = np.subtract(M, M.T)
     if np.abs(S, out=S).max() > SYMMETRY_RTOL * max(M.max(), -M.min(), 1.0):
         raise ValidationError(f"{what} is not symmetric")
-    np.add(M, M.T, out=S)
-    return np.multiply(S, 0.5, out=S)
+    # halve before adding, so entries near the top of the range cannot overflow
+    np.multiply(M, 0.5, out=S)
+    S += S.T
+    return S
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,48 @@ class RepresentationMatrix:
         return cls(X=X, labels=_as_labels(labels, X.shape[0]))
 
 
+def _check_trace(K: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(K))
+    if not math.isfinite(trace):
+        raise ValidationError("kernel trace overflows the double range")
+    return trace
+
+
+@dataclass(frozen=True)
+class LowRankFactor:
+    """K ≈ G Gᵀ with G n×r in stimulus order; ``residual`` is diag(K - G Gᵀ)."""
+
+    G: np.ndarray
+    residual: np.ndarray
+
+
+def pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[LowRankFactor]:
+    """Greedy pivoted Cholesky of a PSD matrix (Harbrecht, Peters & Schneider 2012).
+
+    Each step pivots on the largest residual variance and costs one row
+    of K and an n×r product. It stops once the residual trace is at
+    rounding level, n·ε·tr K, and returns None when that would take more
+    than ``max_rank`` columns.
+    """
+    n = K.shape[0]
+    e = np.maximum(K.diagonal(), 0.0)
+    tol = n * np.finfo(float).eps * e.sum()
+    G = np.empty((n, max_rank))
+    r = 0
+    while e.sum() > tol:
+        if r == max_rank:
+            return None
+        p = int(np.argmax(e))
+        g = (K[p] - G[:, :r] @ G[p, :r]) / math.sqrt(e[p])
+        G[:, r] = g
+        e -= g * g
+        e[p] = 0.0
+        np.maximum(e, 0.0, out=e)
+        r += 1
+    return LowRankFactor(G=G[:, :r].copy(), residual=e)
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric PSD Gram matrix over stimuli."""
@@ -92,7 +150,7 @@ class KernelMatrix:
     def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
         K = symmetric_part(K, "kernel")
         n = K.shape[0]
-        floor = -PSD_RTOL * max(np.trace(K), 0.0) / n - PSD_RTOL
+        floor = -PSD_RTOL * max(_check_trace(K), 0.0) / n - PSD_RTOL
         # K - floor I factorizes exactly when no eigenvalue of K lies below
         # floor; eigenvalues only decide (and report) borderline failures.
         # The shift is undone from a saved diagonal: no n×n temporary.
@@ -115,6 +173,15 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.K.shape[0]
+
+    @cached_property
+    def low_rank(self) -> Optional[LowRankFactor]:
+        """The kernel's pivoted Cholesky, or None when its rank exceeds n/4.
+
+        Computed once, on first use, from K alone: a ``subset`` gets the
+        factor that the same submatrix read from a file would get.
+        """
+        return pivoted_cholesky(self.K, self.n // 4)
 
     def subset(self, indices) -> "KernelMatrix":
         """Principal submatrix for a subset of stimuli.
@@ -139,9 +206,11 @@ class KernelMatrix:
 def gram(rep: RepresentationMatrix) -> KernelMatrix:
     """Linear kernel K[i, j] = <x_i, x_j>, exactly symmetric."""
     X = rep.X
-    K = X @ X.T
+    with np.errstate(over="ignore"):  # an overflowing entry overflows the trace too
+        K = X @ X.T
     iu = np.triu_indices(K.shape[0], k=1)
     K[(iu[1], iu[0])] = K[iu]  # mirror so each unordered pair is stored once
+    _check_trace(K)
     return KernelMatrix(K=K, labels=rep.labels)
 
 
@@ -171,32 +240,54 @@ def cholesky_with_jitter(C: np.ndarray):
             eps = min(eps * JITTER_FACTOR, max_eps)
 
 
-@dataclass(frozen=True)
 class GaussianModel:
     """Zero-mean Gaussian N(0, C) with the lower Cholesky factor of C.
 
     ``jitter_used`` is the diagonal boost (0 when none was needed) that
     made the factorization succeed; ``C`` includes it.
+
+    A model of a low-rank kernel from ``predictive_covariance`` also
+    carries ``U`` (n×r) and ``a`` with C = a I + U Uᵀ, up to a dropped
+    residual worth at most ``LOW_RANK_TVD_BOUND`` in total variation. Its
+    C, chol and jitter_used are computed on first access. Other models
+    have U and a None.
     """
 
-    C: np.ndarray
-    chol: np.ndarray
-    jitter_used: float
+    def __init__(self, dim: int, factorize, U=None, a=None):
+        self.dim = dim
+        self._factorize = factorize  # () -> (chol, C, jitter_used)
+        self.U, self.a = U, a
+
+    @cached_property
+    def _dense(self):
+        return self._factorize()
+
+    @property
+    def chol(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self._dense[1]
+
+    @property
+    def jitter_used(self) -> float:
+        return self._dense[2]
+
+    @classmethod
+    def factored(cls, chol, C, jitter_used=0.0) -> "GaussianModel":
+        """A model whose Cholesky factor is already known."""
+        return cls(C.shape[0], lambda: (chol, C, jitter_used))
 
     @classmethod
     def from_covariance(cls, C) -> "GaussianModel":
         """Factorize any symmetric positive-definite matrix, keeping its exact symmetric part."""
-        L, C, jitter = cholesky_with_jitter(symmetric_part(np.atleast_2d(C), "covariance"))
-        return cls(C=C, chol=L, jitter_used=jitter)
+        return cls.factored(*cholesky_with_jitter(symmetric_part(np.atleast_2d(C), "covariance")))
 
     @classmethod
     def from_predictive(cls, model: "GaussianModel") -> "GaussianModel":
         """``model`` itself: ``predictive_covariance`` already returns one."""
         return model
-
-    @property
-    def dim(self) -> int:
-        return self.C.shape[0]
 
 
 def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -218,6 +309,10 @@ def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     """Mix the trace-normalized kernel with isotropic noise and factorize.
 
+    With 0 < a < 1 and a kernel factor whose dropped residual stays within
+    ``LOW_RANK_TVD_BOUND``, the model carries C = a I + U Uᵀ and defers
+    the dense factorization; otherwise C is factorized here.
+
     Raises DegenerateRepresentationError when tr(K) <= 0 and a < 1: a
     representation with no signal variance induces no distribution.
     """
@@ -225,18 +320,23 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
         raise ValidationError(f"mixture weight a={a} outside [0, 1]")
     K = kernel.K
     n = kernel.n
-    trace = float(np.trace(K))
-    if a == 1.0:
-        C = np.eye(n)
-    else:
-        if trace <= 0.0:
-            raise DegenerateRepresentationError(
-                "kernel trace is not positive; cannot build a predictive distribution"
-            )
-        C = (1.0 - a) * n * (K / trace) + a * np.eye(n)
-    # C is exactly symmetric, so from_covariance's check would only add an n×n pass
-    L, C, jitter = cholesky_with_jitter(C)
-    return GaussianModel(C=C, chol=L, jitter_used=jitter)
+    trace = _check_trace(K)
+    if a < 1.0 and trace <= 0.0:
+        raise DegenerateRepresentationError(
+            "kernel trace is not positive; cannot build a predictive distribution"
+        )
+
+    def factorize():
+        C = np.eye(n) if a == 1.0 else (1.0 - a) * n * (K / trace) + a * np.eye(n)
+        # C is exactly symmetric, so from_covariance's check would only add an n×n pass
+        return cholesky_with_jitter(C)
+
+    factor = kernel.low_rank if 0.0 < a < 1.0 else None
+    if factor is not None:
+        s = (1.0 - a) * n / trace
+        if 1.5 * s * float(factor.residual.sum()) / a <= LOW_RANK_TVD_BOUND:
+            return GaussianModel(n, factorize, U=math.sqrt(s) * factor.G, a=a)
+    return GaussianModel.factored(*factorize())
 
 
 def squared_distances(G: np.ndarray, out=None) -> np.ndarray:

@@ -216,9 +216,12 @@ def format_value(x: float) -> str:
 
 
 def _check_label(label: str, what: str) -> None:
-    """Labels are CSV cells and one-line message context: no comma, no line break."""
+    """Labels are CSV cells and one-line message context: no comma, no line
+    break, and no surrounding whitespace, which the CSV reader strips."""
     if "," in label or "".join(label.splitlines()) != label:
         raise ValidationError(f"{what} {label!r} contains a separator")
+    if label.strip() != label:
+        raise ValidationError(f"{what} {label!r} has leading or trailing whitespace")
 
 
 def _write_csv(path: Path, values: np.ndarray, labels: Optional[Sequence[str]]) -> None:

@@ -4,6 +4,12 @@ Majorization guarantees the raw stress never increases between
 iterations. Stress is reported normalized by the sum of squared input
 dissimilarities, a constant, so the reported value inherits the same
 monotonicity.
+
+SMACOF runs on the distances scaled by a power of two that brings the
+largest into [0.5, 1), so squares cannot overflow. From the first
+Guttman transform on, every iterate is the unscaled one times that
+power of two exactly, so coordinates and stress do not depend on the
+scale of the input.
 """
 
 from __future__ import annotations
@@ -111,6 +117,8 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
         return Embedding(coords=coords, stress=0.0, n_iterations=0,
                          seed=int(seed), stress_history=())
 
+    exponent = np.frexp(D.max())[1]
+    D = np.ldexp(D, -exponent)
     best = None
     for r in range(restarts):
         rng = stream_generator(derive_seed(seed, "mds-restart", r))
@@ -118,6 +126,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
         if best is None or stress < best[0]:
             best = (stress, X, iters, history)
     stress, X, iters, history = best
+    X = np.ldexp(X, exponent)
     X = X - X.mean(axis=0, keepdims=True)
     return Embedding(coords=X, stress=float(stress), n_iterations=iters,
                      seed=int(seed), stress_history=tuple(history))

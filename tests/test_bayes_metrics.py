@@ -14,7 +14,8 @@ from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd
                                      jsd, jsd_gradient, tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
-from repmetric.kernel import GaussianModel, RepresentationMatrix, gram, predictive_covariance
+from repmetric.kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
+                              predictive_covariance)
 from repmetric.seeding import standard_normal_block
 
 
@@ -25,6 +26,28 @@ def model(C):
 def model_from_X(X, a=0.5):
     rep = RepresentationMatrix.from_array(X)
     return predictive_covariance(gram(rep), a)
+
+
+def exact_oracle_case(case):
+    """(model1, model2, λ): a pair whose TVD and JSD are those of (I, diag λ).
+
+    "n-spread" is the dense pair I, diag λ with log λ ~ N(0, spread²).
+    "low-rank" goes through predictive_covariance and the low-rank path:
+    two rank-10 diagonal kernels on disjoint stimuli at n = 300, so both
+    covariances are diagonal and λ is the ratio of their diagonals.
+    """
+    if case == "low-rank":
+        n, a = 300, 0.97
+        diags = np.zeros((2, n))
+        diags[0, :10] = np.linspace(0.5, 1.5, 10)
+        diags[1, 10:20] = np.linspace(1.5, 0.5, 10)
+        m1, m2 = (predictive_covariance(KernelMatrix.from_array(np.diag(d)), a) for d in diags)
+        assert m1.U.shape == m2.U.shape == (n, 10)
+        c1, c2 = ((1.0 - a) * n * d / d.sum() + a for d in diags)
+        return m1, m2, c2 / c1
+    n, spread = int(case.split("-")[0]), float(case.split("-")[1])
+    lam = np.exp(np.random.default_rng(n).normal(0.0, spread, n))
+    return model(np.eye(n)), model(np.diag(lam)), lam
 
 
 class TestTvd:
@@ -245,6 +268,7 @@ class TestBitwiseEqualFactors:
         rng = np.random.default_rng(60 + n)
         X = rng.standard_normal((n, 7))
         m1, m2 = model_from_X(X), model_from_X(-2.0 * X)  # exact in floats
+        assert (m1.U is not None) == (n == 60)  # rank 7 <= n/4: the low-rank path
         assert np.array_equal(m1.chol, m2.chol) and m1 is not m2
         for est in estimate(("tvd", "jsd", "js_distance"), m1, m2, 2000, seed=61).values():
             assert est.value == 0.0
@@ -261,8 +285,9 @@ class TestHighDimensionalOracle:
         X1 = rng.standard_normal((n, k))
         X2 = np.sqrt(1.0 - t * t) * X1 + t * rng.standard_normal((n, k))
         a = b * n / (1.0 + b * n)
-        ests = estimate(("tvd", "jsd"), model_from_X(X1, a), model_from_X(X2, a),
-                        4000, seed=71)
+        m1, m2 = model_from_X(X1, a), model_from_X(X2, a)
+        assert m1.U is not None and m2.U is not None  # rank 50 <= n/4: the low-rank path
+        ests = estimate(("tvd", "jsd"), m1, m2, 4000, seed=71)
         lam = predictive_pair_eigenvalues(X1, X2, a)
         assert lam.size == 2 * k
         ref = eigenbasis_monte_carlo(lam, 200_000, np.random.default_rng(72))
@@ -282,12 +307,12 @@ class TestExactTvdOracle:
         want = chi2.sf(q, 6) if scale > 0 else chi2.cdf(q, 6)
         assert imhof_upper_tail(np.full(6, scale), x) == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("n, spread", [(100, 0.2), (300, 0.12)])
-    def test_within_four_se(self, n, spread):
-        lam = np.exp(np.random.default_rng(n).normal(0.0, spread, n))
+    @pytest.mark.parametrize("case", ["100-0.2", "300-0.12", "low-rank"])
+    def test_within_four_se(self, case):
+        m1, m2, lam = exact_oracle_case(case)
         exact = tvd_exact_diag(lam)
         assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
-        est = tvd(model(np.eye(n)), model(np.diag(lam)), 20_000, seed=73)
+        est = tvd(m1, m2, 20_000, seed=73)
         assert abs(est.raw_value - exact) < 4.0 * est.std_error
 
 
@@ -309,12 +334,86 @@ class TestExactJsdOracle:
         assert jsd_exact_diag(np.full(k, s)) == pytest.approx(want, abs=1e-9)
 
     def test_within_four_se(self):
-        n = 300
-        lam = np.exp(np.random.default_rng(n).normal(0.0, 0.12, n))  # TestExactTvdOracle's λ
-        exact = jsd_exact_diag(lam)
-        assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
-        est = jsd(model(np.eye(n)), model(np.diag(lam)), 20_000, seed=73)
-        assert abs(est.raw_value - exact) < 4.0 * est.std_error
+        for case in ("300-0.12", "low-rank"):  # TestExactTvdOracle's inputs
+            m1, m2, lam = exact_oracle_case(case)
+            exact = jsd_exact_diag(lam)
+            assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
+            est = jsd(m1, m2, 20_000, seed=73)
+            assert abs(est.raw_value - exact) < 4.0 * est.std_error, case
+
+
+class TestPathSelection:
+    """Which models take the low-rank path, and what the others give."""
+
+    @staticmethod
+    def low_rank_kernel(rng, n, k):
+        return gram(RepresentationMatrix.from_array(rng.standard_normal((n, k))))
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-above-n/4", "a=0", "a-below-bound",
+                                      "mixed", "different-a", "a-at-rounding-level"])
+    def test_dense_pairs_match_from_covariance(self, case):
+        rng = np.random.default_rng(80)
+        n = 40
+        ranks = {"full-rank": (n, n), "rank-above-n/4": (11, 11), "mixed": (5, n)}.get(case, (5, 5))
+        a = {"a=0": 0.0, "a-below-bound": 1e-8, "a-at-rounding-level": 1e-300}.get(case, 0.5)
+        kernels = [self.low_rank_kernel(rng, n, k) for k in ranks]
+        if case == "a-at-rounding-level":
+            # exact rank-1 kernels leave no residual, so the bound admits any a > 0,
+            # but a I + Vᵢ Vᵢᵀ on span[U1 U2] fails to factorize
+            kernels = [KernelMatrix.from_array(np.outer(v, v))
+                       for v in (1.0 + np.arange(n) % 3, 1.0 + np.arange(n) % 5)]
+        m1 = predictive_covariance(kernels[0], a)
+        m2 = predictive_covariance(kernels[1], 0.4 if case == "different-a" else a)
+        carry_u = {"mixed": (True, False), "different-a": (True, True),
+                   "a-at-rounding-level": (True, True)}.get(case, (False, False))
+        assert (m1.U is not None, m2.U is not None) == carry_u
+        got = estimate(("tvd", "jsd"), m1, m2, 500, seed=81)
+        want = estimate(("tvd", "jsd"), model(m1.C), model(m2.C), 500, seed=81)
+        for metric in ("tvd", "jsd"):
+            assert got[metric].raw_value == want[metric].raw_value
+            assert got[metric].std_error == want[metric].std_error
+
+    def test_low_rank_model_builds_the_dense_one_on_demand(self):
+        rng = np.random.default_rng(82)
+        kern = self.low_rank_kernel(rng, 40, 5)
+        m = predictive_covariance(kern, 0.3)
+        K, n, trace = kern.K, kern.n, np.trace(kern.K)
+        C = (1.0 - 0.3) * n * (K / trace) + 0.3 * np.eye(n)
+        assert np.array_equal(m.C, C) and np.array_equal(m.chol, np.linalg.cholesky(C))
+        assert m.jitter_used == 0.0
+        assert np.abs(m.U @ m.U.T + 0.3 * np.eye(n) - C).max() < 1e-12
+
+    def test_subset_factor_equals_a_fresh_one(self):
+        rng = np.random.default_rng(83)
+        pool = self.low_rank_kernel(rng, 200, 10)
+        idx = np.sort(rng.choice(200, size=60, replace=False))
+        sub = pool.subset(idx)
+        fresh = KernelMatrix.from_array(pool.K[np.ix_(idx, idx)]).low_rank
+        assert np.array_equal(sub.low_rank.G, fresh.G)
+        assert np.array_equal(sub.low_rank.residual, fresh.residual)
+        assert sub.low_rank.G.shape == (60, 10)
+        G = sub.low_rank.G
+        assert np.abs(G @ G.T - sub.K).max() < 1e-12 * np.abs(sub.K).max()
+
+    def test_power_of_two_rescaling_is_exactly_zero(self):
+        X = np.random.default_rng(84).standard_normal((30, 5))  # C03's shape
+        m1, m2 = model_from_X(X), model_from_X(-2.0 * X)
+        assert np.array_equal(m1.U, m2.U)
+        for est in estimate(("tvd", "jsd"), m1, m2, 2000, seed=85).values():
+            assert est.value == 0.0 and est.std_error == 0.0
+
+    def test_agrees_with_dense_path(self):
+        rng = np.random.default_rng(86)
+        X1 = rng.standard_normal((200, 20))
+        X2 = np.sqrt(1.0 - 0.3 ** 2) * X1 + 0.3 * rng.standard_normal((200, 20))
+        m1, m2 = model_from_X(X1, 0.8), model_from_X(X2, 0.8)
+        assert m1.U is not None and m2.U is not None
+        low = estimate(("tvd", "jsd"), m1, m2, 20_000, seed=87)
+        dense = estimate(("tvd", "jsd"), model(m1.C), model(m2.C), 20_000, seed=88)
+        for metric in ("tvd", "jsd"):
+            assert 0.05 < dense[metric].value < 0.95
+            gap = abs(low[metric].raw_value - dense[metric].raw_value)
+            assert gap < 4.0 * np.hypot(low[metric].std_error, dense[metric].std_error)
 
 
 class TestStandardErrors:

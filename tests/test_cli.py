@@ -368,13 +368,15 @@ class TestSingleLineValidationErrors:
         (["embed", "--input", "{distance}", "--tol", "inf"], None),
         (["stability", "--manifest", "{manifest}", "--n-images", "5", "--repeats", "2",
           "--metrics", "cka", "--b", "nan"], None),
+        (["stability", "--manifest", "{manifest}", "--n-images", "", "--repeats", "2",
+          "--b", "nan"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
             "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
-            "embed-tol-inf", "stability-b-nan"])
+            "embed-tol-inf", "stability-b-nan", "stability-no-sizes"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
@@ -413,6 +415,49 @@ class TestSingleLineValidationErrors:
                      MatrixKind.DISTANCE)
         assert main(["embed", "--input", str(tmp_path / "d.csv"), "--seed", str(seed),
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestTopOfDoubleRange:
+    """Entries near 1.8e308 are either handled exactly or rejected by name."""
+
+    def huge_kernel_manifest(self, tmp_path, diagonal):
+        layers = [("big", np.diag(diagonal)), ("small", np.diag([2.0, 1.0, 1.0]))]
+        entries = []
+        for name, K in layers:
+            write_matrix(K, tmp_path / f"{name}.csv", MatrixKind.KERNEL)
+            entries.append({"name": name, "path": f"{name}.csv", "kind": "kernel"})
+        (tmp_path / "m.json").write_text(json.dumps({"entries": entries}))
+        return str(tmp_path / "m.json")
+
+    def test_huge_diagonal_entry_is_compared(self, tmp_path):
+        # (K + Kᵀ)/2 used to overflow to inf here
+        mpath = self.huge_kernel_manifest(tmp_path, [1e308, 1.0, 1.0])
+        assert main(["compare", "--manifest", mpath, "--metrics", "jsd,tvd", "--a", "0.5",
+                     "--samples", "200", "--out", str(tmp_path / "out")]) == 0
+        values = read_matrix(tmp_path / "out" / "jsd.csv", MatrixKind.DISTANCE).values
+        assert np.isfinite(values).all() and values[0, 1] > 0.0
+
+    def test_overflowing_trace_names_the_layer(self, tmp_path, capsys):
+        mpath = self.huge_kernel_manifest(tmp_path, [1e308, 1e308, 1.0])
+        capsys.readouterr()
+        assert main(["compare", "--manifest", mpath, "--metrics", "jsd", "--a", "0.5",
+                     "--samples", "200", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: layer 'big': kernel trace overflows the double range\n"
+        assert main(["sweep", "--kernel1", str(tmp_path / "big.csv"), "--kernel2",
+                     str(tmp_path / "small.csv"), "--n-values", "3", "--noise-values", "0.5",
+                     "--samples", "200", "--out", str(tmp_path / "sweep")]) == 2
+        assert "big.csv: kernel trace overflows" in capsys.readouterr().err
+
+    def test_huge_distances_embed(self, tmp_path):
+        write_matrix(np.array([[0.0, 1e308], [1e308, 0.0]]), tmp_path / "d.csv",
+                     MatrixKind.DISTANCE)
+        out = tmp_path / "out"
+        assert main(["embed", "--input", str(tmp_path / "d.csv"), "--out", str(out)]) == 0
+        assert json.loads((out / "record.json").read_text())["stress"] < 1e-12  # NaN fails
+        rows = (out / "embedding.csv").read_text().splitlines()[1:]
+        (x0, y0), (x1, y1) = ([float(v) for v in row.split(",")[1:]] for row in rows)
+        assert np.hypot(x0 - x1, y0 - y1) == pytest.approx(1e308, rel=1e-12)
 
 
 class TestSingleBlas:

@@ -97,13 +97,18 @@ class TestPairwiseMatrix:
 
     def test_thread_count_does_not_matter(self):
         rng = np.random.default_rng(4)
-        layers = kernels_same_stimuli(rng, 10, 6, 4)
-        m1 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
-                             seed=5, threads=1)
-        m2 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
-                             seed=5, threads=4)
-        for metric in ("jsd", "cka"):
-            assert np.array_equal(m1[metric].values, m2[metric].values)
+        dense = kernels_same_stimuli(rng, 10, 6, 4)
+        # rank 6 <= 40/4 takes the low-rank path, rank 40 the dense one
+        mixed = kernels_same_stimuli(rng, 40, 6, 2) + [
+            (f"full{j}", gram(RepresentationMatrix.from_array(rng.standard_normal((40, 40)))))
+            for j in range(2)]
+        for layers in (dense, mixed):
+            m1 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
+                                 seed=5, threads=1)
+            m2 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
+                                 seed=5, threads=4)
+            for metric in ("jsd", "cka"):
+                assert np.array_equal(m1[metric].values, m2[metric].values)
 
     def test_mixed_sizes_rejected(self):
         k1 = KernelMatrix.from_array(np.eye(4))

@@ -9,8 +9,8 @@ from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import DegenerateRepresentationError, ValidationError
 from repmetric.mds import mds_embed
 from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
-                              centered_kernel, gram, predictive_covariance,
-                              solve_lower, squared_distance_matrix)
+                              centered_kernel, gram, pivoted_cholesky, predictive_covariance,
+                              solve_lower, squared_distance_matrix, symmetric_part)
 
 
 class TestGram:
@@ -211,6 +211,42 @@ class TestSymmetricPart:
             M[0, 1] *= 1.5
             with pytest.raises(ValidationError, match="not symmetric"):
                 self.VALIDATORS[what](M)
+
+
+    def test_top_of_the_double_range(self):
+        # halving before adding: (M + Mᵀ)/2 would overflow to inf
+        M = np.array([[1.7e308, 1.2e308], [1.2e308, 1.0]])
+        assert np.array_equal(symmetric_part(M, "kernel"), M)
+
+
+class TestTraceOverflow:
+    def test_kernel_rejected(self):
+        with pytest.raises(ValidationError, match="trace overflows"):
+            KernelMatrix.from_array(np.diag([1e308, 1e308, 1.0]))
+
+    def test_gram_rejected(self):
+        with pytest.raises(ValidationError, match="trace overflows"):
+            gram(RepresentationMatrix.from_array([[1e200, 0.0], [0.0, 1.0]]))
+
+
+class TestPivotedCholesky:
+    def test_exact_low_rank(self):
+        X = np.random.default_rng(15).standard_normal((50, 7))
+        K = gram(RepresentationMatrix.from_array(X)).K
+        f = pivoted_cholesky(K, 12)
+        assert f.G.shape == (50, 7)
+        assert f.residual.sum() <= 50 * np.finfo(float).eps * np.trace(K)
+        assert np.abs(f.G @ f.G.T - K).max() < 1e-12 * np.abs(K).max()
+
+    def test_gives_up_above_max_rank(self):
+        X = np.random.default_rng(16).standard_normal((50, 13))
+        assert pivoted_cholesky(X @ X.T, 12) is None
+
+    def test_kernel_factor_only_up_to_a_quarter_of_n(self):
+        rng = np.random.default_rng(17)
+        for k, factored in ((10, True), (11, False)):
+            kern = gram(RepresentationMatrix.from_array(rng.standard_normal((40, k))))
+            assert (kern.low_rank is not None) == factored
 
 
 class TestKernelValidation:

@@ -168,6 +168,17 @@ class TestLabelRule:
         with pytest.raises(ValidationError, match="separator"):
             read_manifest(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("label", [" a", "a ", "\t", "a\u00a0", "\u3000a"])
+    def test_surrounding_whitespace_rejected(self, tmp_path, label):
+        # the CSV reader strips it, so such a label could not round-trip
+        K = np.eye(2)
+        with pytest.raises(ValidationError, match="whitespace"):
+            write_matrix(K, tmp_path / "k.csv", MatrixKind.KERNEL, labels=[label, "z"])
+        write_manifest(LayerManifest(entries=(ManifestEntry(label, "k.csv", MatrixKind.KERNEL),)),
+                       tmp_path / "m.json")
+        with pytest.raises(ValidationError, match="whitespace"):
+            read_manifest(tmp_path / "m.json")
+
     def test_accepted_labels_round_trip(self, tmp_path):
         labels = ["a b", "x\ty", "x;y", "\u00e9"]
         loaded = roundtrip(tmp_path, np.eye(4), MatrixKind.KERNEL, ".csv", labels=labels)

@@ -111,6 +111,18 @@ class TestBufferedIterations:
         assert stress == history_ref[-1]
 
 
+class TestScale:
+    @pytest.mark.parametrize("exponent", [-1000, -3, 5, 1000])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        # the iterates scale exactly, and near 1e308 squares must not overflow
+        D = pairwise(np.random.default_rng(18).standard_normal((12, 4)))
+        np.fill_diagonal(D, 0.0)
+        ref = mds_embed(D, seed=19, max_iter=50)
+        emb = mds_embed(np.ldexp(D, exponent), seed=19, max_iter=50)
+        assert np.array_equal(emb.coords, np.ldexp(ref.coords, exponent))
+        assert emb.stress == ref.stress and emb.stress_history == ref.stress_history
+
+
 class TestValidation:
     def test_asymmetric_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
