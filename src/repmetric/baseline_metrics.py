@@ -41,7 +41,19 @@ def _kernel_pair(kernel1, kernel2) -> tuple[KernelMatrix, KernelMatrix]:
               for K in (kernel1, kernel2))
     if k1.n != k2.n:
         raise ValidationError(f"kernel sizes differ: {k1.n} vs {k2.n}")
-    return k1, k2
+    return _scaled(k1), _scaled(k2)
+
+
+def _scaled(k: KernelMatrix) -> KernelMatrix:
+    """k, or k times 2^-e (e even) with its largest entry in [1/4, 1) when that
+    entry lies outside [2^-400, 2^400], where centering or squaring could
+    overflow or underflow. Every baseline is scale-invariant and the
+    scaling is exact, as is 2^-e/2 under the square root of unsquared RSA.
+    """
+    e = int(np.frexp(max(k.K.max(), -k.K.min()))[1])
+    if abs(e) <= 400:
+        return k
+    return KernelMatrix(K=np.ldexp(k.K, -(e + e % 2)), labels=k.labels)
 
 
 def _alignment(k1: KernelMatrix, k2: KernelMatrix):

@@ -35,6 +35,8 @@ PSD_RTOL = 1e-8
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 JITTER_FACTOR = 10.0
+SYMMETRY_TILE = 192  # symmetric_part works on tiles of at most this many rows and columns
+RESIDUAL_ROWS = 64  # rows per block of the PSD certificate's residual
 # Largest total-variation distance allowed between the dense C and the
 # factor model a I + U Uᵀ that drops the residual diagonal E of the
 # kernel's pivoted Cholesky: TVD ≤ (3/2)·tr(s E)/a (Devroye, Mehrabian &
@@ -57,24 +59,39 @@ def _as_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
 
 
 def symmetric_part(M, what: str) -> np.ndarray:
-    """(M + Mᵀ)/2 of a square, finite M, in one n×n buffer.
+    """M/2 + Mᵀ/2 of a square, finite M, in one new n×n array.
 
     The one symmetry rule, for kernels, covariances and distance matrices:
     |M - Mᵀ| ≤ ``SYMMETRY_RTOL``·max(|M|, 1) entrywise, else a
-    ValidationError naming ``what``.
+    ValidationError naming ``what``. Works on pairs of mirrored tiles of
+    at most ``SYMMETRY_TILE`` rows, so each pass stays in cache; a matrix
+    that small is one tile.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValidationError(f"{what} must be a nonempty square matrix")
-    if not np.all(np.isfinite(M)):
+    hi, lo = M.max(), M.min()  # NaN propagates, so these also decide finiteness
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValidationError(f"{what} contains non-finite values")
-    with np.errstate(over="ignore"):  # a difference beyond the double range fails the test
-        S = np.subtract(M, M.T)
-    if np.abs(S, out=S).max() > SYMMETRY_RTOL * max(M.max(), -M.min(), 1.0):
-        raise ValidationError(f"{what} is not symmetric")
-    # halve before adding, so entries near the top of the range cannot overflow
-    np.multiply(M, 0.5, out=S)
-    S += S.T
+    tol = SYMMETRY_RTOL * max(hi, -lo, 1.0)
+    n = M.shape[0]
+    tiles = -(-n // SYMMETRY_TILE)
+    b = -(-n // tiles)  # equal tiles, none larger than SYMMETRY_TILE
+    S = np.empty_like(M)
+    work = np.empty((b, b))
+    with np.errstate(over="ignore"):  # a difference beyond the double range fails
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                A, Bt = M[i:i + b, j:j + b], M[j:j + b, i:i + b].T
+                h = work[:A.shape[0], :A.shape[1]]
+                if np.abs(np.subtract(A, Bt, out=h), out=h).max() > tol:
+                    raise ValidationError(f"{what} is not symmetric")
+                # halve before adding, so entries near the top of the range cannot overflow
+                out = S[i:i + b, j:j + b]
+                np.multiply(A, 0.5, out=out)
+                out += np.multiply(Bt, 0.5, out=h)
+                if j > i:
+                    S[j:j + b, i:i + b] = out.T
     return S
 
 
@@ -139,6 +156,40 @@ def pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[LowRankFactor]:
     return LowRankFactor(G=G[:, :r].copy(), residual=e)
 
 
+def _residual_norm(K: np.ndarray, G: np.ndarray) -> float:
+    """‖K - G Gᵀ‖_F, through one reused buffer of ``RESIDUAL_ROWS`` rows."""
+    n = K.shape[0]
+    buf = np.empty((min(n, RESIDUAL_ROWS), n))
+    total = 0.0
+    for i in range(0, n, RESIDUAL_ROWS):
+        R = np.matmul(G[i:i + RESIDUAL_ROWS], G.T, out=buf[:min(n - i, RESIDUAL_ROWS)])
+        np.subtract(K[i:i + RESIDUAL_ROWS], R, out=R)
+        total += float(np.vdot(R, R))
+    return math.sqrt(total)
+
+
+def _check_floor(K: np.ndarray, floor: float) -> None:
+    """Dense test that no eigenvalue of K lies below ``floor``."""
+    # K - floor I factorizes exactly when no eigenvalue of K lies below
+    # floor; eigenvalues only decide (and report) borderline failures.
+    # The shift is undone from a saved diagonal: no n×n temporary.
+    n = K.shape[0]
+    diag = K.diagonal().copy()
+    K[np.diag_indices(n)] -= floor
+    try:
+        np.linalg.cholesky(K)
+        factorized = True
+    except np.linalg.LinAlgError:
+        factorized = False
+    K[np.diag_indices(n)] = diag
+    if not factorized:
+        min_eig = np.linalg.eigvalsh(K).min()
+        if min_eig < floor:
+            raise ValidationError(
+                f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+            )
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric PSD Gram matrix over stimuli."""
@@ -148,27 +199,31 @@ class KernelMatrix:
 
     @classmethod
     def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
+        """Validate a kernel: symmetric, and no eigenvalue below a floor of
+        ``-PSD_RTOL``·(tr K/n + 1).
+
+        Validation factors K once. Unless K's trace and norm already show
+        its rank exceeds n/4, it runs the pivoted Cholesky K ≈ G Gᵀ that
+        ``low_rank`` holds, and a residual ‖K - G Gᵀ‖_F within the floor
+        proves the bound (Weyl: λ_min(K) ≥ -‖K - G Gᵀ‖_F). Otherwise a
+        dense Cholesky of K shifted by the floor decides, and the smallest
+        eigenvalue, reported on rejection, settles a borderline failure.
+        """
         K = symmetric_part(K, "kernel")
         n = K.shape[0]
-        floor = -PSD_RTOL * max(_check_trace(K), 0.0) / n - PSD_RTOL
-        # K - floor I factorizes exactly when no eigenvalue of K lies below
-        # floor; eigenvalues only decide (and report) borderline failures.
-        # The shift is undone from a saved diagonal: no n×n temporary.
-        diag = K.diagonal().copy()
-        K[np.diag_indices(n)] -= floor
-        try:
-            np.linalg.cholesky(K)
-            factorized = True
-        except np.linalg.LinAlgError:
-            factorized = False
-        K[np.diag_indices(n)] = diag
-        if not factorized:
-            min_eig = np.linalg.eigvalsh(K).min()
-            if min_eig < floor:
-                raise ValidationError(
-                    f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-                )
-        return cls(K=K, labels=_as_labels(labels, K.shape[0]))
+        trace = _check_trace(K)
+        floor = -PSD_RTOL * max(trace, 0.0) / n - PSD_RTOL
+        cache, certified = {}, False
+        with np.errstate(over="ignore", invalid="ignore"):  # K may be far from PSD
+            # a PSD K has rank ≥ tr(K)²/‖K‖²_F: past n/4 the attempt cannot succeed
+            if trace * trace <= (n // 4) * float(np.vdot(K, K)):
+                factor = cache["low_rank"] = pivoted_cholesky(K, n // 4)
+                certified = factor is not None and _residual_norm(K, factor.G) <= -floor
+        if not certified:
+            _check_floor(K, floor)
+        kernel = cls(K=K, labels=_as_labels(labels, n))
+        vars(kernel).update(cache)  # fills the low_rank cached_property
+        return kernel
 
     @property
     def n(self) -> int:
@@ -178,8 +233,9 @@ class KernelMatrix:
     def low_rank(self) -> Optional[LowRankFactor]:
         """The kernel's pivoted Cholesky, or None when its rank exceeds n/4.
 
-        Computed once, on first use, from K alone: a ``subset`` gets the
-        factor that the same submatrix read from a file would get.
+        ``from_array`` fills it while validating; otherwise it is computed
+        once, on first use, from K alone: a ``subset`` gets the factor
+        that the same submatrix read from a file would get.
         """
         return pivoted_cholesky(self.K, self.n // 4)
 

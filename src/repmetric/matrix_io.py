@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,27 +121,32 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
 
 
 def _read_binary(path: Path, expected: MatrixKind):
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValidationError(f"{path}: truncated header")
-    magic, code, n_rows, n_cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValidationError(f"{path}: bad magic {magic!r}, not a matrix file")
-    if code not in _CODE_KINDS:
-        raise ValidationError(f"{path}: unknown kind code {code}")
-    stored = _CODE_KINDS[code]
-    if stored is not expected:
-        raise ValidationError(
-            f"{path}: kind mismatch, file holds {stored.value}, expected {expected.value}"
-        )
-    payload = raw[_HEADER.size:]
-    expected_bytes = n_rows * n_cols * 8
-    if len(payload) != expected_bytes:
-        raise ValidationError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected_bytes}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n_rows, n_cols)
-    return values, None
+    """Check the header, and the payload size against the file size, before
+    allocating; then read the payload straight into the returned array."""
+    with path.open("rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValidationError(f"{path}: truncated header")
+        magic, code, n_rows, n_cols = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValidationError(f"{path}: bad magic {magic!r}, not a matrix file")
+        if code not in _CODE_KINDS:
+            raise ValidationError(f"{path}: unknown kind code {code}")
+        stored = _CODE_KINDS[code]
+        if stored is not expected:
+            raise ValidationError(
+                f"{path}: kind mismatch, file holds {stored.value}, expected {expected.value}"
+            )
+        payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected_bytes = n_rows * n_cols * 8
+        if payload_bytes == expected_bytes:
+            values = np.empty((n_rows, n_cols), dtype="<f8")
+            payload_bytes = fh.readinto(values)  # fewer if the file shrank meanwhile
+        if payload_bytes != expected_bytes:
+            raise ValidationError(
+                f"{path}: payload is {payload_bytes} bytes, header implies {expected_bytes}"
+            )
+    return values.astype(np.float64, copy=False), None  # a copy only on big-endian hosts
 
 
 def _read_text(path: Path) -> str:

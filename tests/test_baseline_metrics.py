@@ -240,3 +240,30 @@ class TestInvariances:
             assert 0.0 <= shape_metric(K1, K2).value <= math.pi / 2
             assert 0.0 <= rsa_one_minus_corr(K1, K2).value <= 2.0
             assert 0.0 <= rsa_arccos(K1, K2).value <= math.pi
+
+
+class TestDoubleRange:
+    """Kernels are scaled by exact powers of two where centering could overflow."""
+
+    def test_top_of_the_range(self):
+        big, small = np.diag([1e308, 1.0, 1.0]), np.diag([2.0, 1.0, 1.0])
+        got = distances(("cka", "shape", "rsa_corr"), big, small)
+        want = distances(("cka", "shape", "rsa_corr"), np.ldexp(big, -1000), small)
+        assert {m: r.value for m, r in got.items()} == {m: r.value for m, r in want.items()}
+        assert got["cka"].value == pytest.approx(0.14250707428745557, rel=1e-12)
+        assert got["shape"].value == pytest.approx(math.acos(1.0 - 0.14250707428745557),
+                                                   rel=1e-12)
+        assert got["rsa_corr"].value == pytest.approx(0.0, abs=1e-12)  # [a, a, b] both ways
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_ordinary_values_keep_their_bits(self, squared):
+        # 2^±600 takes the scaled path, 2^±300 and 1 the direct one: all agree bit for bit
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            K1 = kern(rng.standard_normal((12, 4))).K
+            K2 = kern(rng.standard_normal((12, 6))).K
+            want = distances(BASELINE_METRICS, K1, K2, squared)
+            for j in (-600, -300, 300, 600):
+                got = distances(BASELINE_METRICS, np.ldexp(K1, j), np.ldexp(K2, -j), squared)
+                assert {m: r.value for m, r in got.items()} == \
+                    {m: r.value for m, r in want.items()}

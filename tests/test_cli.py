@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +449,25 @@ class TestTopOfDoubleRange:
                      str(tmp_path / "small.csv"), "--n-values", "3", "--noise-values", "0.5",
                      "--samples", "200", "--out", str(tmp_path / "sweep")]) == 2
         assert "big.csv: kernel trace overflows" in capsys.readouterr().err
+
+    def test_huge_diagonal_entry_baselines(self, tmp_path):
+        # centering and squared distances used to overflow: cka 1, shape π/2, rsa_corr NaN
+        mpath = self.huge_kernel_manifest(tmp_path, [1e308, 1.0, 1.0])
+        assert main(["compare", "--manifest", mpath, "--metrics", "cka,shape,rsa_corr",
+                     "--out", str(tmp_path / "out")]) == 0
+        cka = read_matrix(tmp_path / "out" / "cka.csv", MatrixKind.DISTANCE).values[0, 1]
+        assert cka == pytest.approx(0.14250707428745557, rel=1e-12)
+        shape = read_matrix(tmp_path / "out" / "shape.csv", MatrixKind.DISTANCE).values[0, 1]
+        assert shape == pytest.approx(np.arccos(1.0 - cka), rel=1e-12)
+
+    def test_header_beyond_the_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.rmx"
+        path.write_bytes(struct.pack("<4sBII", MAGIC, 2, 10**9, 10**9) + bytes(8))
+        capsys.readouterr()
+        assert main(["sweep", "--kernel1", str(path), "--kernel2", str(path), "--n-values", "3",
+                     "--noise-values", "0.5", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {path}: payload is 8 bytes, header implies 8000000000000000000\n")
 
     def test_huge_distances_embed(self, tmp_path):
         write_matrix(np.array([[0.0, 1e308], [1e308, 0.0]]), tmp_path / "d.csv",

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -5,6 +7,7 @@ from scipy.linalg import solve_triangular
 from oracles import naive_gram, naive_squared_distances
 from synth import random_orthogonal
 
+from repmetric import kernel as kernel_module
 from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import DegenerateRepresentationError, ValidationError
 from repmetric.mds import mds_embed
@@ -218,6 +221,38 @@ class TestSymmetricPart:
         M = np.array([[1.7e308, 1.2e308], [1.2e308, 1.0]])
         assert np.array_equal(symmetric_part(M, "kernel"), M)
 
+    @pytest.mark.parametrize("n", [1, 2, 192, 193, 255, 256, 257, 1000])
+    def test_bitwise_equal_to_halved_sum(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 5))
+        M = X @ X.T + 1e-12 * rng.standard_normal((n, n))  # asymmetric within the rule
+        S = symmetric_part(M, "kernel")
+        assert S.tobytes() == (M * 0.5 + M.T * 0.5).tobytes()
+
+    @pytest.mark.parametrize("i, j", [(3, 900), (900, 3), (500, 999), (999, 998)])
+    def test_one_asymmetric_entry_in_an_off_diagonal_tile(self, i, j):
+        M = np.ones((1000, 1000))
+        M[i, j] = 1.5
+        with pytest.raises(ValidationError, match="kernel is not symmetric"):
+            symmetric_part(M, "kernel")
+
+    def test_opposite_extremes_in_an_off_diagonal_tile(self):
+        # symmetric ±1.7e308 pass unchanged; a pair differing by ~3.4e308 fails, without warnings
+        M = np.eye(300)
+        M[7, 280] = M[280, 7] = 1.7e308
+        M[9, 290] = M[290, 9] = -1.7e308
+        assert np.array_equal(symmetric_part(M, "kernel"), M)
+        M[290, 9] = 1.7e308
+        with pytest.raises(ValidationError, match="not symmetric"):
+            symmetric_part(M, "kernel")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named_first(self, bad):
+        M = np.eye(400)
+        M[10, 390] = bad  # also asymmetric: the finiteness message wins, as before
+        with pytest.raises(ValidationError, match="contains non-finite values"):
+            symmetric_part(M, "kernel")
+
 
 class TestTraceOverflow:
     def test_kernel_rejected(self):
@@ -247,6 +282,104 @@ class TestPivotedCholesky:
         for k, factored in ((10, True), (11, False)):
             kern = gram(RepresentationMatrix.from_array(rng.standard_normal((40, k))))
             assert (kern.low_rank is not None) == factored
+
+
+def floor_of(K):
+    n = K.shape[0]
+    return -PSD_RTOL * max(np.trace(K), 0.0) / n - PSD_RTOL
+
+
+@pytest.fixture
+def spies():
+    """Counts of pivoted Cholesky attempts and dense PSD checks."""
+    with mock.patch.object(kernel_module, "pivoted_cholesky",
+                           wraps=kernel_module.pivoted_cholesky) as pivoted, \
+            mock.patch.object(kernel_module, "_check_floor",
+                              wraps=kernel_module._check_floor) as dense:
+        yield pivoted, dense
+
+
+class TestPsdCertificate:
+    """A low-rank factor with a small residual proves PSD-ness; else the dense check decides."""
+
+    def test_low_rank_kernel_accepted_by_its_factor(self, spies):
+        pivoted, dense = spies
+        X = np.random.default_rng(40).standard_normal((200, 6))
+        kern = KernelMatrix.from_array(X @ X.T)
+        assert (pivoted.call_count, dense.call_count) == (1, 0)
+        assert "low_rank" in vars(kern)  # cached by validation
+        assert kern.low_rank.G.shape == (200, 6)
+        G = kern.low_rank.G
+        assert np.linalg.norm(kern.K - G @ G.T) <= -floor_of(kern.K)
+
+    def test_negative_direction_outside_the_factor_rejected(self, spies):
+        pivoted, dense = spies
+        rng = np.random.default_rng(41)
+        n = 80
+        G = rng.standard_normal((n, 5))
+        v = rng.standard_normal(n)
+        v -= G @ np.linalg.lstsq(G, v, rcond=None)[0]  # v ⟂ span G
+        v /= np.linalg.norm(v)
+        K = G @ G.T
+        delta = 10.0 * abs(floor_of(K))
+        K = K - delta * np.outer(v, v)
+        K = 0.5 * K + 0.5 * K.T
+        min_eig = np.linalg.eigvalsh(K).min()
+        assert min_eig == pytest.approx(-delta, rel=1e-6)
+        message = f"kernel is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+        with pytest.raises(ValidationError) as info:
+            KernelMatrix.from_array(K)
+        assert str(info.value) == message
+        assert (pivoted.call_count, dense.call_count) == (1, 1)
+
+    def test_flat_full_rank_kernel_skips_the_attempt(self, spies):
+        pivoted, dense = spies
+        X = np.random.default_rng(42).standard_normal((120, 120))
+        K = X @ X.T
+        assert np.trace(K) ** 2 / np.vdot(K, K) > 120 // 4  # its rank must exceed n/4
+        kern = KernelMatrix.from_array(K)
+        assert (pivoted.call_count, dense.call_count) == (0, 1)
+        assert "low_rank" not in vars(kern)
+
+    def test_decaying_full_rank_kernel_takes_the_dense_check(self, spies):
+        pivoted, dense = spies
+        rng = np.random.default_rng(43)
+        Q = random_orthogonal(rng, 120)
+        K = (Q * 0.9 ** np.arange(120)) @ Q.T
+        kern = KernelMatrix.from_array(0.5 * K + 0.5 * K.T)
+        assert (pivoted.call_count, dense.call_count) == (1, 1)
+        assert "low_rank" in vars(kern) and kern.low_rank is None
+
+    def test_zero_kernel(self, spies):
+        pivoted, dense = spies
+        kern = KernelMatrix.from_array(np.zeros((6, 6)))
+        assert kern.low_rank.G.shape == (6, 0)
+        assert (pivoted.call_count, dense.call_count) == (1, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_below_four_stimuli_the_dense_check_decides(self, spies, n):
+        pivoted, dense = spies
+        kern = KernelMatrix.from_array(np.eye(n))
+        assert kern.low_rank is None
+        with pytest.raises(ValidationError, match=r"min eigenvalue -1\.000e\+00"):
+            KernelMatrix.from_array(np.diag([1.0] * (n - 1) + [-1.0]))
+        assert dense.call_count == 2
+
+    @pytest.mark.parametrize("kind", ["low_rank", "flat", "decaying"])
+    def test_one_pivoted_cholesky_per_kernel(self, spies, kind):
+        pivoted, _ = spies
+        rng = np.random.default_rng(44)
+        n = 100
+        if kind == "decaying":
+            Q = random_orthogonal(rng, n)
+            K = (Q * 0.9 ** np.arange(n)) @ Q.T
+        else:
+            X = rng.standard_normal((n, 8 if kind == "low_rank" else n))
+            K = X @ X.T
+        kern = KernelMatrix.from_array(0.5 * K + 0.5 * K.T)
+        for a in (0.3, 0.7):
+            predictive_covariance(kern, a)
+        assert pivoted.call_count == 1
 
 
 class TestKernelValidation:

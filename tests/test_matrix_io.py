@@ -1,3 +1,6 @@
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,13 @@ class TestBinaryRoundTrip:
         loaded = roundtrip(tmp_path, m, MatrixKind.REPRESENTATION, ".rmx")
         assert loaded.values.tobytes() == m.tobytes()
         assert loaded.labels == tuple(f"s{i}" for i in range(100))
+
+    def test_values_owned_writeable_and_bit_exact(self, tmp_path):
+        m = np.random.default_rng(3).standard_normal((1000, 1000))
+        loaded = roundtrip(tmp_path, m, MatrixKind.KERNEL, ".rmx")
+        assert loaded.values.flags.writeable and loaded.values.flags.owndata
+        assert loaded.values.dtype == np.float64 and loaded.values.shape == (1000, 1000)
+        assert loaded.values.tobytes() == m.tobytes()
 
     def test_5x5_kernel(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -129,6 +139,23 @@ class TestValidation:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError, match="payload"):
             read_matrix(path, MatrixKind.REPRESENTATION)
+
+    @pytest.mark.parametrize("cut, size", [(-8, 24), (8, 40)], ids=["truncated", "oversized"])
+    def test_payload_size_message(self, tmp_path, cut, size):
+        path = tmp_path / "m.rmx"
+        write_matrix(np.ones((2, 2)), path, MatrixKind.REPRESENTATION)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(ValidationError, match=f"payload is {size} bytes, header implies 32"):
+            read_matrix(path, MatrixKind.REPRESENTATION)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "m.rmx"
+        path.write_bytes(struct.pack("<4sBII", MAGIC, 2, 10**9, 10**9) + bytes(8))
+        with mock.patch("numpy.empty", side_effect=AssertionError("allocated")), \
+                pytest.raises(ValidationError,
+                              match="payload is 8 bytes, header implies 8000000000000000000"):
+            read_matrix(path, MatrixKind.KERNEL)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.rmx"
