@@ -36,14 +36,6 @@ def _raised(result):
     return result
 
 
-def _kernel_pair(kernel1, kernel2) -> tuple[KernelMatrix, KernelMatrix]:
-    k1, k2 = (K if isinstance(K, KernelMatrix) else KernelMatrix.from_array(K)
-              for K in (kernel1, kernel2))
-    if k1.n != k2.n:
-        raise ValidationError(f"kernel sizes differ: {k1.n} vs {k2.n}")
-    return _scaled(k1), _scaled(k2)
-
-
 def _scaled(k: KernelMatrix) -> KernelMatrix:
     """k, or k times 2^-e (e even) with its largest entry in [1/4, 1) when that
     entry lies outside [2^-400, 2^400], where centering or squaring could
@@ -56,67 +48,90 @@ def _scaled(k: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(K=np.ldexp(k.K, -(e + e % 2)), labels=k.labels)
 
 
-def _alignment(k1: KernelMatrix, k2: KernelMatrix):
-    """CKA in [0, 1], or the error when a centered kernel's RMS entry (norm / n)
-    is rounding noise against the kernel's largest diagonal entry."""
-    K1c, K2c = centered_kernel(k1), centered_kernel(k2)
-    n1, n2 = np.linalg.norm(K1c), np.linalg.norm(K2c)
-    tol = DEGENERATE_RTOL * k1.n
-    if n1 <= tol * np.abs(k1.K.diagonal()).max() or n2 <= tol * np.abs(k2.K.diagonal()).max():
-        return DegenerateRepresentationError(
-            "centered kernel has zero norm (constant representation)")
-    value = float(np.sum(K1c * K2c) / (n1 * n2))
-    return min(max(value, 0.0), 1.0)
+class PreparedKernel:
+    """One kernel's operands for the requested baseline metrics, built once
+    and shared by every pair the kernel is in.
+
+    ``errors`` maps each requested metric the kernel leaves undefined to its
+    DegenerateRepresentationError: the centered kernel's RMS entry (norm / n)
+    is rounding noise against its largest diagonal entry, or the distance
+    vector's spread or norm is. Malformed input raises ValidationError.
+    """
+
+    def __init__(self, kernel, metrics: Sequence[str], rsa_squared: bool = True):
+        unknown = [m for m in metrics if m not in BASELINE_METRICS]
+        if unknown:
+            raise ValidationError(f"unknown baseline metric {unknown[0]!r}")
+        k = _scaled(kernel if isinstance(kernel, KernelMatrix)
+                    else KernelMatrix.from_array(kernel))
+        self.n = k.n
+        self.errors: dict[str, DegenerateRepresentationError] = {}
+        if "cka" in metrics or "shape" in metrics:
+            self.Kc = centered_kernel(k)
+            self.Kc_norm = np.linalg.norm(self.Kc)
+            if self.Kc_norm <= DEGENERATE_RTOL * k.n * np.abs(k.K.diagonal()).max():
+                self.errors["cka"] = self.errors["shape"] = DegenerateRepresentationError(
+                    "centered kernel has zero norm (constant representation)")
+        if "rsa_corr" in metrics or "rsa_arccos" in metrics:
+            if k.n < 3:
+                raise ValidationError("RSA measures need at least 3 stimuli")
+            v = squared_distance_matrix(k)[np.triu_indices(k.n, k=1)]
+            if not rsa_squared:
+                v = np.sqrt(v)
+            if "rsa_corr" in metrics:
+                self.v_centered, self.v_sd = v - v.mean(), v.std()
+                if self.v_sd <= DEGENERATE_RTOL * v.max():
+                    self.errors["rsa_corr"] = DegenerateRepresentationError(
+                        "distance vector has zero variance")
+            if "rsa_arccos" in metrics:
+                self.v, self.v_norm = v, np.linalg.norm(v)
+                if self.v_norm < _EPS_NORM:
+                    self.errors["rsa_arccos"] = DegenerateRepresentationError(
+                        "distance vector is zero")
+
+    def _alignment(self, other: "PreparedKernel") -> float:
+        return min(max(float(np.sum(self.Kc * other.Kc) / (self.Kc_norm * other.Kc_norm)),
+                       0.0), 1.0)
+
+    def compare(self, other: "PreparedKernel", metrics: Sequence[str]
+                ) -> dict[str, BaselineResult | DegenerateRepresentationError]:
+        """Every requested baseline metric between this kernel and ``other``,
+        both prepared for at least these metrics; an undefined measure maps
+        to its DegenerateRepresentationError."""
+        if self.n != other.n:
+            raise ValidationError(f"kernel sizes differ: {self.n} vs {other.n}")
+        out = {m: self.errors.get(m) or other.errors.get(m) for m in metrics}
+        defined = [m for m in metrics if out[m] is None]
+        if "cka" in defined or "shape" in defined:
+            c = self._alignment(other)
+            out["cka"] = BaselineResult(value=1.0 - c, metric="cka")
+            out["shape"] = BaselineResult(value=math.acos(c), metric="shape")
+        if "rsa_corr" in defined:
+            r = float(np.mean(self.v_centered * other.v_centered) / (self.v_sd * other.v_sd))
+            out["rsa_corr"] = BaselineResult(value=1.0 - min(max(r, -1.0), 1.0), metric="rsa_corr")
+        if "rsa_arccos" in defined:
+            c = float(np.dot(self.v, other.v) / (self.v_norm * other.v_norm))
+            out["rsa_arccos"] = BaselineResult(value=math.acos(min(max(c, -1.0), 1.0)),
+                                               metric="rsa_arccos")
+        return {m: out[m] for m in metrics}
 
 
 def distances(metrics: Sequence[str], kernel1, kernel2, rsa_squared: bool = True
               ) -> dict[str, BaselineResult | DegenerateRepresentationError]:
     """Every requested baseline metric for one pair of kernels.
 
-    Each kernel is centered, and its distance vector built, at most once.
     A measure undefined for the pair maps to its
     DegenerateRepresentationError; malformed input raises ValidationError.
     """
-    unknown = [m for m in metrics if m not in BASELINE_METRICS]
-    if unknown:
-        raise ValidationError(f"unknown baseline metric {unknown[0]!r}")
-    k1, k2 = _kernel_pair(kernel1, kernel2)
-    out = {}
-    if "cka" in metrics or "shape" in metrics:
-        c = _alignment(k1, k2)
-        if isinstance(c, DegenerateRepresentationError):
-            out["cka"] = out["shape"] = c
-        else:
-            out["cka"] = BaselineResult(value=1.0 - c, metric="cka")
-            out["shape"] = BaselineResult(value=math.acos(c), metric="shape")
-    if "rsa_corr" in metrics or "rsa_arccos" in metrics:
-        if k1.n < 3:
-            raise ValidationError("RSA measures need at least 3 stimuli")
-        iu = np.triu_indices(k1.n, k=1)
-        v1, v2 = squared_distance_matrix(k1)[iu], squared_distance_matrix(k2)[iu]
-        if not rsa_squared:
-            v1, v2 = np.sqrt(v1), np.sqrt(v2)
-    if "rsa_corr" in metrics:
-        s1, s2 = v1.std(), v2.std()
-        if s1 <= DEGENERATE_RTOL * v1.max() or s2 <= DEGENERATE_RTOL * v2.max():
-            out["rsa_corr"] = DegenerateRepresentationError("distance vector has zero variance")
-        else:
-            r = float(np.mean((v1 - v1.mean()) * (v2 - v2.mean())) / (s1 * s2))
-            out["rsa_corr"] = BaselineResult(value=1.0 - min(max(r, -1.0), 1.0), metric="rsa_corr")
-    if "rsa_arccos" in metrics:
-        n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-        if n1 < _EPS_NORM or n2 < _EPS_NORM:
-            out["rsa_arccos"] = DegenerateRepresentationError("distance vector is zero")
-        else:
-            c = float(np.dot(v1, v2) / (n1 * n2))
-            out["rsa_arccos"] = BaselineResult(value=math.acos(min(max(c, -1.0), 1.0)),
-                                               metric="rsa_arccos")
-    return {m: out[m] for m in metrics}
+    p1, p2 = (PreparedKernel(K, metrics, rsa_squared) for K in (kernel1, kernel2))
+    return p1.compare(p2, metrics)
 
 
 def cka(kernel1, kernel2) -> float:
     """Linear centered kernel alignment, in [0, 1]."""
-    return _raised(_alignment(*_kernel_pair(kernel1, kernel2)))
+    p1, p2 = (PreparedKernel(K, ("cka",)) for K in (kernel1, kernel2))
+    _raised(p1.compare(p2, ("cka",))["cka"])  # the size and degeneracy checks
+    return p1._alignment(p2)
 
 
 def cka_distance(kernel1, kernel2) -> BaselineResult:

@@ -94,6 +94,8 @@ def _split_metrics(metrics: Sequence[str]):
         raise ValidationError(f"unknown metrics: {unknown}")
     if not metrics:
         raise ValidationError("no metrics requested")
+    if len(set(metrics)) < len(metrics):
+        raise ValidationError(f"repeated metrics: {list(metrics)}")
     return bayes, base
 
 
@@ -116,11 +118,13 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     _check_layers(layers)
     metrics_bayes, metrics_base = _split_metrics(metrics)
 
-    # a layer's predictive distribution, or in skip mode the error that
-    # prevented it, which becomes the hole reason of each of its pairs
+    # per layer, before any pair runs: its predictive distribution, or in
+    # skip mode the error that prevented it, which becomes the hole reason
+    # of each of its pairs; and its baseline operands
     models: dict[str, GaussianModel | RepmetricError] = {}
-    if metrics_bayes:
-        for name, kern in layers:
+    prepared: dict[str, baseline_metrics.PreparedKernel] = {}
+    for name, kern in layers:
+        if metrics_bayes:
             try:
                 models[name] = predictive_covariance(kern, a)
             except RepmetricError as exc:
@@ -128,8 +132,8 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
                 if on_error == "abort" or isinstance(exc, ValidationError):
                     raise error from exc
                 models[name] = error
+        prepared[name] = baseline_metrics.PreparedKernel(kern, metrics_base, rsa_squared)
 
-    kernels = dict(layers)
     names = [name for name, _ in layers]
     order = {name: i for i, name in enumerate(names)}
     pairs = [tuple(sorted((names[i], names[j])))
@@ -139,7 +143,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
         """{metric: (value, std_error, None) or (nan, nan, reason)} for one pair.
 
         One estimate call (one set of draws) gives every Bayes metric and
-        one distances call every baseline; an error that leaves a metric
+        one compare call every baseline; an error that leaves a metric
         undefined is its hole in skip mode and aborts the run otherwise.
         """
         la, lb = pair
@@ -151,8 +155,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
             ests = bayes_metrics.estimate(metrics_bayes, models[la], models[lb],
                                           n_samples, pair_seed(seed, la, lb))
             results = {m: (e.value, e.std_error, None) for m, e in ests.items()}
-        for m, r in baseline_metrics.distances(metrics_base, kernels[la], kernels[lb],
-                                               rsa_squared).items():
+        for m, r in prepared[la].compare(prepared[lb], metrics_base).items():
             results[m] = r if isinstance(r, RepmetricError) else (r.value, 0.0, None)
         for m, r in results.items():
             if isinstance(r, RepmetricError):
@@ -229,11 +232,10 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     """
     if pool1.n != pool2.n:
         raise ValidationError("kernel pools have different sizes")
-    if not metrics:
-        raise ValidationError("no metrics requested")
     for m in metrics:
         if m not in ("jsd", "tvd"):
             raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
+    _split_metrics(metrics)
     n_values = [int(n) for n in n_values]
     if not n_values or not len(noise_values):
         raise ValidationError("empty sweep axes")

@@ -417,7 +417,7 @@ def squared_distance_matrix(kernel: KernelMatrix) -> np.ndarray:
 
 def centered_kernel(kernel: KernelMatrix) -> np.ndarray:
     """Doubly centered kernel H K H with H = I - (1/n) 1 1ᵀ."""
-    K = kernel.K
-    row = K.mean(axis=0, keepdims=True)
-    col = K.mean(axis=1, keepdims=True)
-    return K - row - col + K.mean()
+    Kc = kernel.K - kernel.K.mean(axis=0, keepdims=True)
+    Kc -= kernel.K.mean(axis=1, keepdims=True)
+    Kc += kernel.K.mean()
+    return Kc

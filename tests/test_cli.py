@@ -371,13 +371,20 @@ class TestSingleLineValidationErrors:
           "--metrics", "cka", "--b", "nan"], None),
         (["stability", "--manifest", "{manifest}", "--n-images", "", "--repeats", "2",
           "--b", "nan"], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd,jsd", "--samples", "100"],
+         None),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "3,4",
+          "--noise-values", "0.2,0.5", "--metrics", "jsd,jsd", "--samples", "100"], None),
+        (["stability", "--manifest", "{manifest}", "--n-images", "4", "--repeats", "3",
+          "--metrics", "cka,cka"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
             "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
-            "embed-tol-inf", "stability-b-nan", "stability-no-sizes"])
+            "embed-tol-inf", "stability-b-nan", "stability-no-sizes", "compare-repeated-metric",
+            "sweep-repeated-metric", "stability-repeated-metric"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)

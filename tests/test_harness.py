@@ -102,12 +102,11 @@ class TestPairwiseMatrix:
         mixed = kernels_same_stimuli(rng, 40, 6, 2) + [
             (f"full{j}", gram(RepresentationMatrix.from_array(rng.standard_normal((40, 40)))))
             for j in range(2)]
+        metrics = ["jsd", "cka", "shape", "rsa_corr", "rsa_arccos"]
         for layers in (dense, mixed):
-            m1 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
-                                 seed=5, threads=1)
-            m2 = pairwise_matrix(layers, ["jsd", "cka"], a=0.5, n_samples=1500,
-                                 seed=5, threads=4)
-            for metric in ("jsd", "cka"):
+            m1 = pairwise_matrix(layers, metrics, a=0.5, n_samples=1500, seed=5, threads=1)
+            m2 = pairwise_matrix(layers, metrics, a=0.5, n_samples=1500, seed=5, threads=4)
+            for metric in metrics:
                 assert np.array_equal(m1[metric].values, m2[metric].values)
 
     def test_mixed_sizes_rejected(self):
@@ -153,7 +152,7 @@ class TestPairwiseMatrix:
                             n_samples=200, seed=21)
         assert spy.call_count == 2 * 3  # one draw per model, three pairs
 
-    def test_baselines_prepare_each_kernel_once_per_pair(self):
+    def test_baselines_prepare_each_kernel_once_per_layer(self):
         rng = np.random.default_rng(24)
         layers = kernels_same_stimuli(rng, 8, 4, 3)
         with mock.patch.object(baseline_metrics, "centered_kernel",
@@ -161,8 +160,34 @@ class TestPairwiseMatrix:
                 mock.patch.object(baseline_metrics, "squared_distance_matrix",
                                   wraps=baseline_metrics.squared_distance_matrix) as dist:
             pairwise_matrix(layers, ["cka", "shape", "rsa_corr", "rsa_arccos"], a=0.5,
-                            n_samples=10, seed=25)
-        assert centered.call_count == dist.call_count == 2 * 3  # both kernels, three pairs
+                            n_samples=10, seed=25, threads=2)
+        assert centered.call_count == dist.call_count == 3  # once per layer, not 2 per pair
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_baselines_match_per_pair_distances(self, squared):
+        rng = np.random.default_rng(28)
+        huge = np.ldexp(gram(RepresentationMatrix.from_array(rng.standard_normal((8, 4)))).K, 700)
+        layers = kernels_same_stimuli(rng, 8, 4, 3) + [
+            ("huge", KernelMatrix.from_array(huge)),  # outside [2^-400, 2^400]: scaled
+            ("one_hot", KernelMatrix.from_array(np.eye(8)))]  # equal distances: no rsa_corr
+        metrics = baseline_metrics.BASELINE_METRICS
+        mats = pairwise_matrix(layers, metrics, a=0.5, n_samples=10, seed=29,
+                               rsa_squared=squared, on_error="skip")
+        kernels = dict(layers)
+        for metric in metrics:
+            dm = mats[metric]
+            holes = []
+            for i, j in zip(*np.triu_indices(len(layers), k=1)):
+                la, lb = sorted((dm.labels[i], dm.labels[j]))
+                r = baseline_metrics.distances(metrics, kernels[la], kernels[lb], squared)[metric]
+                if isinstance(r, RepmetricError):
+                    assert np.isnan(dm.values[i, j]) and np.isnan(dm.values[j, i])
+                    holes.append((la, lb, str(r)))
+                else:
+                    assert dm.values[i, j] == dm.values[j, i] == r.value
+            assert dm.holes == tuple(holes)
+        reason = "distance vector has zero variance"
+        assert [h[2] for h in mats["rsa_corr"].holes] == [reason] * 4
 
     def test_skip_holes_are_per_metric(self):
         rng = np.random.default_rng(26)
