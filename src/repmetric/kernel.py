@@ -136,16 +136,20 @@ def pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[LowRankFactor]:
     Each step pivots on the largest residual variance and costs one row
     of K and an n×r product. It stops once the residual trace is at
     rounding level, n·ε·tr K, and returns None when that would take more
-    than ``max_rank`` columns.
+    than ``max_rank`` columns. G grows by doubling from 16 columns.
     """
     n = K.shape[0]
     e = np.maximum(K.diagonal(), 0.0)
     tol = n * np.finfo(float).eps * e.sum()
-    G = np.empty((n, max_rank))
+    G = np.empty((n, min(max_rank, 16)))
     r = 0
     while e.sum() > tol:
         if r == max_rank:
             return None
+        if r == G.shape[1]:
+            grown = np.empty((n, min(2 * r, max_rank)))
+            grown[:, :r] = G
+            G = grown
         p = int(np.argmax(e))
         g = (K[p] - G[:, :r] @ G[p, :r]) / math.sqrt(e[p])
         G[:, r] = g
@@ -395,24 +399,15 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     return GaussianModel.factored(*factorize())
 
 
-def squared_distances(G: np.ndarray, out=None) -> np.ndarray:
-    """Squared Euclidean distances from a Gram matrix G = X Xᵀ.
-
-    ||x_i - x_j||^2 = G[i,i] + G[j,j] - 2 G[i,j]; clamped at zero and
-    with an exactly zero diagonal. Given ``out``, the result is written
-    there and G is overwritten (with 2 G), so no temporary is allocated.
-    """
-    d = np.diag(G)
-    D2 = np.add(d[:, None], d[None, :], out=out)
-    D2 -= np.multiply(G, 2.0, out=None if out is None else G)
+def squared_distance_matrix(kernel: KernelMatrix) -> np.ndarray:
+    """Squared Euclidean distances between the stimuli of a kernel:
+    K[i,i] + K[j,j] - 2 K[i,j], clamped at zero, with a zero diagonal."""
+    d = np.diag(kernel.K)
+    D2 = d[:, None] + d[None, :]
+    D2 -= 2.0 * kernel.K
     np.maximum(D2, 0.0, out=D2)
     np.fill_diagonal(D2, 0.0)
     return D2
-
-
-def squared_distance_matrix(kernel: KernelMatrix) -> np.ndarray:
-    """Squared Euclidean distances between the stimuli of a kernel."""
-    return squared_distances(kernel.K)
 
 
 def centered_kernel(kernel: KernelMatrix) -> np.ndarray:

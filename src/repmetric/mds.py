@@ -1,25 +1,30 @@
 """Metric multidimensional scaling by stress majorization (SMACOF).
 
 Majorization guarantees the raw stress never increases between
-iterations. Stress is reported normalized by the sum of squared input
-dissimilarities, a constant, so the reported value inherits the same
-monotonicity.
+iterations; stress is reported normalized by the constant sum of
+squared input dissimilarities, so it inherits that monotonicity.
+
+Each iteration makes the few m×m passes SMACOF needs (de Leeuw 1977;
+Borg & Groenen 2005, ch. 8): one divide for R = δ/d; the Guttman
+transform X <- (diag(R 1) X - R X)/m from one product R [X | 1], with no
+B matrix; every squared distance from one product of augmented
+coordinates, [-2X | ‖x‖² | 1] [X | 1 | ‖x‖²]ᵀ; and stress as half the
+squared norm of d - δ, so each pair counts once.
 
 SMACOF runs on the distances scaled by a power of two that brings the
-largest into [0.5, 1), so squares cannot overflow. From the first
-Guttman transform on, every iterate is the unscaled one times that
-power of two exactly, so coordinates and stress do not depend on the
-scale of the input.
+largest into [0.5, 1), so squares cannot overflow and coordinates and
+stress do not depend on the scale of the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import squared_distances, symmetric_part
+from .kernel import symmetric_part
 from .seeding import derive_seed, stream_generator
 
 
@@ -39,54 +44,48 @@ class Embedding:
     stress_history: tuple[float, ...]
 
 
-def _validate_distance_matrix(D) -> np.ndarray:
-    S = symmetric_part(D, "distance matrix")
-    if np.any(np.asarray(D) < 0):
-        raise ValidationError("distance matrix has negative entries")
-    if np.any(np.diag(S) != 0):
-        raise ValidationError("distance matrix diagonal must be zero")
-    return S
-
-
-def _pairwise_distances(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Distances between the rows of X into ``out``; ``scratch`` is overwritten."""
-    G = np.matmul(X, X.T, out=scratch)
-    D = squared_distances(G, out=out)
-    return np.sqrt(D, out=D)
+def _distances(X: np.ndarray, A: np.ndarray, Ct: np.ndarray, dis: np.ndarray) -> None:
+    """Distances between the rows of X into ``dis``, diagonal left as is."""
+    p = X.shape[1]
+    np.multiply(X, -2.0, out=A[:, :p])
+    Ct[:p] = X.T
+    np.einsum("ij,ij->i", X, X, out=Ct[p + 1])
+    A[:, p] = Ct[p + 1]
+    np.matmul(A, Ct, out=dis)
+    np.sqrt(np.maximum(dis, 0.0, out=dis), out=dis)
 
 
 def _smacof_single(D: np.ndarray, dims: int, rng: np.random.Generator,
                    max_iter: int, tol: float):
     m = D.shape[0]
     denom = float(np.sum(np.triu(D, k=1) ** 2))
+    tiny = np.finfo(float).tiny
     X = rng.standard_normal((m, dims))
     history = []
-    # every m×m array lives in one of these buffers for the whole run
-    dis, B, work = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
-    positive = np.empty((m, m), dtype=bool)
-    lower = np.tri(m, dtype=bool)  # diagonal and below: each pair counts once
-    _pairwise_distances(X, dis, work)
-    prev = None
-    for it in range(1, max_iter + 1):
-        # Guttman transform; zero embedded distances contribute nothing
-        np.greater(dis, 0.0, out=positive)
-        B.fill(0.0)
-        np.divide(D, dis, out=B, where=positive)
-        row_sums = B.sum(axis=1)
-        np.negative(B, out=B)
-        B[np.diag_indices_from(B)] += row_sums
-        X = (B @ X) / m
-        _pairwise_distances(X, dis, work)
-        np.subtract(dis, D, out=work)
-        np.square(work, out=work)
-        work[lower] = 0.0
-        raw = float(np.sum(work))
-        stress = np.sqrt(raw / denom) if denom > 0 else 0.0
-        history.append(stress)
-        if prev is not None and prev - stress < tol * max(prev, np.finfo(float).tiny):
-            break
-        prev = stress
-    return X, history[-1], len(history), history
+    dis, R = np.empty((m, m)), np.empty((m, m))  # R = D/dis, later dis - D
+    # A = [-2X | ‖x‖² | 1] and Cᵀ = [X | 1 | ‖x‖²]ᵀ, the ones preset here
+    A, Ct = np.empty((m, dims + 2)), np.empty((dims + 2, m))
+    A[:, dims + 1] = Ct[dims] = 1.0
+    diagonal = dis.reshape(-1)[::m + 1]
+    _distances(X, A, Ct, dis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            diagonal.fill(1.0)  # D's diagonal is 0, so R's comes out 0
+            np.divide(D, dis, out=R)
+            RX = R @ Ct[:dims + 1].T  # [R X | R 1]
+            if not math.isfinite(RX[:, dims].sum()):
+                # coincident embedded points: their pairs contribute nothing
+                R[dis == 0.0] = 0.0
+                RX = R @ Ct[:dims + 1].T
+            X = (X * RX[:, dims:] - RX[:, :dims]) / m
+            _distances(X, A, Ct, dis)
+            diagonal.fill(0.0)
+            np.subtract(dis, D, out=R)
+            # half of both triangles: each pair once; einsum, unlike vdot, starts no BLAS threads
+            history.append(math.sqrt(0.5 * np.einsum("ij,ij->", R, R) / denom))
+            if len(history) > 1 and history[-2] - history[-1] < tol * max(history[-2], tiny):
+                break
+    return X, history
 
 
 def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
@@ -99,7 +98,12 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
     Coordinates are centered at the origin; orientation is arbitrary.
     Deterministic for a given seed.
     """
-    D = _validate_distance_matrix(D)
+    S = symmetric_part(D, "distance matrix")
+    if np.any(np.asarray(D) < 0):
+        raise ValidationError("distance matrix has negative entries")
+    if np.any(np.diag(S) != 0):
+        raise ValidationError("distance matrix diagonal must be zero")
+    D = S
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     if max_iter < 1:
@@ -113,8 +117,7 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
         raise ValidationError(f"dims must be between 1 and the number of points ({m})")
 
     if not np.any(D > 0):
-        coords = np.zeros((m, dims))
-        return Embedding(coords=coords, stress=0.0, n_iterations=0,
+        return Embedding(coords=np.zeros((m, dims)), stress=0.0, n_iterations=0,
                          seed=int(seed), stress_history=())
 
     exponent = np.frexp(D.max())[1]
@@ -122,11 +125,11 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
     best = None
     for r in range(restarts):
         rng = stream_generator(derive_seed(seed, "mds-restart", r))
-        X, stress, iters, history = _smacof_single(D, dims, rng, max_iter, tol)
-        if best is None or stress < best[0]:
-            best = (stress, X, iters, history)
-    stress, X, iters, history = best
+        X, history = _smacof_single(D, dims, rng, max_iter, tol)
+        if best is None or history[-1] < best[1][-1]:
+            best = X, history
+    X, history = best
     X = np.ldexp(X, exponent)
-    X = X - X.mean(axis=0, keepdims=True)
-    return Embedding(coords=X, stress=float(stress), n_iterations=iters,
+    X -= X.mean(axis=0, keepdims=True)
+    return Embedding(coords=X, stress=history[-1], n_iterations=len(history),
                      seed=int(seed), stress_history=tuple(history))

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -264,7 +265,42 @@ class TestTraceOverflow:
             gram(RepresentationMatrix.from_array([[1e200, 0.0], [0.0, 1.0]]))
 
 
+def upfront_pivoted_cholesky(K, max_rank):
+    """pivoted_cholesky with G allocated n × max_rank before the first step."""
+    n = K.shape[0]
+    e = np.maximum(K.diagonal(), 0.0)
+    tol = n * np.finfo(float).eps * e.sum()
+    G = np.empty((n, max_rank))
+    r = 0
+    while e.sum() > tol:
+        if r == max_rank:
+            return None
+        p = int(np.argmax(e))
+        g = (K[p] - G[:, :r] @ G[p, :r]) / math.sqrt(e[p])
+        G[:, r] = g
+        e -= g * g
+        e[p] = 0.0
+        np.maximum(e, 0.0, out=e)
+        r += 1
+    return G[:, :r].copy(), e
+
+
 class TestPivotedCholesky:
+    @pytest.mark.parametrize("n, rank, max_rank", [
+        (100, 3, 25), (100, 8, 25), (100, 50, 64), (100, 30, 25),
+        (300, 3, 75), (300, 8, 75), (300, 50, 75),
+        (1000, 3, 250), (1000, 8, 250), (1000, 50, 250)])
+    def test_growing_factor_bitwise_equal_to_upfront(self, n, rank, max_rank):
+        X = np.random.default_rng(n + rank).standard_normal((n, rank))
+        K = X @ X.T
+        ref = upfront_pivoted_cholesky(K, max_rank)
+        f = pivoted_cholesky(K, max_rank)
+        if rank > max_rank:
+            assert f is None and ref is None
+        else:
+            assert np.array_equal(f.G, ref[0]) and np.array_equal(f.residual, ref[1])
+            assert f.G.shape == (n, rank)
+
     def test_exact_low_rank(self):
         X = np.random.default_rng(15).standard_normal((50, 7))
         K = gram(RepresentationMatrix.from_array(X)).K

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,8 @@ class TestStressBehaviour:
 
 
 def allocating_smacof(D, dims, rng, max_iter):
-    """SMACOF with a fresh array for every intermediate, no tolerance stop."""
+    """Textbook SMACOF through the B matrix, a fresh array for every
+    intermediate and no tolerance stop: the oracle for the buffered loop."""
     def distances(X):
         G = X @ X.T
         d = np.diag(G)
@@ -98,17 +101,99 @@ def allocating_smacof(D, dims, rng, max_iter):
     return X, history
 
 
+def allocating_augmented_smacof(D, dims, rng, max_iter):
+    """The buffered loop's arithmetic with a fresh array for every
+    intermediate: R = D/dis, X <- (X rowsum(R) - R X)/m and all squared
+    distances from one augmented product, no tolerance stop."""
+    m = D.shape[0]
+    ones = np.ones(m)
+
+    def distances(X):
+        sq = np.einsum("ij,ij->i", X, X)
+        A = np.column_stack([-2.0 * X, sq, ones])
+        Ct = np.vstack([X.T, ones, sq])
+        D2 = np.maximum(A @ Ct, 0.0)
+        np.fill_diagonal(D2, 0.0)
+        return np.sqrt(D2)
+
+    denom = float(np.sum(np.triu(D, k=1) ** 2))
+    X = rng.standard_normal((m, dims))
+    dis = distances(X)
+    history = []
+    for _ in range(max_iter):
+        safe = dis.copy()
+        np.fill_diagonal(safe, 1.0)
+        XI = np.vstack([X.T, ones]).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            RX = (D / safe) @ XI
+        if not np.all(np.isfinite(RX[:, dims])):
+            RX = np.where(safe > 0, D / np.where(safe > 0, safe, 1.0), 0.0) @ XI
+        X = (X * RX[:, dims:] - RX[:, :dims]) / m
+        dis = distances(X)
+        diff = dis - D
+        history.append(np.sqrt(0.5 * np.einsum("ij,ij->", diff, diff) / denom))
+    return X, history
+
+
+def assert_close_to_oracle(X, history, X_ref, history_ref):
+    assert np.abs(X - X_ref).max() <= 1e-10 * np.abs(X_ref).max()
+    h, h_ref = np.array(history), np.array(history_ref)
+    assert np.all(np.abs(h - h_ref) <= 1e-12 * h_ref)
+
+
+class FixedStart:
+    """An rng stand-in whose standard_normal returns a chosen start."""
+
+    def __init__(self, X):
+        self.X = np.asarray(X, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.X.shape
+        return self.X.copy()
+
+
 class TestBufferedIterations:
     def test_bitwise_equal_to_allocating_reference(self):
         rng = np.random.default_rng(16)
         D = pairwise(rng.standard_normal((40, 5)))
         np.fill_diagonal(D, 0.0)
-        X_ref, history_ref = allocating_smacof(D, 2, np.random.default_rng(17), 60)
-        X, stress, iters, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
-        assert iters == 60
+        X_ref, history_ref = allocating_augmented_smacof(D, 2, np.random.default_rng(17), 60)
+        X, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
+        assert len(history) == 60
         assert np.array_equal(X, X_ref)
         assert history == history_ref
-        assert stress == history_ref[-1]
+
+    def test_close_to_textbook_b_matrix_oracle(self):
+        rng = np.random.default_rng(16)
+        D = pairwise(rng.standard_normal((40, 5)))
+        np.fill_diagonal(D, 0.0)
+        X_ref, history_ref = allocating_smacof(D, 2, np.random.default_rng(17), 60)
+        X, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
+        assert len(history) == len(history_ref)
+        assert_close_to_oracle(X, history, X_ref, history_ref)
+
+    @pytest.mark.parametrize("same_input", [True, False], ids=["identical", "distinct"])
+    def test_coincident_start(self, same_input):
+        # points 0 and 1 start on one spot; with integer coordinates their
+        # embedded distance is exactly 0, so R = D/dis needs the masked divide
+        pts = np.random.default_rng(20).standard_normal((8, 3))
+        if same_input:
+            pts[1] = pts[0]  # their input distance is 0 too
+        D = pairwise(pts)
+        np.fill_diagonal(D, 0.0)
+        start = np.arange(16.0).reshape(8, 2) % 5
+        start[1] = start[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, history = _smacof_single(D, 2, FixedStart(start), 40, 0.0)
+        X_aug, history_aug = allocating_augmented_smacof(D, 2, FixedStart(start), 40)
+        X_ref, history_ref = allocating_smacof(D, 2, FixedStart(start), 40)
+        assert np.all(np.isfinite(X)) and np.all(np.isfinite(history))
+        assert np.array_equal(X, X_aug) and history == history_aug
+        assert np.all(np.diff(history) <= 1e-12)
+        assert len(history) == len(history_ref)
+        assert_close_to_oracle(X, history, X_ref, history_ref)
+        assert np.array_equal(X[0], X[1]) == same_input
 
 
 class TestScale:
