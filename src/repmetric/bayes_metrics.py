@@ -47,12 +47,12 @@ way):
 Both paths draw different normals for the same seed. Bitwise-equal
 factors (L, or U and a) give a log ratio of exactly zero.
 
-Gradients with respect to the two covariance matrices always take the
-dense path and reuse its exact draws (common random numbers), and
-differentiate through x = L z as well as through the densities. Both
-pieces depend on the draws only through the weighted Gram matrix
+``gradients``, the twin of ``estimate`` for tvd and jsd, differentiates
+the dense path's estimate w.r.t. the two covariances on its exact draws
+(common random numbers), one draw set per pair for all metrics, through
+x = L z as well as the densities. Both depend on the draws only through
 G = zᵀ diag(r) z, with r the per-draw sensitivity of the estimate to its
-log ratio, so all remaining work is n×n triangular algebra.
+log ratio; the rest is n×n triangular algebra.
 """
 
 from __future__ import annotations
@@ -270,58 +270,58 @@ def _sensitivities(metric: str, d: np.ndarray) -> np.ndarray:
     """
     if metric == "tvd":
         return np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * d.size)
-    if metric == "jsd":
-        return np.exp(_log_mixture_fraction(d)) / (2.0 * d.size * LN2)  # p_other/(p1+p2)
-    raise ValidationError(f"no gradient for metric {metric!r}")
+    return np.exp(_log_mixture_fraction(d)) / (2.0 * d.size * LN2)  # p_other/(p1+p2)
 
 
-def _side_gradient_terms(metric, own, other, n_draws, seed, stream):
-    """One side's share of L_own⁻ᵀ(.)L_own⁻¹ and L_other⁻ᵀ(.)L_other⁻¹.
+def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
+              n_draws: int, seed: int) -> dict[str, DistanceGradient]:
+    """Gradients of each requested metric of 'tvd' and 'jsd' w.r.t. C1 and C2.
 
-    With G = zᵀ diag(r) z the draws of this side contribute
-    (Sym(TᵀT G) - Σr I)/2 through x = L_own z and p_own, and
-    (Σr I - T G Tᵀ)/2 through p_other, where Sym(M) is the symmetric
-    matrix with the lower triangle of M (the Cholesky adjoint's tril).
+    The twin of ``estimate``: each side's draws and T, and each model's
+    L⁻¹, serve every metric; each result equals a separate call with this
+    seed. With G = zᵀ diag(r) z, a side's draws add (Sym(TᵀT G) - Σr I)/2
+    through x = L_own z and p_own, and (Σr I - T G Tᵀ)/2 through p_other,
+    to each model's L⁻ᵀ(.)L⁻¹ sandwich; Sym mirrors the lower triangle (the
+    Cholesky adjoint's tril). TVD's hinge has zero derivative at its kink.
+    On low-rank models this differentiates the dense-path estimate from
+    each model's dense factor, not the span-path value that ``estimate``
+    reports for the same models.
     """
-    z, T, d = _whitened_side(own, other, n_draws, seed, stream)
-    r = _sensitivities(metric, d)
-    S = z * np.sqrt(r)[:, None]
-    G = S.T @ S
-    total = float(r.sum())
-    P = np.tril((T.T @ T) @ G)
-    own_term = 0.5 * (P + np.tril(P, -1).T - total * np.eye(own.dim))
-    other_term = 0.5 * (total * np.eye(own.dim) - T @ G @ T.T)
-    return own_term, other_term
-
-
-def _sandwich(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """L⁻ᵀ M L⁻¹ from W = L⁻¹, symmetrized."""
-    W = solve_lower(L, np.eye(L.shape[0]))
-    G = W.T @ M @ W
-    return 0.5 * (G + G.T)
-
-
-def _gradient(metric: str, cov1, cov2, n_draws: int, seed: int) -> DistanceGradient:
-    model1 = GaussianModel.from_covariance(cov1)
-    model2 = GaussianModel.from_covariance(cov2)
+    unknown = [m for m in metrics if m not in ("tvd", "jsd")]
+    if unknown:
+        raise ValidationError(f"no gradient for metric {unknown[0]!r}")
     _check_pair(model1, model2, n_draws)
-    own1, other2 = _side_gradient_terms(metric, model1, model2, n_draws, seed, 0)
-    own2, other1 = _side_gradient_terms(metric, model2, model1, n_draws, seed, 1)
-    return DistanceGradient(d_cov1=_sandwich(model1.chol, own1 + other1),
-                            d_cov2=_sandwich(model2.chol, own2 + other2),
-                            seed=int(seed), metric=metric)
+    eye = np.eye(model1.dim)
+    terms = {m: ([], []) for m in metrics}  # each model's two terms, per metric
+    for side, (own, other) in enumerate(((model1, model2), (model2, model1))):
+        z, T, d = _whitened_side(own, other, n_draws, seed, stream=side)
+        TtT = T.T @ T
+        for m in metrics:
+            r = _sensitivities(m, d)
+            S = z * np.sqrt(r)[:, None]
+            G = S.T @ S
+            del S
+            total = float(r.sum())
+            P = np.tril(TtT @ G)
+            terms[m][side].append(0.5 * (P + np.tril(P, -1).T - total * eye))
+            terms[m][1 - side].append(0.5 * (total * eye - T @ G @ T.T))
+            del G, P
+        del z, T, TtT  # only the terms outlive a side, so the next draw adds no peak memory
+    inverses = [solve_lower(model.chol, eye) for model in (model1, model2)]
+    out = {}
+    for m, pairs in terms.items():
+        G1, G2 = (W.T @ (A + B) @ W for W, (A, B) in zip(inverses, pairs))
+        out[m] = DistanceGradient(0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T), int(seed), m)
+    return out
 
 
 def tvd_gradient(cov1, cov2, n_draws: int, seed: int) -> DistanceGradient:
-    """Gradient of the sampled TVD w.r.t. both covariances.
-
-    Uses the same draws as ``tvd`` on dense models (``from_covariance``
-    of cov1 and cov2) with the same seed, not those of the low-rank
-    path; the hinge max(0, .) contributes zero derivative at its kink.
-    """
-    return _gradient("tvd", cov1, cov2, n_draws, seed)
+    """Gradient of the sampled TVD w.r.t. both covariances, on ``from_covariance`` models."""
+    models = GaussianModel.from_covariance(cov1), GaussianModel.from_covariance(cov2)
+    return gradients(("tvd",), *models, n_draws, seed)["tvd"]
 
 
 def jsd_gradient(cov1, cov2, n_draws: int, seed: int) -> DistanceGradient:
-    """Gradient of the sampled JSD w.r.t. both covariances."""
-    return _gradient("jsd", cov1, cov2, n_draws, seed)
+    """Gradient of the sampled JSD w.r.t. both covariances, on ``from_covariance`` models."""
+    models = GaussianModel.from_covariance(cov1), GaussianModel.from_covariance(cov2)
+    return gradients(("jsd",), *models, n_draws, seed)["jsd"]

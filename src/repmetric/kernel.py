@@ -203,8 +203,8 @@ class KernelMatrix:
 
     @classmethod
     def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
-        """Validate a kernel: symmetric, and no eigenvalue below a floor of
-        ``-PSD_RTOL``·(tr K/n + 1).
+        """Validate a kernel: symmetric, and no eigenvalue below the floor
+        ``-PSD_RTOL``·tr K/n, relative to the kernel's own scale.
 
         Validation factors K once. Unless K's trace and norm already show
         its rank exceeds n/4, it runs the pivoted Cholesky K ≈ G Gᵀ that
@@ -216,7 +216,7 @@ class KernelMatrix:
         K = symmetric_part(K, "kernel")
         n = K.shape[0]
         trace = _check_trace(K)
-        floor = -PSD_RTOL * max(trace, 0.0) / n - PSD_RTOL
+        floor = -PSD_RTOL * max(trace, 0.0) / n
         cache, certified = {}, False
         with np.errstate(over="ignore", invalid="ignore"):  # K may be far from PSD
             # a PSD K has rank ≥ tr(K)²/‖K‖²_F: past n/4 the attempt cannot succeed

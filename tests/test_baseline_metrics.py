@@ -169,6 +169,12 @@ class TestRsaArccos:
         X = rng.standard_normal((8, 3))
         assert rsa_arccos(kern(X), kern(3.0 * X)).value == pytest.approx(0.0, abs=1e-6)
 
+    def test_constant_layer_degenerate(self):
+        # every stimulus at the same point: the distance vector is zero
+        rng = np.random.default_rng(14)
+        with pytest.raises(DegenerateRepresentationError, match="distance vector is zero"):
+            rsa_arccos(kern(np.ones((6, 3))), kern(rng.standard_normal((6, 3))))
+
     def test_matches_cosine_oracle(self):
         rng = np.random.default_rng(13)
         K1, K2 = kern(rng.standard_normal((12, 5))), kern(rng.standard_normal((12, 5)))

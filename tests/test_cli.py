@@ -377,6 +377,9 @@ class TestSingleLineValidationErrors:
           "--noise-values", "0.2,0.5", "--metrics", "jsd,jsd", "--samples", "100"], None),
         (["stability", "--manifest", "{manifest}", "--n-images", "4", "--repeats", "3",
           "--metrics", "cka,cka"], None),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka"],
+         {"entries": [{"name": "tiny", "path": "tiny.csv", "kind": "kernel"},
+                      {"name": "eye", "path": "eye3.csv", "kind": "kernel"}]}),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
@@ -384,7 +387,7 @@ class TestSingleLineValidationErrors:
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
             "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
             "embed-tol-inf", "stability-b-nan", "stability-no-sizes", "compare-repeated-metric",
-            "sweep-repeated-metric", "stability-repeated-metric"])
+            "sweep-repeated-metric", "stability-repeated-metric", "compare-tiny-not-psd"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
@@ -395,6 +398,10 @@ class TestSingleLineValidationErrors:
                  "not_utf8_manifest": str(tmp_path / "not_utf8.json")}
         write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
                      MatrixKind.DISTANCE)
+        # eigenvalue -1e-12: as far below zero, relative to its scale, as -1 in the unscaled K
+        write_matrix(1e-12 * np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                     tmp_path / "tiny.csv", MatrixKind.KERNEL)
+        write_matrix(np.eye(3), tmp_path / "eye3.csv", MatrixKind.KERNEL)
         (tmp_path / "utf16.csv").write_bytes("0,1\n1,0\n".encode("utf-16"))  # BOM ff fe
         (tmp_path / "not_utf8.json").write_bytes(
             b'{"entries": [{"name": "\xff", "path": "layer0.csv", "kind": "kernel"}]}')

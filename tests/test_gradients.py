@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from synth import random_spd
 
-from repmetric.bayes_metrics import jsd, jsd_gradient, tvd, tvd_gradient
+import repmetric.bayes_metrics as bm
+from repmetric.bayes_metrics import gradients, jsd, jsd_gradient, tvd, tvd_gradient
 from repmetric.errors import ValidationError
-from repmetric.kernel import GaussianModel
+from repmetric.kernel import GaussianModel, KernelMatrix, predictive_covariance
 
 
 def value(metric, C1, C2, n_draws, seed):
@@ -113,19 +116,16 @@ class TestStationaryAtEquality:
     def test_jsd_gradient_near_zero_with_shared_draws(self):
         # with z-draws shared between both models the sampled JSD is
         # minimized exactly at equality, so the gradient vanishes
-        from repmetric.bayes_metrics import _gradient
-        from unittest import mock
-        import repmetric.bayes_metrics as bm
-
         rng = np.random.default_rng(80)
         C = random_spd(rng, 3)
+        model = GaussianModel.from_covariance(C)
         real = bm.standard_normal_block
 
         def shared(n, dim, seed, stream=0):
             return real(n, dim, seed, stream=0)
 
         with mock.patch.object(bm, "standard_normal_block", side_effect=shared):
-            grad = _gradient("jsd", C, C, 2000, seed=5)
+            grad = gradients(("jsd",), model, model, 2000, seed=5)["jsd"]
         assert np.abs(grad.d_cov1).max() < 1e-14
         assert np.abs(grad.d_cov2).max() < 1e-14
 
@@ -143,3 +143,53 @@ class TestValidation:
                   GaussianModel.from_covariance(C2), 2000, 13)
         grad = tvd_gradient(C1, C2, 2000, 13)
         assert grad.seed == est.seed
+
+
+def assert_same_gradient(got, want):
+    assert (got.metric, got.seed) == (want.metric, want.seed)
+    assert np.array_equal(got.d_cov1, want.d_cov1)
+    assert np.array_equal(got.d_cov2, want.d_cov2)
+
+
+class TestGradientsCall:
+    """``gradients`` serves every metric from one draw set, like ``estimate``."""
+
+    def test_two_metrics_equal_single_metric_calls(self):
+        rng = np.random.default_rng(82)
+        m1 = GaussianModel.from_covariance(random_spd(rng, 5))
+        m2 = GaussianModel.from_covariance(random_spd(rng, 5))
+        both = gradients(("tvd", "jsd"), m1, m2, 3000, 17)
+        assert list(both) == ["tvd", "jsd"]
+        for metric in ("tvd", "jsd"):
+            assert_same_gradient(both[metric], gradients((metric,), m1, m2, 3000, 17)[metric])
+
+    def test_draws_once_per_side_for_all_metrics(self):
+        rng = np.random.default_rng(83)
+        m1 = GaussianModel.from_covariance(random_spd(rng, 4))
+        m2 = GaussianModel.from_covariance(random_spd(rng, 4))
+        with mock.patch.object(bm, "standard_normal_block",
+                               wraps=bm.standard_normal_block) as draws:
+            gradients(("jsd", "tvd"), m1, m2, 500, 3)
+        assert [c.args[3] for c in draws.call_args_list] == [0, 1]  # the streams
+
+    def test_low_rank_models_take_the_dense_path(self):
+        # the span path is for values only: gradients use each model's dense factor
+        rng = np.random.default_rng(84)
+        models = []
+        for _ in range(2):
+            X = rng.standard_normal((40, 4))
+            models.append(predictive_covariance(KernelMatrix.from_array(X @ X.T), 0.3))
+        m1, m2 = models
+        assert m1.U is not None and m2.U is not None
+        got = gradients(("jsd", "tvd"), m1, m2, 2000, 21)
+        assert_same_gradient(got["jsd"], jsd_gradient(m1.C, m2.C, 2000, 21))
+        assert_same_gradient(got["tvd"], tvd_gradient(m1.C, m2.C, 2000, 21))
+
+    @pytest.mark.parametrize("metrics", [("js_distance",), ("cka",), ("jsd", "cka")],
+                             ids=["js_distance", "cka", "jsd-cka"])
+    def test_unknown_metric_rejected_before_drawing(self, metrics):
+        model = GaussianModel.from_covariance(np.eye(3))
+        with mock.patch.object(bm, "standard_normal_block") as draws:
+            with pytest.raises(ValidationError, match="no gradient for metric"):
+                gradients(metrics, model, model, 100, 0)
+        draws.assert_not_called()

@@ -120,6 +120,19 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError, match="unknown"):
             pairwise_matrix([("a", k), ("b", k)], ["nope"], 0.5, 100, 0)
 
+    @pytest.mark.parametrize("names, match", [(["a"], "at least 2 layers"),
+                                              (["a", "a"], "unique")],
+                             ids=["one-layer", "repeated-name"])
+    def test_too_few_or_repeated_layers_rejected(self, names, match):
+        k = KernelMatrix.from_array(np.eye(4))
+        with pytest.raises(ValidationError, match=match):
+            pairwise_matrix([(name, k) for name in names], ["cka"], 0.5, 100, 0)
+
+    def test_unknown_on_error_rejected(self):
+        k = KernelMatrix.from_array(np.eye(4))
+        with pytest.raises(ValidationError, match="on_error"):
+            pairwise_matrix([("a", k), ("b", k)], ["cka"], 0.5, 100, 0, on_error="x")
+
     def test_abort_reports_pair(self):
         rng = np.random.default_rng(5)
         const = gram(RepresentationMatrix.from_array(np.ones((6, 3))))
@@ -271,6 +284,23 @@ class TestSnrSweep:
         K1, K2 = pooled_kernel_pair(rng, pool_size=40, k=10)
         with pytest.raises(ValidationError, match="exceeds"):
             snr_sweep(K1, K2, [100], [0.5], 100, seed=0)
+
+    @pytest.mark.parametrize("pool_sizes, n_values, noise_values, kwargs, match", [
+        ((40, 30), [10], [0.5], {}, "different sizes"),
+        ((40, 40), [10], [0.5], {"metrics": ("jsd", "cka")}, "supports jsd/tvd"),
+        ((40, 40), [], [0.5], {}, "empty sweep axes"),
+        ((40, 40), [10], [], {}, "empty sweep axes"),
+        ((40, 40), [10], [-0.5], {"noise_kind": "variance"}, "noise variance"),
+        ((40, 40), [10], [0.5], {"noise_kind": "snr"}, "noise_kind"),
+    ], ids=["pool-sizes", "metric", "empty-n", "empty-noise", "negative-variance",
+            "noise-kind"])
+    def test_invalid_arguments_rejected(self, pool_sizes, n_values, noise_values, kwargs,
+                                        match):
+        rng = np.random.default_rng(15)
+        K1 = pooled_kernel_pair(rng, pool_size=pool_sizes[0], k=5)[0]
+        K2 = pooled_kernel_pair(rng, pool_size=pool_sizes[1], k=5)[1]
+        with pytest.raises(ValidationError, match=match):
+            snr_sweep(K1, K2, n_values, noise_values, 100, seed=0, **kwargs)
 
     def test_grid_shape_and_proportional_slice(self):
         rng = np.random.default_rng(12)

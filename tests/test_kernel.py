@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from synth import random_orthogonal
 
 from repmetric import kernel as kernel_module
 from repmetric.bayes_metrics import tvd_gradient
-from repmetric.errors import DegenerateRepresentationError, ValidationError
+from repmetric.errors import (DegenerateRepresentationError, NotPositiveDefiniteError,
+                              ValidationError)
 from repmetric.mds import mds_embed
 from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, pivoted_cholesky, predictive_covariance,
@@ -94,6 +96,30 @@ class TestPredictiveCovariance:
         assert pc.jitter_used > 0
         assert np.all(np.diag(pc.chol) > 0)
         assert np.allclose(pc.chol @ pc.chol.T, pc.C, atol=1e-10)
+
+    def test_jitter_escalates_to_the_first_sufficient_step(self):
+        # C = n K / tr K has min eigenvalue -5e-9: jitter 1e-10 and 1e-9 fail, 1e-8 succeeds
+        rng = np.random.default_rng(8)
+        n = 40
+        G = rng.standard_normal((n, 8))
+        v = rng.standard_normal(n)
+        v -= G @ np.linalg.lstsq(G, v, rcond=None)[0]  # v ⟂ span G
+        v /= np.linalg.norm(v)
+        K = G @ G.T - 5e-9 * np.trace(G @ G.T) / n * np.outer(v, v)
+        K = 0.5 * K + 0.5 * K.T
+        kern = KernelMatrix.from_array(K)  # within the PSD floor of -1e-8·tr K/n
+        pc = predictive_covariance(kern, 0.0)
+        C = n * (kern.K / np.trace(kern.K))
+        assert pc.jitter_used == 1e-8  # tr C/n is exactly 1 here
+        assert np.array_equal(pc.C, C + pc.jitter_used * np.eye(n))
+        assert np.allclose(pc.chol @ pc.chol.T, pc.C, rtol=0, atol=1e-12)
+
+    def test_jitter_gives_up_at_its_cap(self):
+        C = np.diag([1.0, -1e-3])  # no jitter up to 1e-6·tr C/n makes it positive definite
+        with pytest.raises(NotPositiveDefiniteError, match="jitter"):
+            GaussianModel.from_covariance(C)
+        with pytest.raises(NotPositiveDefiniteError, match="jitter"):
+            tvd_gradient(C, np.eye(2), 100, 0)
 
     def test_cholesky_consistent(self):
         rng = np.random.default_rng(7)
@@ -322,7 +348,7 @@ class TestPivotedCholesky:
 
 def floor_of(K):
     n = K.shape[0]
-    return -PSD_RTOL * max(np.trace(K), 0.0) / n - PSD_RTOL
+    return -PSD_RTOL * max(np.trace(K), 0.0) / n
 
 
 @pytest.fixture
@@ -439,14 +465,18 @@ class TestKernelValidation:
         assert np.allclose(model.chol @ model.chol.T, model.C, rtol=0, atol=1e-15)
 
     def test_negative_definite_rejected(self):
-        K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ValidationError, match="semidefinite"):
-            KernelMatrix.from_array(K)
+        # the floor is relative: a tiny kernel is held to the same rule
+        for scale in (1.0, 1e-12, 2.0 ** -600):
+            K = scale * np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+            with pytest.raises(ValidationError, match="semidefinite"):
+                KernelMatrix.from_array(K)
 
     def test_rejection_reports_min_eigenvalue(self):
-        K = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValidationError, match=r"min eigenvalue -1\.000e\+00"):
-            KernelMatrix.from_array(K)
+        for scale in (1.0, 1e-12, 2.0 ** -600):
+            K = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"min eigenvalue {-scale:.3e}")):
+                KernelMatrix.from_array(K)
 
     @pytest.mark.parametrize("depth, accepted", [(0.0, True), (0.5, True), (2.0, False)])
     def test_decision_at_the_floor(self, depth, accepted):
@@ -455,7 +485,7 @@ class TestKernelValidation:
         X = rng.standard_normal((60, 5))
         K = X @ X.T
         K = 0.5 * (K + K.T)
-        floor = PSD_RTOL * np.trace(K) / 60 + PSD_RTOL
+        floor = PSD_RTOL * np.trace(K) / 60
         K -= depth * floor * np.eye(60)
         if accepted:
             assert KernelMatrix.from_array(K).n == 60

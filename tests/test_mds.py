@@ -224,6 +224,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="diagonal"):
             mds_embed(D)
 
+    def test_single_point_rejected(self):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            mds_embed([[0.0]])
+
     def test_nan_rejected(self):
         D = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(ValidationError, match="finite"):
