@@ -109,8 +109,8 @@ class PreparedKernel:
         if "rsa_corr" in defined:
             r = float(np.mean(self.v_centered * other.v_centered) / (self.v_sd * other.v_sd))
             out["rsa_corr"] = BaselineResult(value=1.0 - min(max(r, -1.0), 1.0), metric="rsa_corr")
-        if "rsa_arccos" in defined:
-            c = float(np.dot(self.v, other.v) / (self.v_norm * other.v_norm))
+        if "rsa_arccos" in defined:  # einsum, unlike dot, starts no BLAS threads
+            c = float(np.einsum("i,i->", self.v, other.v) / (self.v_norm * other.v_norm))
             out["rsa_arccos"] = BaselineResult(value=math.acos(min(max(c, -1.0), 1.0)),
                                                metric="rsa_arccos")
         return {m: out[m] for m in metrics}

@@ -34,15 +34,15 @@ way):
 
   one n×n triangular solve and one N×n product per side.
 * Low rank, when both models carry C_i = a I + U_i U_iᵀ with the same a
-  (``predictive_covariance`` of a kernel of rank k_i ≤ n/4 with
-  0 < a < 1). Only the part of x in span[U1 U2], of rank r ≤ k1 + k2,
-  tells the two apart: the rest is N(0, a I) under both and cancels
-  from every log ratio, as it does in Woodbury's identity and the
-  matrix determinant lemma. One pivoted Cholesky of the Gram of
-  [U1 U2] writes both U's in an orthonormal basis of that span, and the
-  dense evaluation of the two r×r covariances a I + V_i V_iᵀ, with N×r
-  draws per side, gives exactly these log ratios: O(r³ + N·r²) per
-  side, whatever n is.
+  (``predictive_covariance`` of a kernel of rank k_i ≤ n/4, 0 < a < 1).
+  Off span[U1 U2] (rank r ≤ k1 + k2) both are N(0, a I); on it the pair
+  is (I, diag μ), μ the generalized eigenvalues of (C2, C1). With
+  gap = 1 - μ and w ~ N(0, I_r), log p2/p1 = -(Σ log μ + Σ w² gap/μ)/2 at
+  x ~ P1 and log p1/p2 = (Σ log μ + Σ w² gap)/2 at y ~ P2. Each kernel's
+  Gram is diagonalized once (``LowRankFactor.gram_basis``); a pair costs
+  O(n·k1·k2 + r³ + N·r). A μ within ``EIGEN_ROUNDING``·r·ε·max μ of 1 is
+  dropped, so pairs equal up to rounding score exactly zero; one that
+  close to 0 (a at the rounding level of U Uᵀ) sends the pair dense.
 
 Both paths draw different normals for the same seed. Bitwise-equal
 factors (L, or U and a) give a log ratio of exactly zero.
@@ -64,10 +64,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import GaussianModel, pivoted_cholesky, solve_lower
+from .kernel import GaussianModel, above_rounding, solve_lower
 from .seeding import standard_normal_block
 
 LN2 = math.log(2.0)
+EIGEN_ROUNDING = 4.0  # computed μ lie within 4·r·ε·max μ: eigvalsh backward error, M rounding
 
 BAYES_METRICS = ("tvd", "jsd", "js_distance")
 
@@ -126,30 +127,27 @@ def _whitened_side(own, other, n_draws, seed, stream):
     return z, T, d
 
 
-def _span_models(model1, model2):
-    """The pair restricted to span[U1 U2]: r-dimensional models, same log ratios.
+def _span_eigenvalues(model1, model2):
+    """All r generalized eigenvalues μ of (C2, C1) on span[U1 U2], ascending.
 
-    Both models carry U and the same a. One pivoted Cholesky of the Gram
-    of W = [U1 U2] gives WᵀW = RᵀR with R r×(k1+k2), r = rank W, so the
-    column blocks V1, V2 of R are U1, U2 in an orthonormal basis Q of
-    span W. With x = Q y + x⊥, x⊥ is N(0, a(I - QQᵀ)) under both models
-    and cancels from every log ratio, while y ~ N(0, a I + Vᵢ Vᵢᵀ). Returns
-    None when one of these r×r covariances fails to factorize (a below
-    the rounding level of Vᵢ Vᵢᵀ).
+    In the basis Q1 = G1 V1/√g1 of span U1, G2 is P = Q1ᵀG2, and the Schur
+    complement G2ᵀG2 - PᵀP = FᵀF gives its part outside. In the basis
+    [Q1, Q⊥], C1 = diag(a + s1 g1) ⊕ a I = diag(1/w²) and U2 = √s2 [P; F], so
+    μ are the eigenvalues of diag(a w²) + B Bᵀ with B = √s2 w [P; F].
     """
-    same = np.array_equal(model1.U, model2.U)  # then d is exactly zero
-    W = model1.U if same else np.hstack((model1.U, model2.U))
-    R = pivoted_cholesky(W.T @ W, W.shape[1]).G.T
-    k1 = model1.U.shape[1]
-    models = []
-    for V in (R,) if same else (R[:, :k1], R[:, k1:]):
-        C = V @ V.T + model1.a * np.eye(R.shape[0])
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            return None
-        models.append(GaussianModel.factored(L, C))
-    return models * 2 if same else models
+    if np.array_equal(model1.U, model2.U):
+        return np.ones(model1.U.shape[1])  # exactly: d is then exactly zero
+    _, g1, basis1 = model1.low_rank.gram_basis
+    GtG2 = model2.low_rank.gram_basis[0]
+    P = basis1.T @ (model1.low_rank.G.T @ model2.low_rank.G)
+    sigma, V = np.linalg.eigh(GtG2 - P.T @ P)
+    keep = above_rounding(sigma, model2.dim, GtG2)
+    F = np.sqrt(sigma[keep])[:, None] * V[:, keep].T
+    a = model1.a
+    with np.errstate(over="ignore", invalid="ignore"):  # a may be far below U Uᵀ
+        w = 1.0 / np.sqrt(np.concatenate((a + model1.s * g1, np.full(F.shape[0], a))))
+        B = (math.sqrt(model2.s) * w)[:, None] * np.vstack((P, F))
+        return np.linalg.eigvalsh(B @ B.T + np.diag(a * w * w))
 
 
 def _tvd_summands(d1, d2):
@@ -204,16 +202,26 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
     All three are functionals of the same two log-ratio arrays, so the
     pair is drawn and evaluated once however many metrics are
     requested; each result equals a separate call with this seed. The
-    low-rank path is taken when both models carry U and the same a.
+    low-rank path needs U and the same a on both models and μ off zero.
     """
     unknown = [m for m in metrics if m not in BAYES_METRICS]
     if unknown:
         raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
     _check_pair(model1, model2, n_draws)
+    mu = None
     if model1.U is not None and model2.U is not None and model1.a == model2.a:
-        model1, model2 = _span_models(model1, model2) or (model1, model2)
-    d1 = _whitened_side(model1, model2, n_draws, seed, stream=0)[2]
-    d2 = _whitened_side(model2, model1, n_draws, seed, stream=1)[2]
+        mu = _span_eigenvalues(model1, model2)
+        bound = EIGEN_ROUNDING * mu.size * np.finfo(float).eps * mu[-1]
+        mu = mu[np.abs(1.0 - mu) > bound] if mu[0] > bound else None  # NaN fails too
+    if mu is None:
+        d1 = _whitened_side(model1, model2, n_draws, seed, stream=0)[2]
+        d2 = _whitened_side(model2, model1, n_draws, seed, stream=1)[2]
+    else:  # with no μ left, d is exactly +0
+        gap = 1.0 - mu  # exact by Sterbenz for μ in [1/2, 2]
+        half_log_det = 0.5 * float(np.sum(np.log1p(-gap)))
+        w1, w2 = (standard_normal_block(n_draws, mu.size, seed, side) for side in (0, 1))
+        d1 = 0.5 * np.einsum("ij,ij,j->i", w1, w1, -gap / mu) - half_log_det
+        d2 = 0.5 * np.einsum("ij,ij,j->i", w2, w2, gap) + half_log_det
     out = {}
     if "tvd" in metrics:
         out["tvd"] = _estimate_from_summands(_tvd_summands(d1, d2), "tvd", n_draws, seed)

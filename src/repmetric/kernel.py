@@ -122,12 +122,25 @@ def _check_trace(K: np.ndarray) -> float:
     return trace
 
 
+def above_rounding(w: np.ndarray, n: int, gram: np.ndarray) -> np.ndarray:
+    """Mask of ascending Gram eigenvalues w without the smallest, summing to ≤ n·ε·tr(gram)."""
+    return np.cumsum(np.maximum(w, 0.0)) > n * np.finfo(float).eps * np.trace(gram)
+
+
 @dataclass(frozen=True)
 class LowRankFactor:
     """K ≈ G Gᵀ with G n×r in stimulus order; ``residual`` is diag(K - G Gᵀ)."""
 
     G: np.ndarray
     residual: np.ndarray
+
+    @cached_property
+    def gram_basis(self):
+        """(GᵀG, g, V/√g) with GᵀG = V diag(g) Vᵀ, g ``above_rounding``: G V/√g is orthonormal."""
+        GtG = self.G.T @ self.G
+        g, V = np.linalg.eigh(GtG)
+        keep = above_rounding(g, self.G.shape[0], GtG)
+        return GtG, g[keep], V[:, keep] / np.sqrt(g[keep])
 
 
 def pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[LowRankFactor]:
@@ -168,7 +181,7 @@ def _residual_norm(K: np.ndarray, G: np.ndarray) -> float:
     for i in range(0, n, RESIDUAL_ROWS):
         R = np.matmul(G[i:i + RESIDUAL_ROWS], G.T, out=buf[:min(n - i, RESIDUAL_ROWS)])
         np.subtract(K[i:i + RESIDUAL_ROWS], R, out=R)
-        total += float(np.vdot(R, R))
+        total += float(np.einsum("ij,ij->", R, R))  # unlike vdot, starts no BLAS threads
     return math.sqrt(total)
 
 
@@ -220,7 +233,7 @@ class KernelMatrix:
         cache, certified = {}, False
         with np.errstate(over="ignore", invalid="ignore"):  # K may be far from PSD
             # a PSD K has rank ≥ tr(K)²/‖K‖²_F: past n/4 the attempt cannot succeed
-            if trace * trace <= (n // 4) * float(np.vdot(K, K)):
+            if trace * trace <= (n // 4) * float(np.einsum("ij,ij->", K, K)):
                 factor = cache["low_rank"] = pivoted_cholesky(K, n // 4)
                 certified = factor is not None and _residual_norm(K, factor.G) <= -floor
         if not certified:
@@ -307,32 +320,25 @@ class GaussianModel:
     made the factorization succeed; ``C`` includes it.
 
     A model of a low-rank kernel from ``predictive_covariance`` also
-    carries ``U`` (n×r) and ``a`` with C = a I + U Uᵀ, up to a dropped
-    residual worth at most ``LOW_RANK_TVD_BOUND`` in total variation. Its
-    C, chol and jitter_used are computed on first access. Other models
-    have U and a None.
+    carries its kernel's ``low_rank`` factor, s and a: C = a I + U Uᵀ with
+    U = √s G, up to a dropped residual worth at most ``LOW_RANK_TVD_BOUND``
+    in total variation. Its C, chol and jitter_used are computed on first
+    access. Other models have low_rank, s, a and U None.
     """
 
-    def __init__(self, dim: int, factorize, U=None, a=None):
+    def __init__(self, dim: int, factorize, low_rank=None, s=None, a=None):
         self.dim = dim
         self._factorize = factorize  # () -> (chol, C, jitter_used)
-        self.U, self.a = U, a
+        self.low_rank, self.s, self.a = low_rank, s, a
+        self.U = None if low_rank is None else math.sqrt(s) * low_rank.G
 
     @cached_property
     def _dense(self):
         return self._factorize()
 
-    @property
-    def chol(self) -> np.ndarray:
-        return self._dense[0]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self._dense[1]
-
-    @property
-    def jitter_used(self) -> float:
-        return self._dense[2]
+    chol = property(lambda self: self._dense[0])
+    C = property(lambda self: self._dense[1])
+    jitter_used = property(lambda self: self._dense[2])
 
     @classmethod
     def factored(cls, chol, C, jitter_used=0.0) -> "GaussianModel":
@@ -395,7 +401,7 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     if factor is not None:
         s = (1.0 - a) * n / trace
         if 1.5 * s * float(factor.residual.sum()) / a <= LOW_RANK_TVD_BOUND:
-            return GaussianModel(n, factorize, U=math.sqrt(s) * factor.G, a=a)
+            return GaussianModel(n, factorize, low_rank=factor, s=s, a=a)
     return GaussianModel.factored(*factorize())
 
 

@@ -10,8 +10,9 @@ from oracles import (LN2, closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      tvd_exact_diag)
 from synth import random_orthogonal, random_spd
 
-from repmetric.bayes_metrics import (estimate, js_distance, js_distance_from_jsd,
-                                     jsd, jsd_gradient, tvd, tvd_gradient)
+from repmetric.bayes_metrics import (EIGEN_ROUNDING, _span_eigenvalues, estimate,
+                                     js_distance, js_distance_from_jsd, jsd, jsd_gradient,
+                                     tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
@@ -414,6 +415,121 @@ class TestPathSelection:
             assert 0.05 < dense[metric].value < 0.95
             gap = abs(low[metric].raw_value - dense[metric].raw_value)
             assert gap < 4.0 * np.hypot(low[metric].std_error, dense[metric].std_error)
+
+
+def span_pair(case):
+    """(X1, X2, a, kernel1, kernel2) of a low-rank pair at a real size.
+
+    The kernels are read as kernels (``KernelMatrix.from_array``), as a
+    user's pooled kernels are, and a is the proportional-noise weight at
+    b = 0.01.
+    """
+    rng = np.random.default_rng(90)
+    if case == "shared-latent-300":
+        X1 = rng.standard_normal((300, 50))
+        X2 = np.sqrt(1.0 - 0.3 ** 2) * X1 + 0.3 * rng.standard_normal((300, 50))
+    elif case == "same-span-1000":
+        # synth.pooled_kernel_pair's construction: one latent Z, two mixings
+        Z = rng.standard_normal((1000, 50))
+        A1 = rng.standard_normal((50, 50))
+        A2 = 0.8 * A1 + 0.3 * rng.standard_normal((50, 50))
+        X1, X2 = Z @ A1, Z @ A2
+    elif case == "k8-k20":
+        X1, X2 = rng.standard_normal((200, 8)), rng.standard_normal((200, 20))
+    elif case in ("nested", "nesting"):
+        X1 = rng.standard_normal((200, 12))
+        X2 = X1[:, :6] @ rng.standard_normal((6, 6)) + 0.1 * X1[:, 6:]
+        if case == "nesting":
+            X1, X2 = X2, X1
+    else:  # rank-1
+        X1, X2 = rng.standard_normal((100, 1)), rng.standard_normal((100, 1))
+    n = X1.shape[0]
+    a = 0.01 * n / (1.0 + 0.01 * n)
+    k1, k2 = (KernelMatrix.from_array(X @ X.T) for X in (X1, X2))
+    return X1, X2, a, k1, k2
+
+
+class TestSpanEigenvalues:
+    """The low-rank path's μ against the independent SVD-and-eigvalsh oracle."""
+
+    @pytest.mark.parametrize("case", ["shared-latent-300", "same-span-1000", "k8-k20",
+                                      "nested", "nesting", "rank-1"])
+    def test_match_the_oracle(self, case):
+        X1, X2, a, k1, k2 = span_pair(case)
+        m1, m2 = predictive_covariance(k1, a), predictive_covariance(k2, a)
+        assert m1.U is not None and m2.U is not None
+        mu = _span_eigenvalues(m1, m2)
+        lam = np.sort(predictive_pair_eigenvalues(X1, X2, a))
+        assert mu.size == lam.size
+        assert np.max(np.abs(mu - lam) / lam) < 1e-12
+
+    @pytest.mark.parametrize("case", ["shared-latent-300", "same-span-1000"])
+    def test_estimates_match_the_exact_values(self, case):
+        X1, X2, a, k1, k2 = span_pair(case)
+        lam = predictive_pair_eigenvalues(X1, X2, a)
+        ests = estimate(("tvd", "jsd"), predictive_covariance(k1, a),
+                        predictive_covariance(k2, a), 20_000, seed=91)
+        for metric, exact in (("tvd", tvd_exact_diag(lam)), ("jsd", jsd_exact_diag(lam))):
+            assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
+            assert abs(ests[metric].raw_value - exact) < 4.0 * ests[metric].std_error, metric
+
+
+class TestRoundingRule:
+    """Coordinates with |μ - 1| within the rounding bound are dropped, and only those."""
+
+    @staticmethod
+    def split_pair(delta):
+        # diagonal kernels on the same two stimuli with equal traces:
+        # μ = 1 ± s δ/(s + a) with s = (1 - a) n / 2
+        n, a = 40, 0.5
+        d1, d2 = np.zeros(n), np.zeros(n)
+        d1[:2] = 1.0
+        d2[:2] = 1.0 + delta, 1.0 - delta
+        return [predictive_covariance(KernelMatrix.from_array(np.diag(d)), a) for d in (d1, d2)]
+
+    @pytest.mark.parametrize("multiple, nonzero", [(2.0, True), (0.25, False)])
+    def test_nonzero_exactly_above_the_bound(self, multiple, nonzero):
+        eps = np.finfo(float).eps
+        bound = EIGEN_ROUNDING * 2 * eps  # r = 2, max μ ≈ 1
+        m1, m2 = self.split_pair(multiple * bound * 10.5 / 10.0)
+        mu = _span_eigenvalues(m1, m2)
+        assert mu.size == 2
+        assert (np.abs(mu - 1.0).max() > bound * mu.max()) == nonzero
+        for est in estimate(("tvd", "jsd"), m1, m2, 2000, seed=92).values():
+            assert (est.std_error > 0.0) == nonzero
+            assert (est.raw_value != 0.0) == nonzero
+
+    def test_low_rank_rotations_and_scalings_are_exact_zeros(self):
+        # C03's low-rank cases: 30 stimuli, 5 features
+        rng = np.random.default_rng(93)
+        for rep in range(10):
+            X = rng.standard_normal((30, 5))
+            base = model_from_X(X)
+            for Y in (X @ random_orthogonal(rng, 5), 0.1 * X, 7.0 * X):
+                m2 = model_from_X(Y)
+                assert m2.U is not None and not np.array_equal(base.U, m2.U)
+                for est in estimate(("tvd", "jsd"), base, m2, 2000, seed=rep).values():
+                    assert est.raw_value == 0.0 and est.std_error == 0.0
+
+
+class TestCalibration:
+    """The reported SE predicts the spread of estimates over seeds, on both paths."""
+
+    @pytest.mark.parametrize("path", ["span", "dense"])
+    def test_sd_over_seeds_matches_mean_se(self, path):
+        rng = np.random.default_rng(94)
+        X1 = rng.standard_normal((40, 3))
+        X2 = 0.6 * X1 + 0.8 * rng.standard_normal((40, 3))
+        m1, m2 = model_from_X(X1), model_from_X(X2)
+        assert m1.U is not None and m2.U is not None  # r = 6
+        if path == "dense":
+            m1, m2 = model(m1.C), model(m2.C)
+        runs = [estimate(("tvd", "jsd"), m1, m2, 500, seed=s) for s in range(200)]
+        for metric in ("tvd", "jsd"):
+            values = np.array([r[metric].raw_value for r in runs])
+            assert 0.05 < values.mean() < 0.95
+            ratio = values.std(ddof=1) / np.mean([r[metric].std_error for r in runs])
+            assert 0.8 < ratio < 1.2, (metric, ratio)
 
 
 class TestStandardErrors:

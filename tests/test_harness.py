@@ -1,3 +1,4 @@
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from synth import kernels_same_stimuli, pooled_kernel_pair, random_orthogonal
 
 from repmetric import baseline_metrics, bayes_metrics
+from repmetric import kernel as kernel_module
 from repmetric.errors import RepmetricError, ValidationError
 from repmetric.harness import (heuristic_a, load_layer_kernels, pairwise_matrix,
                                snr_sweep, stability_study)
-from repmetric.kernel import KernelMatrix, RepresentationMatrix, gram
+from repmetric.kernel import KernelMatrix, LowRankFactor, RepresentationMatrix, gram
 from repmetric.matrix_io import (LayerManifest, ManifestEntry, MatrixKind,
                                  write_matrix)
 
@@ -319,6 +321,46 @@ class TestSnrSweep:
         g1 = snr_sweep(K1, K2, [10], [1.0], 500, seed=14, noise_kind="variance")
         g2 = snr_sweep(K1, K2, [10], [0.5], 500, seed=14, noise_kind="a")
         assert g1.grid["jsd"][0][0].value == g2.grid["jsd"][0][0].value
+
+
+@pytest.fixture
+def gram_basis_calls():
+    """The factors whose ``gram_basis`` is computed, one entry per computation."""
+    calls = []
+    compute = LowRankFactor.gram_basis.func
+
+    def counted(factor):
+        calls.append(factor)
+        return compute(factor)
+
+    prop = cached_property(counted)
+    prop.__set_name__(LowRankFactor, "gram_basis")
+    with mock.patch.object(LowRankFactor, "gram_basis", prop):
+        yield calls
+
+
+class TestLowRankWorkOncePerKernel:
+    """A kernel's factors are computed once per run; a pair never refactors."""
+
+    def test_pairwise_matrix(self, gram_basis_calls):
+        layers = kernels_same_stimuli(np.random.default_rng(20), 40, 6, 4)
+        factors = [kern.low_rank for _, kern in layers]
+        assert all(f is not None for f in factors)
+        with mock.patch.object(kernel_module, "pivoted_cholesky",
+                               side_effect=AssertionError("pivoted Cholesky after set-up")):
+            pairwise_matrix(layers, ["jsd", "tvd"], a=0.5, n_samples=500, seed=21)
+        assert sorted(map(id, gram_basis_calls)) == sorted(map(id, factors))
+
+    def test_snr_sweep(self, gram_basis_calls):
+        K1, K2 = pooled_kernel_pair(np.random.default_rng(22), pool_size=200, k=10)
+        n_values = [60, 100, 200]
+        with mock.patch.object(kernel_module, "pivoted_cholesky",
+                               wraps=kernel_module.pivoted_cholesky) as pivoted:
+            snr_sweep(K1, K2, n_values, [0.3, 0.6], n_samples=500, seed=23,
+                      metrics=("jsd", "tvd"))
+        # one factor per subset kernel, each reused by all three cells of its n
+        assert pivoted.call_count == len(gram_basis_calls) == 2 * len(n_values)
+        assert len(set(map(id, gram_basis_calls))) == 2 * len(n_values)
 
 
 class TestStabilityStudy:
