@@ -77,8 +77,10 @@ BAYES_METRICS = ("tvd", "jsd", "js_distance")
 class DistanceEstimate:
     """Point estimate with its Monte-Carlo uncertainty.
 
-    ``raw_value`` is the estimate before clamping to [0, 1];
-    ``summand_variance`` v gives the estimator variance v / n_samples.
+    For tvd and jsd, ``raw_value`` is the estimate before clamping to
+    [0, 1] and ``summand_variance`` v gives the estimator variance
+    v / n_samples. A js_distance has raw_value = value = √(clamped jsd)
+    and carries its jsd's v; its SE is the delta method's (√SE near 0).
     """
 
     value: float
@@ -101,11 +103,12 @@ class DistanceGradient:
     metric: str
 
 
-def _check_pair(model1: GaussianModel, model2: GaussianModel, n_draws: int) -> None:
+def _check_pair(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
+                n_draws: int) -> None:
+    if not metrics:  # before any draw: nothing would use them
+        raise ValidationError("no metrics requested")
     if model1.dim != model2.dim:
-        raise ValidationError(
-            f"dimension mismatch: {model1.dim} vs {model2.dim}"
-        )
+        raise ValidationError(f"dimension mismatch: {model1.dim} vs {model2.dim}")
     if n_draws < 2:
         raise ValidationError("need at least 2 draws for a standard error")
 
@@ -207,7 +210,7 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
     unknown = [m for m in metrics if m not in BAYES_METRICS]
     if unknown:
         raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
-    _check_pair(model1, model2, n_draws)
+    _check_pair(metrics, model1, model2, n_draws)
     mu = None
     if model1.U is not None and model2.U is not None and model1.a == model2.a:
         mu = _span_eigenvalues(model1, model2)
@@ -298,7 +301,7 @@ def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMod
     unknown = [m for m in metrics if m not in ("tvd", "jsd")]
     if unknown:
         raise ValidationError(f"no gradient for metric {unknown[0]!r}")
-    _check_pair(model1, model2, n_draws)
+    _check_pair(metrics, model1, model2, n_draws)
     eye = np.eye(model1.dim)
     terms = {m: ([], []) for m in metrics}  # each model's two terms, per metric
     for side, (own, other) in enumerate(((model1, model2), (model2, model1))):

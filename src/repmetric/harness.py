@@ -105,34 +105,38 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
                     on_error: str = "abort") -> dict[str, DistanceMatrix]:
     """Distance matrices over all unordered layer pairs, one per metric.
 
-    ``on_error='skip'`` records each metric a pair leaves undefined
-    (DegenerateRepresentationError, NotPositiveDefiniteError) as a hole,
-    a NaN entry with the failure's reason, instead of aborting the run.
-    Layers and metrics are validated before any pair runs, so a
-    ValidationError raised by a pair would recur in every pair; it
-    aborts in both modes. ``threads > 1`` runs pairs on a thread pool
-    with identical results.
+    Each layer's undefined metrics are decided once, before any pair runs:
+    every Bayes metric when it has no predictive distribution, a baseline
+    when its kernel or distance vector is degenerate. Each reason starts
+    ``layer 'name': ``. ``on_error='abort'`` raises the first; ``'skip'``
+    makes it a hole (NaN and the reason) in each of the layer's pairs, the
+    pair's first label winning. A ValidationError aborts in both modes.
+    ``threads > 1`` runs pairs on a thread pool with identical results.
     """
     if on_error not in ("abort", "skip"):
         raise ValidationError("on_error must be 'abort' or 'skip'")
     _check_layers(layers)
     metrics_bayes, metrics_base = _split_metrics(metrics)
 
-    # per layer, before any pair runs: its predictive distribution, or in
-    # skip mode the error that prevented it, which becomes the hole reason
-    # of each of its pairs; and its baseline operands
-    models: dict[str, GaussianModel | RepmetricError] = {}
+    # per layer, before any pair runs: its model, baseline operands and undefined metrics
+    models: dict[str, GaussianModel] = {}
     prepared: dict[str, baseline_metrics.PreparedKernel] = {}
+    undefined: dict[str, dict[str, RepmetricError]] = {}
     for name, kern in layers:
+        errors = {}
         if metrics_bayes:
             try:
                 models[name] = predictive_covariance(kern, a)
+            except ValidationError as exc:
+                raise ValidationError(f"layer {name!r}: {exc}") from exc
             except RepmetricError as exc:
-                error = type(exc)(f"layer {name!r}: {exc}")
-                if on_error == "abort" or isinstance(exc, ValidationError):
-                    raise error from exc
-                models[name] = error
+                errors = dict.fromkeys(metrics_bayes, exc)
         prepared[name] = baseline_metrics.PreparedKernel(kern, metrics_base, rsa_squared)
+        errors |= {m: prepared[name].errors[m] for m in metrics_base
+                   if m in prepared[name].errors}
+        undefined[name] = {m: type(e)(f"layer {name!r}: {e}") for m, e in errors.items()}
+        if undefined[name] and on_error == "abort":
+            raise next(iter(undefined[name].values()))
 
     names = [name for name, _ in layers]
     order = {name: i for i, name in enumerate(names)}
@@ -140,28 +144,19 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
              for i in range(len(names)) for j in range(i + 1, len(names))]
 
     def compute(pair):
-        """{metric: (value, std_error, None) or (nan, nan, reason)} for one pair.
-
-        One estimate call (one set of draws) gives every Bayes metric and
-        one compare call every baseline; an error that leaves a metric
-        undefined is its hole in skip mode and aborts the run otherwise.
-        """
+        """{metric: (value, std_error, None) or (nan, nan, reason)}: one estimate call (one
+        set of draws) and one compare call, on the metrics both layers define."""
         la, lb = pair
-        results = {}
-        failed = [models[x] for x in pair if isinstance(models.get(x), RepmetricError)]
-        if failed:
-            results = dict.fromkeys(metrics_bayes, failed[0])
-        elif metrics_bayes:
-            ests = bayes_metrics.estimate(metrics_bayes, models[la], models[lb],
+        results = {m: (np.nan, np.nan, str(e))
+                   for m, e in {**undefined[lb], **undefined[la]}.items()}
+        bayes = [m for m in metrics_bayes if m not in results]
+        if bayes:
+            ests = bayes_metrics.estimate(bayes, models[la], models[lb],
                                           n_samples, pair_seed(seed, la, lb))
-            results = {m: (e.value, e.std_error, None) for m, e in ests.items()}
-        for m, r in prepared[la].compare(prepared[lb], metrics_base).items():
-            results[m] = r if isinstance(r, RepmetricError) else (r.value, 0.0, None)
-        for m, r in results.items():
-            if isinstance(r, RepmetricError):
-                if on_error == "abort":
-                    raise type(r)(f"pair ({la}, {lb}): {r}") from r
-                results[m] = (np.nan, np.nan, str(r))
+            results |= {m: (e.value, e.std_error, None) for m, e in ests.items()}
+        base = [m for m in metrics_base if m not in results]
+        results |= {m: (r.value, 0.0, None)
+                    for m, r in prepared[la].compare(prepared[lb], base).items()}
         return results
 
     if threads > 1:
@@ -172,7 +167,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
 
     m = len(names)
     matrices = {}
-    for metric in list(metrics_bayes) + list(metrics_base):
+    for metric in metrics_bayes + metrics_base:
         values = np.zeros((m, m))
         ses = np.zeros((m, m))
         holes = []
@@ -214,8 +209,8 @@ def _noise_to_a(value: float, noise_kind: str) -> float:
             raise ValidationError(f"a={value} outside [0, 1]")
         return float(value)
     if noise_kind == "variance":
-        if value < 0:
-            raise ValidationError("noise variance must be >= 0")
+        if not 0.0 <= value < np.inf:  # heuristic_a's rule for b
+            raise ValidationError(f"noise variance {value} must be finite and >= 0")
         return float(value / (1.0 + value))
     raise ValidationError("noise_kind must be 'a' or 'variance'")
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -10,7 +12,8 @@ from oracles import (LN2, closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      tvd_exact_diag)
 from synth import random_orthogonal, random_spd
 
-from repmetric.bayes_metrics import (EIGEN_ROUNDING, _span_eigenvalues, estimate,
+from repmetric import bayes_metrics
+from repmetric.bayes_metrics import (EIGEN_ROUNDING, _span_eigenvalues, estimate, gradients,
                                      js_distance, js_distance_from_jsd, jsd, jsd_gradient,
                                      tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
@@ -180,6 +183,16 @@ class TestFusedEstimate:
         m = model(np.eye(2))
         with pytest.raises(ValidationError, match="unknown Bayes metric 'cka'"):
             estimate(("jsd", "cka"), m, m, 100, seed=0)
+
+    @pytest.mark.parametrize("call", [estimate, gradients])
+    def test_empty_metric_list_rejected_before_drawing(self, call):
+        rng = np.random.default_rng(42)
+        m1, m2 = model(random_spd(rng, 5)), model(random_spd(rng, 5))
+        with mock.patch.object(bayes_metrics, "standard_normal_block",
+                               wraps=standard_normal_block) as spy, \
+                pytest.raises(ValidationError, match="no metrics requested"):
+            call((), m1, m2, 100, seed=0)
+        assert spy.call_count == 0
 
 
 def per_point(C1, C2, n_draws, seed):
@@ -547,6 +560,20 @@ class TestStandardErrors:
         est = jsd(model([[1.0]]), model([[9.0]]), 4000, seed=2)
         assert est.std_error == pytest.approx(
             np.sqrt(est.summand_variance / est.n_samples), rel=1e-12)
+
+    def test_variance_fields_per_metric(self):
+        # tvd and jsd: SE² = v/N; js_distance: √(clamped jsd), the jsd's v, delta-method SE
+        rng = np.random.default_rng(44)
+        m1, m2 = model(random_spd(rng, 3)), model(random_spd(rng, 3))
+        ests = estimate(("tvd", "jsd", "js_distance"), m1, m2, 1000, seed=45)
+        for metric in ("tvd", "jsd"):
+            est = ests[metric]
+            assert est.std_error ** 2 == pytest.approx(est.summand_variance / 1000, rel=1e-12)
+        d, js = ests["jsd"], ests["js_distance"]
+        assert js.raw_value == js.value == np.sqrt(d.value)
+        assert js.summand_variance == d.summand_variance
+        assert not js.degenerate_se and js.std_error == d.std_error / (2.0 * js.value)
+        assert js.std_error ** 2 != pytest.approx(js.summand_variance / 1000, rel=0.1)
 
 
 class TestPseudoMetricProperties:

@@ -192,8 +192,9 @@ class TestCompareCommand:
         assert not (out / "cka.csv").exists()
         assert (out / "jsd.csv").exists()
         record = json.loads((out / "record.json").read_text())
-        assert record["holes"]["cka"] == [["flat", "good",
-                                           "centered kernel has zero norm (constant representation)"]]
+        assert record["holes"]["cka"] == [
+            ["flat", "good",
+             "layer 'flat': centered kernel has zero norm (constant representation)"]]
 
     def test_binary_output_above_size_limit(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -380,6 +381,10 @@ class TestSingleLineValidationErrors:
         (["compare", "--manifest", "{manifest}", "--metrics", "cka"],
          {"entries": [{"name": "tiny", "path": "tiny.csv", "kind": "kernel"},
                       {"name": "eye", "path": "eye3.csv", "kind": "kernel"}]}),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
+          "--noise-kind", "variance", "--noise-values", "inf", "--samples", "100"], None),
+        (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
+          "--noise-kind", "variance", "--noise-values", "nan", "--samples", "100"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
@@ -387,7 +392,8 @@ class TestSingleLineValidationErrors:
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
             "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
             "embed-tol-inf", "stability-b-nan", "stability-no-sizes", "compare-repeated-metric",
-            "sweep-repeated-metric", "stability-repeated-metric", "compare-tiny-not-psd"])
+            "sweep-repeated-metric", "stability-repeated-metric", "compare-tiny-not-psd",
+            "sweep-variance-inf", "sweep-variance-nan"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)

@@ -139,8 +139,43 @@ class TestPairwiseMatrix:
         rng = np.random.default_rng(5)
         const = gram(RepresentationMatrix.from_array(np.ones((6, 3))))
         good = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
-        with pytest.raises(RepmetricError, match=r"\(flat, good\)"):
+        with pytest.raises(RepmetricError, match=r"^layer 'flat': centered kernel"):
             pairwise_matrix([("flat", const), ("good", good)], ["cka"], 0.5, 100, 0)
+
+    def test_abort_stops_before_any_pair_runs(self):
+        rng = np.random.default_rng(8)
+        layers = kernels_same_stimuli(rng, 6, 3, 2) + [
+            ("flat", gram(RepresentationMatrix.from_array(np.ones((6, 3)))))]
+        with mock.patch.object(bayes_metrics, "estimate",
+                               wraps=bayes_metrics.estimate) as spy, \
+                pytest.raises(RepmetricError, match="^layer 'flat': "):
+            pairwise_matrix(layers, ["jsd", "cka"], 0.5, 100, 0)
+        assert spy.call_count == 0
+
+    def test_two_degenerate_layers_give_the_first_label(self):
+        flat = gram(RepresentationMatrix.from_array(np.ones((6, 3))))
+        zero = KernelMatrix.from_array(np.zeros((6, 6)))
+        rng = np.random.default_rng(9)
+        good = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        layers = [("zero", zero), ("good", good), ("flat", flat)]
+        mats = pairwise_matrix(layers, ["cka"], 0.5, 100, 0, on_error="skip")
+        reason = "centered kernel has zero norm (constant representation)"
+        assert mats["cka"].holes == (("good", "zero", f"layer 'zero': {reason}"),
+                                     ("flat", "zero", f"layer 'flat': {reason}"),
+                                     ("flat", "good", f"layer 'flat': {reason}"))
+
+    def test_failed_model_and_degenerate_baseline_keep_their_own_reasons(self):
+        rng = np.random.default_rng(10)
+        zero = KernelMatrix.from_array(np.zeros((6, 6)))  # no predictive, no cka
+        good = gram(RepresentationMatrix.from_array(rng.standard_normal((6, 3))))
+        mats = pairwise_matrix([("good", good), ("zero", zero)], ["jsd", "tvd", "cka"],
+                               0.5, 100, 0, on_error="skip")
+        model_reason = ("layer 'zero': kernel trace is not positive; "
+                        "cannot build a predictive distribution")
+        assert mats["jsd"].holes == mats["tvd"].holes == (("good", "zero", model_reason),)
+        assert mats["cka"].holes == (
+            ("good", "zero",
+             "layer 'zero': centered kernel has zero norm (constant representation)"),)
 
     def test_skip_records_holes(self):
         rng = np.random.default_rng(6)
@@ -197,11 +232,11 @@ class TestPairwiseMatrix:
                 r = baseline_metrics.distances(metrics, kernels[la], kernels[lb], squared)[metric]
                 if isinstance(r, RepmetricError):
                     assert np.isnan(dm.values[i, j]) and np.isnan(dm.values[j, i])
-                    holes.append((la, lb, str(r)))
+                    holes.append((la, lb, f"layer 'one_hot': {r}"))
                 else:
                     assert dm.values[i, j] == dm.values[j, i] == r.value
             assert dm.holes == tuple(holes)
-        reason = "distance vector has zero variance"
+        reason = "layer 'one_hot': distance vector has zero variance"
         assert [h[2] for h in mats["rsa_corr"].holes] == [reason] * 4
 
     def test_skip_holes_are_per_metric(self):
@@ -212,7 +247,7 @@ class TestPairwiseMatrix:
         layers = [("g1", good1), ("g2", good2), ("one_hot", one_hot)]
         mats = pairwise_matrix(layers, ["jsd", "cka", "shape", "rsa_corr", "rsa_arccos"],
                                a=0.5, n_samples=100, seed=27, on_error="skip")
-        reason = "distance vector has zero variance"
+        reason = "layer 'one_hot': distance vector has zero variance"
         assert mats["rsa_corr"].holes == (("g1", "one_hot", reason), ("g2", "one_hot", reason))
         for metric in ("jsd", "cka", "shape", "rsa_arccos"):
             assert mats[metric].holes == ()
@@ -294,8 +329,10 @@ class TestSnrSweep:
         ((40, 40), [10], [], {}, "empty sweep axes"),
         ((40, 40), [10], [-0.5], {"noise_kind": "variance"}, "noise variance"),
         ((40, 40), [10], [0.5], {"noise_kind": "snr"}, "noise_kind"),
+        ((40, 40), [10], [np.inf], {"noise_kind": "variance"}, "noise variance inf must"),
+        ((40, 40), [10], [np.nan], {"noise_kind": "variance"}, "noise variance nan must"),
     ], ids=["pool-sizes", "metric", "empty-n", "empty-noise", "negative-variance",
-            "noise-kind"])
+            "noise-kind", "infinite-variance", "nan-variance"])
     def test_invalid_arguments_rejected(self, pool_sizes, n_values, noise_values, kwargs,
                                         match):
         rng = np.random.default_rng(15)

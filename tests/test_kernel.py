@@ -511,3 +511,12 @@ class TestKernelValidation:
             K.subset([0, 0, 1])
         with pytest.raises(ValidationError):
             K.subset([0, 9])
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: KernelMatrix.from_array(np.eye(2), labels=["a"]), "1 labels for 2 rows"),
+        (lambda: RepresentationMatrix.from_array(np.ones(3)), "2-D array"),
+        (lambda: KernelMatrix.from_array(np.eye(4)).subset([0]), "at least 2 indices"),
+    ], ids=["label-count", "one-dimensional", "one-index-subset"])
+    def test_malformed_arguments_rejected(self, make, match):
+        with pytest.raises(ValidationError, match=match):
+            make()

@@ -180,6 +180,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match="columns"):
             read_matrix(path, MatrixKind.REPRESENTATION)
 
+    @pytest.mark.parametrize("name, content, kind, match", [
+        ("m.csv", "1,2\n3,4\n", "tensor", "unknown matrix kind: 'tensor'"),
+        ("m.csv", "x,y,z\n1,2,3\n", MatrixKind.REPRESENTATION, "header has 3 labels for 1 rows"),
+        ("m.rmx", struct.pack("<4sBII", MAGIC, 9, 1, 1) + bytes(8), MatrixKind.KERNEL,
+         "unknown kind code 9"),
+        ("m.csv", "x,y\n", MatrixKind.KERNEL, "header but no data rows"),
+        ("m.csv", "1,2\n3,x\n", MatrixKind.REPRESENTATION, "row 1: could not convert"),
+    ], ids=["kind-string", "header-width", "kind-code", "header-only", "non-numeric-cell"])
+    def test_malformed_file_rejected(self, tmp_path, name, content, kind, match):
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ValidationError, match=match):
+            read_matrix(path, kind)
+
+    @pytest.mark.parametrize("values, labels, match", [
+        (np.ones(3), None, "expected a 2-D matrix, got ndim=1"),
+        (np.eye(2), ["a"], "1 labels for 2 rows"),
+    ], ids=["one-dimensional", "label-count"])
+    def test_malformed_write_rejected(self, tmp_path, values, labels, match):
+        with pytest.raises(ValidationError, match=match):
+            write_matrix(values, tmp_path / "m.csv", MatrixKind.KERNEL, labels=labels)
+
 
 class TestLabelRule:
     """CSV labels and manifest names: no comma and no line break of str.splitlines."""
@@ -241,4 +266,15 @@ class TestManifest:
     def test_invalid_json(self, tmp_path):
         (tmp_path / "m.json").write_text("{nope")
         with pytest.raises(ValidationError, match="JSON"):
+            read_manifest(tmp_path / "m.json")
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(ValidationError, match="no such manifest"):
+            read_manifest(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("entry", ['{"name": "a", "path": "x"}', '"a"'],
+                             ids=["missing-key", "not-an-object"])
+    def test_entry_without_its_keys_rejected(self, tmp_path, entry):
+        (tmp_path / "m.json").write_text(f'{{"entries": [{entry}]}}')
+        with pytest.raises(ValidationError, match="needs name, path and kind"):
             read_manifest(tmp_path / "m.json")

@@ -19,7 +19,7 @@ from synth import random_spd
 from repmetric import bayes_metrics
 from repmetric.errors import ValidationError
 from repmetric.kernel import GaussianModel, KernelMatrix, predictive_covariance
-from repmetric.seeding import standard_normal_block
+from repmetric.seeding import derive_seed, standard_normal_block
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -84,6 +84,11 @@ class TestSampling:
         # 8 EB, refused by the allocator (MemoryError) before any is written
         with pytest.raises(ValidationError, match=f"cannot allocate {n_draws} draws of dimension 1"):
             standard_normal_block(n_draws, 1, seed=1)
+
+    @pytest.mark.parametrize("token", [1.5, None, b"x"])
+    def test_seed_tokens_are_strings_or_integers(self, token):
+        with pytest.raises(TypeError, match="unsupported seed token type"):
+            derive_seed(1, "pair", token)
 
 
 class TestLogDensity:
