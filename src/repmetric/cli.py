@@ -64,7 +64,11 @@ def cmd_gram(inputs, out_dir, fmt):
         loaded = read_matrix(path, MatrixKind.REPRESENTATION)
         rep = RepresentationMatrix.from_array(loaded.values, loaded.labels)
         kern = gram(rep)
-        rank = int(np.linalg.matrix_rank(kern.K, hermitian=True))
+        # matrix_rank's hermitian rule on K, |λ| > |λ|_max·n·ε, from the
+        # smaller Gram: XᵀX shares K's nonzero eigenvalues
+        X = rep.X
+        lam = np.abs(np.linalg.eigvalsh(X.T @ X if X.shape[1] < kern.n else kern.K))
+        rank = int(np.count_nonzero(lam > lam.max() * kern.n * np.finfo(float).eps))
         target = _matrix_path(out_dir, f"{path.stem}.kernel", kern.n, fmt)
         write_matrix(kern.K, target, MatrixKind.KERNEL, labels=kern.labels)
         outputs[path.stem] = target.name
@@ -174,6 +178,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
             pools.append(KernelMatrix.from_array(loaded.values, loaded.labels))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        del loaded  # the pool holds its own symmetrized copy
     pool1, pool2 = pools
     ns = _parse_list(n_values, int, "--n-values")
     noises = _parse_list(noise_values, float, "--noise-values")

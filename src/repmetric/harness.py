@@ -244,9 +244,7 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     grid = {m: [] for m in metrics}
     proportional = {m: [] for m in metrics}
     for n, a_prop in zip(n_values, a_props):
-        idx = np.arange(n)
-        k1 = pool1.subset(idx)
-        k2 = pool2.subset(idx)
+        k1, k2 = (_leading(pool, n) for pool in (pool1, pool2))
         for m in metrics:
             grid[m].append([])
         for j, a in enumerate(a_grid):
@@ -274,6 +272,14 @@ def cell_seed(seed: int, n: int, noise_index) -> int:
     as its master seed.
     """
     return derive_seed(seed, "sweep", n, "cell", noise_index)
+
+
+def _leading(pool: KernelMatrix, n: int) -> KernelMatrix:
+    """The pool's leading n×n principal submatrix as a view, not a copy; at
+    n = pool.n the pool itself, with the factor it already holds."""
+    if n == pool.n:
+        return pool
+    return KernelMatrix(K=pool.K[:n, :n], labels=pool.labels[:n])
 
 
 def _sweep_cell(k1, k2, a, metrics, n_samples, seed):

@@ -1,15 +1,28 @@
 """Metric multidimensional scaling by stress majorization (SMACOF).
 
-Majorization guarantees the raw stress never increases between
-iterations; stress is reported normalized by the constant sum of
-squared input dissimilarities, so it inherits that monotonicity.
+Majorization never increases the raw stress between iterations; stress
+is reported normalized by the constant sum of squared input
+dissimilarities, so it inherits that monotonicity up to the rounding
+noted below.
 
-Each iteration makes the few m×m passes SMACOF needs (de Leeuw 1977;
-Borg & Groenen 2005, ch. 8): one divide for R = δ/d; the Guttman
-transform X <- (diag(R 1) X - R X)/m from one product R [X | 1], with no
-B matrix; every squared distance from one product of augmented
-coordinates, [-2X | ‖x‖² | 1] [X | 1 | ‖x‖²]ᵀ; and stress as half the
-squared norm of d - δ, so each pair counts once.
+Restarts advance together, as many at a time as keep their (k, m, m)
+stack and D within ``SMACOF_BATCH_BYTES``, so a batch stays in one
+core's cache; a batch holds at least one restart. The stack is the only
+m×m buffer, R = δ/d. Each iteration (de Leeuw 1977; Borg & Groenen 2005,
+ch. 8) writes every squared distance into R from one product of the
+augmented coordinates, [-2X | ‖x‖² | 1] [X | 1 | ‖x‖²]ᵀ, puts 1 on its
+diagonal, and takes the square root and the divide of δ in place. One
+product R [X | 1] then gives the Guttman transform
+X <- (diag(R 1) X - R X)/m, with no B matrix, and the stress of X:
+Σ_{i<j} δd = Σ_i ‖x_i‖²(R 1)_i - x_i·(R X)_i and
+Σ_{i<j} d² = m Σ_i ‖x_i‖² - ‖Σ_i x_i‖².
+
+That identity resolves the squared normalized stress only to about m·ε
+(stress ~1e-7 at m = 150), so the history never increases only up to
+that rounding. A change within the rounding cannot stop a restart on
+``tol``, so a restart whose stress falls below that level runs to
+``max_iter``. The last entry of each history, and so the stress
+returned, is taken from the final iterate's distances in one more pass.
 
 SMACOF runs on the distances scaled by a power of two that brings the
 largest into [0.5, 1), so squares cannot overflow and coordinates and
@@ -18,14 +31,16 @@ stress do not depend on the scale of the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .kernel import symmetric_part
 from .seeding import derive_seed, stream_generator
+
+SMACOF_BATCH_BYTES = 2 << 20  # restarts advanced together keep their R stack and D within this
 
 
 @dataclass(frozen=True)
@@ -44,48 +59,79 @@ class Embedding:
     stress_history: tuple[float, ...]
 
 
-def _distances(X: np.ndarray, A: np.ndarray, Ct: np.ndarray, dis: np.ndarray) -> None:
-    """Distances between the rows of X into ``dis``, diagonal left as is."""
-    p = X.shape[1]
-    np.multiply(X, -2.0, out=A[:, :p])
-    Ct[:p] = X.T
-    np.einsum("ij,ij->i", X, X, out=Ct[p + 1])
-    A[:, p] = Ct[p + 1]
-    np.matmul(A, Ct, out=dis)
-    np.sqrt(np.maximum(dis, 0.0, out=dis), out=dis)
+def _final_stress(D: np.ndarray, A: np.ndarray, Ct: np.ndarray, out: np.ndarray,
+                  denom: float) -> float:
+    """Stress of the coordinates in A and Cᵀ from their distances, in ``out``."""
+    np.matmul(A, Ct, out=out)
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    out.reshape(-1)[::out.shape[0] + 1] = 0.0
+    out -= D
+    return float(np.sqrt(0.5 * np.einsum("ij,ij->", out, out) / denom))
 
 
-def _smacof_single(D: np.ndarray, dims: int, rng: np.random.Generator,
-                   max_iter: int, tol: float):
-    m = D.shape[0]
-    denom = float(np.sum(np.triu(D, k=1) ** 2))
-    tiny = np.finfo(float).tiny
-    X = rng.standard_normal((m, dims))
-    history = []
-    dis, R = np.empty((m, m)), np.empty((m, m))  # R = D/dis, later dis - D
+def _smacof(D: np.ndarray, dims: int, starts: Sequence[np.ndarray], max_iter: int,
+            tol: float) -> list[tuple[np.ndarray, list[float]]]:
+    """(coordinates, stress history) of SMACOF from each (m, dims) start.
+
+    The restarts advance together in one (k, m, m) stack that only ever
+    holds R = δ/d. History entry t is the stress of the t-th iterate from
+    the product identity, the last entry from the iterate's distances. A
+    restart whose relative decrease falls below ``tol``, by more than the
+    identity's rounding, leaves the batch with its own history; the rest
+    run on to ``max_iter``.
+    """
+    k, m = len(starts), D.shape[0]
+    denom = 0.5 * float(np.einsum("ij,ij->", D, D))  # Σ_{i<j} δ²
+    resolution = m * np.finfo(float).eps  # per unit of the identity's terms, over denom
+    X = np.array(starts, dtype=float)
+    R = np.empty((k, m, m))
     # A = [-2X | ‖x‖² | 1] and Cᵀ = [X | 1 | ‖x‖²]ᵀ, the ones preset here
-    A, Ct = np.empty((m, dims + 2)), np.empty((dims + 2, m))
-    A[:, dims + 1] = Ct[dims] = 1.0
-    diagonal = dis.reshape(-1)[::m + 1]
-    _distances(X, A, Ct, dis)
+    A, Ct = np.empty((k, m, dims + 2)), np.empty((k, dims + 2, m))
+    A[:, :, dims + 1] = Ct[:, dims] = 1.0
+    live, coords, histories = list(range(k)), [None] * k, [[] for _ in range(k)]
+    noise = [0.0] * k  # the rounding of each restart's last squared stress
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            diagonal.fill(1.0)  # D's diagonal is 0, so R's comes out 0
-            np.divide(D, dis, out=R)
-            RX = R @ Ct[:dims + 1].T  # [R X | R 1]
-            if not math.isfinite(RX[:, dims].sum()):
-                # coincident embedded points: their pairs contribute nothing
-                R[dis == 0.0] = 0.0
-                RX = R @ Ct[:dims + 1].T
-            X = (X * RX[:, dims:] - RX[:, :dims]) / m
-            _distances(X, A, Ct, dis)
-            diagonal.fill(0.0)
-            np.subtract(dis, D, out=R)
-            # half of both triangles: each pair once; einsum, unlike vdot, starts no BLAS threads
-            history.append(math.sqrt(0.5 * np.einsum("ij,ij->", R, R) / denom))
-            if len(history) > 1 and history[-2] - history[-1] < tol * max(history[-2], tiny):
-                break
-    return X, history
+        for it in range(max_iter + 1):
+            Rk, sq = R[:len(live)], Ct[:, dims + 1]
+            np.multiply(X, -2.0, out=A[:, :, :dims])
+            Ct[:, :dims] = X.transpose(0, 2, 1)
+            np.einsum("kij,kij->ki", X, X, out=sq)
+            A[:, :, dims] = sq
+            np.matmul(A, Ct, out=Rk)  # squared distances
+            Rk.reshape(len(live), -1)[:, ::m + 1] = 1.0  # D's diagonal is 0, so R's comes out 0
+            np.sqrt(Rk, out=Rk)
+            np.divide(D, Rk, out=Rk)
+            XI = Ct[:, :dims + 1].transpose(0, 2, 1)
+            RX = np.matmul(Rk, XI)  # [R X | R 1]
+            for b in np.flatnonzero(~np.isfinite(RX[:, :, dims].sum(axis=1))):
+                # coincident points (d = 0: inf, or NaN where δ = 0 too) or a
+                # negative rounding square (NaN): those pairs contribute nothing
+                Rk[b][~np.isfinite(Rk[b])] = 0.0
+                RX[b] = Rk[b] @ XI[b]
+            if it:  # the stress of X from the same product
+                cross = (np.einsum("ki,ki->k", sq, RX[:, :, dims])
+                         - np.einsum("kij,kij->k", X, RX[:, :, :dims]))
+                total = Ct[:, :dims].sum(axis=2)  # Σ x_i, over Xᵀ's contiguous rows
+                square = m * sq.sum(axis=1) - np.einsum("kj,kj->k", total, total)
+                stress = np.sqrt(np.maximum(square - 2.0 * cross + denom, 0.0) / denom)
+                rounding = resolution * (square + 2.0 * np.abs(cross) + denom) / denom
+                going = np.ones(len(live), dtype=bool)
+                for b, r in enumerate(live):
+                    history = histories[r]
+                    history.append(float(stress[b]))
+                    floor, noise[r] = noise[r] + rounding[b], rounding[b]
+                    # a change within the identity's rounding cannot stop a restart
+                    if it == max_iter or (it > 1 and history[-2] - history[-1] < tol * history[-2]
+                                          and abs(history[-2] ** 2 - history[-1] ** 2) > floor):
+                        history[-1] = _final_stress(D, A[b], Ct[b], Rk[b], denom)
+                        coords[r], going[b] = X[b], False
+                if not going.all():
+                    live = [r for r, g in zip(live, going) if g]
+                    if not live:
+                        break
+                    X, RX, A, Ct = X[going], RX[going], A[going], Ct[going]
+            X = (X * RX[:, :, dims:] - RX[:, :, :dims]) / m
+    return list(zip(coords, histories))
 
 
 def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
@@ -121,13 +167,15 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
                          seed=int(seed), stress_history=())
 
     exponent = np.frexp(D.max())[1]
-    D = np.ldexp(D, -exponent)
+    np.ldexp(D, -exponent, out=D)  # D is symmetric_part's own copy
+    per_batch = max(1, SMACOF_BATCH_BYTES // (8 * m * m) - 1)  # the R stack and D
     best = None
-    for r in range(restarts):
-        rng = stream_generator(derive_seed(seed, "mds-restart", r))
-        X, history = _smacof_single(D, dims, rng, max_iter, tol)
-        if best is None or history[-1] < best[1][-1]:
-            best = X, history
+    for lo in range(0, restarts, per_batch):
+        starts = [stream_generator(derive_seed(seed, "mds-restart", r)).standard_normal((m, dims))
+                  for r in range(lo, min(lo + per_batch, restarts))]
+        for X, history in _smacof(D, dims, starts, max_iter, tol):
+            if best is None or history[-1] < best[1][-1]:
+                best = X, history
     X, history = best
     X = np.ldexp(X, exponent)
     X -= X.mean(axis=0, keepdims=True)

@@ -58,6 +58,22 @@ class TestGramCommand:
         assert (out / "a.kernel.csv").exists()
         assert (out / "b.kernel.csv").exists()
 
+    @pytest.mark.parametrize("shape", ["duplicated-column", "more-features-than-rows"])
+    def test_rank_follows_the_hermitian_rule_on_k(self, tmp_path, capsys, shape):
+        rng = np.random.default_rng(5)
+        if shape == "duplicated-column":
+            X = rng.standard_normal((12, 6))
+            X[:, 5] = X[:, 2]
+        else:
+            X = rng.standard_normal((8, 20))
+        rep = tmp_path / "rep.csv"
+        write_matrix(X, rep, MatrixKind.REPRESENTATION)
+        assert main(["gram", str(rep), "--out", str(tmp_path / "out")]) == 0
+        K = gram(RepresentationMatrix.from_array(read_matrix(rep, MatrixKind.REPRESENTATION).values)).K
+        expected = np.linalg.matrix_rank(K, hermitian=True)
+        assert expected == (5 if shape == "duplicated-column" else 8)
+        assert f"rank={expected} " in capsys.readouterr().out
+
     def test_empty_input_fails_validation(self, tmp_path):
         import struct
         from repmetric.matrix_io import MAGIC

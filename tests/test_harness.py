@@ -6,7 +6,7 @@ import pytest
 
 from synth import kernels_same_stimuli, pooled_kernel_pair, random_orthogonal
 
-from repmetric import baseline_metrics, bayes_metrics
+from repmetric import baseline_metrics, bayes_metrics, harness
 from repmetric import kernel as kernel_module
 from repmetric.errors import RepmetricError, ValidationError
 from repmetric.harness import (heuristic_a, load_layer_kernels, pairwise_matrix,
@@ -351,6 +351,26 @@ class TestSnrSweep:
         assert len(grid.proportional["tvd"]) == 3
         for n, (a_prop, _) in zip(grid.n_values, grid.proportional["jsd"]):
             assert a_prop == heuristic_a(n, 0.02)
+
+    def test_cells_slice_the_pools(self):
+        K1, K2 = pooled_kernel_pair(np.random.default_rng(16), pool_size=60, k=8)
+        K1, K2 = KernelMatrix.from_array(K1.K), KernelMatrix.from_array(K2.K)
+        cells, sweep_cell = [], harness._sweep_cell
+
+        def spy(k1, k2, *args):
+            cells.append((k1, k2, args, sweep_cell(k1, k2, *args)))
+            return cells[-1][-1]
+
+        with mock.patch.object(harness, "_sweep_cell", spy):
+            snr_sweep(K1, K2, [10, 30, 60], [0.2, 0.7], 800, seed=17, metrics=("jsd", "tvd"))
+        assert len(cells) == 9
+        for k1, k2, args, ests in cells:
+            assert np.shares_memory(k1.K, K1.K) and np.shares_memory(k2.K, K2.K)
+            if k1.n == K1.n:  # the pools themselves, with the factors validation made
+                assert k1 is K1 and k2 is K2
+            idx = np.arange(k1.n)
+            copies = sweep_cell(K1.subset(idx), K2.subset(idx), *args)
+            assert ests == copies  # every field bitwise equal
 
     def test_noise_kind_variance(self):
         rng = np.random.default_rng(13)

@@ -1,10 +1,12 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from repmetric.errors import ValidationError
-from repmetric.mds import _smacof_single, mds_embed
+from repmetric import mds
+from repmetric.mds import _smacof, mds_embed
 
 
 def pairwise(X):
@@ -75,9 +77,10 @@ class TestStressBehaviour:
         assert np.abs(emb.coords.mean(axis=0)).max() < 1e-9
 
 
-def allocating_smacof(D, dims, rng, max_iter):
-    """Textbook SMACOF through the B matrix, a fresh array for every
-    intermediate and no tolerance stop: the oracle for the buffered loop."""
+def allocating_smacof(D, X, max_iter):
+    """Textbook SMACOF through the B matrix from start X, a fresh array for
+    every intermediate, stress from the distances and no tolerance stop:
+    the independent oracle for the buffered loop."""
     def distances(X):
         G = X @ X.T
         d = np.diag(G)
@@ -87,7 +90,6 @@ def allocating_smacof(D, dims, rng, max_iter):
 
     m = D.shape[0]
     denom = float(np.sum(np.triu(D, k=1) ** 2))
-    X = rng.standard_normal((m, dims))
     dis = distances(X)
     history = []
     for _ in range(max_iter):
@@ -101,11 +103,13 @@ def allocating_smacof(D, dims, rng, max_iter):
     return X, history
 
 
-def allocating_augmented_smacof(D, dims, rng, max_iter):
-    """The buffered loop's arithmetic with a fresh array for every
-    intermediate: R = D/dis, X <- (X rowsum(R) - R X)/m and all squared
-    distances from one augmented product, no tolerance stop."""
-    m = D.shape[0]
+def allocating_augmented_smacof(D, X, max_iter):
+    """The buffered loop's arithmetic from start X with a fresh array for
+    every intermediate: R = D/dis, X <- (X rowsum(R) - R X)/m and all
+    squared distances from one augmented product; the stress of each
+    iterate from the same product R [X | 1], of the last from its
+    distances; no tolerance stop."""
+    m, dims = X.shape
     ones = np.ones(m)
 
     def distances(X):
@@ -116,23 +120,29 @@ def allocating_augmented_smacof(D, dims, rng, max_iter):
         np.fill_diagonal(D2, 0.0)
         return np.sqrt(D2)
 
-    denom = float(np.sum(np.triu(D, k=1) ** 2))
-    X = rng.standard_normal((m, dims))
+    denom = 0.5 * np.einsum("ij,ij->", D, D)
     dis = distances(X)
     history = []
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         safe = dis.copy()
         np.fill_diagonal(safe, 1.0)
-        XI = np.vstack([X.T, ones]).T
+        Xt = np.vstack([X.T, ones])
         with np.errstate(divide="ignore", invalid="ignore"):
-            RX = (D / safe) @ XI
+            RX = (D / safe) @ Xt.T
         if not np.all(np.isfinite(RX[:, dims])):
-            RX = np.where(safe > 0, D / np.where(safe > 0, safe, 1.0), 0.0) @ XI
+            RX = np.where(safe > 0, D / np.where(safe > 0, safe, 1.0), 0.0) @ Xt.T
+        if it:
+            # Σ_{i<j} δd = Σ ‖x‖²(R1) - x·(RX) and Σ_{i<j} d² = m Σ ‖x‖² - ‖Σ x‖²
+            sq, total = np.einsum("ij,ij->i", X, X), Xt[:dims].sum(axis=1)
+            cross = np.einsum("i,i->", sq, RX[:, dims]) - np.einsum("ij,ij->", X, RX[:, :dims])
+            square = m * sq.sum() - np.einsum("j,j->", total, total)
+            history.append(np.sqrt(max(square - 2.0 * cross + denom, 0.0) / denom))
+        if it == max_iter:
+            diff = dis - D
+            history[-1] = np.sqrt(0.5 * np.einsum("ij,ij->", diff, diff) / denom)
+            return X, history
         X = (X * RX[:, dims:] - RX[:, :dims]) / m
         dis = distances(X)
-        diff = dis - D
-        history.append(np.sqrt(0.5 * np.einsum("ij,ij->", diff, diff) / denom))
-    return X, history
 
 
 def assert_close_to_oracle(X, history, X_ref, history_ref):
@@ -141,15 +151,9 @@ def assert_close_to_oracle(X, history, X_ref, history_ref):
     assert np.all(np.abs(h - h_ref) <= 1e-12 * h_ref)
 
 
-class FixedStart:
-    """An rng stand-in whose standard_normal returns a chosen start."""
-
-    def __init__(self, X):
-        self.X = np.asarray(X, dtype=float)
-
-    def standard_normal(self, shape):
-        assert shape == self.X.shape
-        return self.X.copy()
+def smacof_one(D, start, max_iter, tol=0.0):
+    [(X, history)] = _smacof(D, start.shape[1], [start], max_iter, tol)
+    return X, history
 
 
 class TestBufferedIterations:
@@ -157,8 +161,9 @@ class TestBufferedIterations:
         rng = np.random.default_rng(16)
         D = pairwise(rng.standard_normal((40, 5)))
         np.fill_diagonal(D, 0.0)
-        X_ref, history_ref = allocating_augmented_smacof(D, 2, np.random.default_rng(17), 60)
-        X, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
+        start = np.random.default_rng(17).standard_normal((40, 2))
+        X_ref, history_ref = allocating_augmented_smacof(D, start, 60)
+        X, history = smacof_one(D, start, 60)
         assert len(history) == 60
         assert np.array_equal(X, X_ref)
         assert history == history_ref
@@ -167,15 +172,32 @@ class TestBufferedIterations:
         rng = np.random.default_rng(16)
         D = pairwise(rng.standard_normal((40, 5)))
         np.fill_diagonal(D, 0.0)
-        X_ref, history_ref = allocating_smacof(D, 2, np.random.default_rng(17), 60)
-        X, history = _smacof_single(D, 2, np.random.default_rng(17), 60, 0.0)
+        start = np.random.default_rng(17).standard_normal((40, 2))
+        X_ref, history_ref = allocating_smacof(D, start, 60)
+        X, history = smacof_one(D, start, 60)
         assert len(history) == len(history_ref)
         assert_close_to_oracle(X, history, X_ref, history_ref)
+
+    def test_near_embeddable_final_stress_from_the_distances(self):
+        # planar points lifted 1e-4 off the plane: stress ~1e-8, below what
+        # the product identity resolves, so its rounding must neither stop a
+        # tol = 0 run nor reach the stress returned
+        rng = np.random.default_rng(27)
+        pts = np.column_stack([rng.standard_normal((40, 2)), 1e-4 * rng.standard_normal(40)])
+        D = pairwise(pts)
+        np.fill_diagonal(D, 0.0)
+        start = rng.standard_normal((40, 2))
+        X, history = smacof_one(D, start, 400)
+        X_ref, history_ref = allocating_smacof(D, start, 400)
+        assert len(history) == 400
+        assert np.abs(X - X_ref).max() <= 1e-10 * np.abs(X_ref).max()
+        assert history_ref[-1] < 1e-7
+        assert abs(history[-1] - history_ref[-1]) <= 1e-7 * history_ref[-1]
 
     @pytest.mark.parametrize("same_input", [True, False], ids=["identical", "distinct"])
     def test_coincident_start(self, same_input):
         # points 0 and 1 start on one spot; with integer coordinates their
-        # embedded distance is exactly 0, so R = D/dis needs the masked divide
+        # embedded distance is exactly 0, so R = D/d needs the non-finite fallback
         pts = np.random.default_rng(20).standard_normal((8, 3))
         if same_input:
             pts[1] = pts[0]  # their input distance is 0 too
@@ -185,15 +207,69 @@ class TestBufferedIterations:
         start[1] = start[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X, history = _smacof_single(D, 2, FixedStart(start), 40, 0.0)
-        X_aug, history_aug = allocating_augmented_smacof(D, 2, FixedStart(start), 40)
-        X_ref, history_ref = allocating_smacof(D, 2, FixedStart(start), 40)
+            X, history = smacof_one(D, start, 40)
+        X_aug, history_aug = allocating_augmented_smacof(D, start, 40)
+        X_ref, history_ref = allocating_smacof(D, start, 40)
         assert np.all(np.isfinite(X)) and np.all(np.isfinite(history))
         assert np.array_equal(X, X_aug) and history == history_aug
         assert np.all(np.diff(history) <= 1e-12)
         assert len(history) == len(history_ref)
         assert_close_to_oracle(X, history, X_ref, history_ref)
         assert np.array_equal(X[0], X[1]) == same_input
+
+
+class TestBatches:
+    @staticmethod
+    def distances(m, seed):
+        D = pairwise(np.random.default_rng(seed).standard_normal((m, 5)))
+        np.fill_diagonal(D, 0.0)
+        return D
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_each_restart_as_when_run_alone(self, tol):
+        D = self.distances(30, 21)
+        starts = np.random.default_rng(22).standard_normal((6, 30, 2))
+        together = _smacof(D, 2, starts, 200, tol)
+        lengths = set()
+        for start, (X, history) in zip(starts, together):
+            X_alone, history_alone = smacof_one(D, start, 200, tol)
+            assert np.array_equal(X, X_alone) and history == history_alone
+            lengths.add(len(history))
+        if tol:  # the restarts left the batch at different iterations
+            assert len(lengths) > 1 and max(lengths) < 200
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_batch_budget_does_not_change_the_embedding(self, monkeypatch, tol):
+        D = self.distances(25, 23)
+        runs = []
+        for budget in (1, 8 * 25 * 25 * 4, 1 << 40):  # one, three and all restarts per batch
+            monkeypatch.setattr(mds, "SMACOF_BATCH_BYTES", budget)
+            runs.append(mds_embed(D, seed=24, restarts=7, max_iter=150, tol=tol))
+        for emb in runs[1:]:
+            assert np.array_equal(emb.coords, runs[0].coords)
+            assert emb.stress_history == runs[0].stress_history
+
+    def test_working_set_is_one_m_by_m_buffer(self, monkeypatch):
+        # the SMACOF loop used to hold two m×m buffers, distances and ratios
+        m = 400
+        D = self.distances(m, 25)
+        peaks, smacof = [], mds._smacof
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = smacof(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(mds, "_smacof", traced)
+        tracemalloc.start()
+        try:
+            mds_embed(D, seed=26, restarts=2, max_iter=3)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2  # an m = 400 stack of one restart fills the budget
+        assert max(peaks) < 2 * 8 * m * m
 
 
 class TestScale:
