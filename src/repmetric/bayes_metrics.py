@@ -24,8 +24,7 @@ up, the square root of the divergence's standard error is reported
 instead and flagged as degenerate.
 
 Each side of a pair is evaluated from its standard normals, never as
-samples, by one of two exact paths (one Philox block per side either
-way):
+samples, by one of two exact paths (one stream per side either way):
 
 * Dense. The draws x = L1 z give L2⁻¹x = T z with the n×n triangular
   T = L2⁻¹L1, so
@@ -47,6 +46,13 @@ way):
 Both paths draw different normals for the same seed. Bitwise-equal
 factors (L, or U and a) give a log ratio of exactly zero.
 
+The two sides of a pair run at once, side 1 on a helper thread, and
+each draws and reduces its stream in ``seeding.BLOCK_ROWS``-row blocks
+that stack to the stream's one N-row block, so a pair holds O(block·n)
+normals whatever N is. Which thread runs a side changes no result.
+Importing this module holds numpy's OpenBLAS to one thread, so the two
+sides, not idle BLAS workers, get the cores.
+
 ``gradients``, the twin of ``estimate`` for tvd and jsd, differentiates
 the dense path's estimate w.r.t. the two covariances on its exact draws
 (common random numbers), one draw set per pair for all metrics, through
@@ -57,7 +63,9 @@ log ratio; the rest is n×n triangular algebra.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -65,12 +73,44 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernel import GaussianModel, above_rounding, solve_lower
-from .seeding import standard_normal_block
+from .seeding import standard_normal_blocks
 
 LN2 = math.log(2.0)
 EIGEN_ROUNDING = 4.0  # computed μ lie within 4·r·ε·max μ: eigvalsh backward error, M rounding
 
 BAYES_METRICS = ("tvd", "jsd", "js_distance")
+
+
+def _hold_blas_to_one_thread() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    A pair's two sides already run on two threads, and an idle OpenBLAS
+    worker spins on the core the other side needs. The library's own
+    ``*_set_num_threads*`` symbol is called, through ctypes, on each
+    OpenBLAS file in /proc/self/maps; where there is no such file (no
+    /proc, another BLAS) nothing changes. No environment variable is set,
+    so child processes start with their own defaults.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+
+
+_hold_blas_to_one_thread()
 
 
 @dataclass(frozen=True)
@@ -113,21 +153,46 @@ def _check_pair(metrics: Sequence[str], model1: GaussianModel, model2: GaussianM
         raise ValidationError("need at least 2 draws for a standard error")
 
 
-def _whitened_side(own, other, n_draws, seed, stream):
-    """Draws of P_own and the log ratio d = log p_other/p_own at each.
+def _pair_draws(n_draws, dim, seed):
+    """Each side's log-ratio vector d[s] and its normals, stream s, in row blocks.
 
-    Returns (z, T, d): the standard normals behind x = L_own z, the
-    triangular T = L_other⁻¹ L_own that maps them to L_other⁻¹ x, and d.
+    The two N-vectors are allocated here, before any draw or thread, so an
+    N that no array can hold is a ValidationError.
     """
-    z = standard_normal_block(n_draws, own.dim, seed, stream)
-    if np.array_equal(own.chol, other.chol):
-        # identical distributions: d is exactly zero, not rounding noise
-        return z, np.eye(own.dim), np.zeros(n_draws)
-    T = solve_lower(other.chol, own.chol)
-    U = z @ T.T
-    quad = np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z)
-    d = float(np.sum(np.log(np.diag(T)))) - 0.5 * quad
-    return z, T, d
+    try:
+        d = np.empty((2, n_draws))
+    except (ValueError, MemoryError):
+        # numpy cannot index (ValueError) or allocate (MemoryError) the vectors
+        raise ValidationError(f"cannot allocate {n_draws} draws of dimension {dim}") from None
+    return d, [standard_normal_blocks(n_draws, dim, seed, stream) for stream in (0, 1)]
+
+
+def _on_both_sides(side):
+    """(side(0), side(1)) at once: side 1 on a helper thread while side 0 runs here."""
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(side, 1)
+        return side(0), second.result()
+
+
+def _whitened_side(own, other, blocks, d, reduce=None):
+    """Draws of P_own and the log ratio d = log p_other/p_own at each, block by block.
+
+    Writes d[rows] for each (rows, z) of ``blocks``, the standard normals
+    behind x = L_own z, then calls ``reduce(z, d[rows])`` if given. Returns
+    the triangular T = L_other⁻¹ L_own that maps z to L_other⁻¹ x.
+    """
+    identical = np.array_equal(own.chol, other.chol)
+    T = np.eye(own.dim) if identical else solve_lower(other.chol, own.chol)
+    log_det = float(np.sum(np.log(np.diag(T))))
+    for rows, z in blocks:
+        if identical:  # d is exactly zero, not rounding noise
+            d[rows] = 0.0
+        else:
+            U = z @ T.T
+            d[rows] = log_det - 0.5 * (np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z))
+        if reduce is not None:
+            reduce(z, d[rows])
+    return T
 
 
 def _span_eigenvalues(model1, model2):
@@ -216,15 +281,22 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
         mu = _span_eigenvalues(model1, model2)
         bound = EIGEN_ROUNDING * mu.size * np.finfo(float).eps * mu[-1]
         mu = mu[np.abs(1.0 - mu) > bound] if mu[0] > bound else None  # NaN fails too
+    d, blocks = _pair_draws(n_draws, model1.dim if mu is None else mu.size, seed)
     if mu is None:
-        d1 = _whitened_side(model1, model2, n_draws, seed, stream=0)[2]
-        d2 = _whitened_side(model2, model1, n_draws, seed, stream=1)[2]
+        models = (model1, model2)
+
+        def side(s):
+            _whitened_side(models[s], models[1 - s], blocks[s], d[s])
     else:  # with no μ left, d is exactly +0
         gap = 1.0 - mu  # exact by Sterbenz for μ in [1/2, 2]
         half_log_det = 0.5 * float(np.sum(np.log1p(-gap)))
-        w1, w2 = (standard_normal_block(n_draws, mu.size, seed, side) for side in (0, 1))
-        d1 = 0.5 * np.einsum("ij,ij,j->i", w1, w1, -gap / mu) - half_log_det
-        d2 = 0.5 * np.einsum("ij,ij,j->i", w2, w2, gap) + half_log_det
+        weights, offsets = (-gap / mu, gap), (-half_log_det, half_log_det)
+
+        def side(s):
+            for rows, w in blocks[s]:
+                d[s, rows] = 0.5 * np.einsum("ij,ij,j->i", w, w, weights[s]) + offsets[s]
+    _on_both_sides(side)
+    d1, d2 = d
     out = {}
     if "tvd" in metrics:
         out["tvd"] = _estimate_from_summands(_tvd_summands(d1, d2), "tvd", n_draws, seed)
@@ -274,14 +346,14 @@ def js_distance_from_jsd(est: DistanceEstimate) -> DistanceEstimate:
 # Reparameterized gradients
 # ---------------------------------------------------------------------------
 
-def _sensitivities(metric: str, d: np.ndarray) -> np.ndarray:
-    """r_i = -dV/dd_i, how fast the estimate V falls as draw i's log ratio rises.
+def _sensitivities(metric: str, d: np.ndarray, n_draws: int) -> np.ndarray:
+    """r_i = -dV/dd_i, how fast the estimate V over n_draws falls as draw i's log ratio rises.
 
     Both summands decrease in d, so r is never negative.
     """
     if metric == "tvd":
-        return np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * d.size)
-    return np.exp(_log_mixture_fraction(d)) / (2.0 * d.size * LN2)  # p_other/(p1+p2)
+        return np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * n_draws)
+    return np.exp(_log_mixture_fraction(d)) / (2.0 * n_draws * LN2)  # p_other/(p1+p2)
 
 
 def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
@@ -302,26 +374,34 @@ def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMod
     if unknown:
         raise ValidationError(f"no gradient for metric {unknown[0]!r}")
     _check_pair(metrics, model1, model2, n_draws)
+    models = (model1, model2)
     eye = np.eye(model1.dim)
-    terms = {m: ([], []) for m in metrics}  # each model's two terms, per metric
-    for side, (own, other) in enumerate(((model1, model2), (model2, model1))):
-        z, T, d = _whitened_side(own, other, n_draws, seed, stream=side)
+    d, blocks = _pair_draws(n_draws, model1.dim, seed)
+
+    def side(s):
+        """Side s's two terms per metric: (to its own model, to the other)."""
+        G = {m: np.zeros_like(eye) for m in metrics}
+
+        def reduce(z, d_rows):
+            for m in metrics:
+                S = z * np.sqrt(_sensitivities(m, d_rows, n_draws))[:, None]
+                G[m] += S.T @ S
+
+        T = _whitened_side(models[s], models[1 - s], blocks[s], d[s], reduce)
         TtT = T.T @ T
+        terms = {}
         for m in metrics:
-            r = _sensitivities(m, d)
-            S = z * np.sqrt(r)[:, None]
-            G = S.T @ S
-            del S
-            total = float(r.sum())
-            P = np.tril(TtT @ G)
-            terms[m][side].append(0.5 * (P + np.tril(P, -1).T - total * eye))
-            terms[m][1 - side].append(0.5 * (total * eye - T @ G @ T.T))
-            del G, P
-        del z, T, TtT  # only the terms outlive a side, so the next draw adds no peak memory
-    inverses = [solve_lower(model.chol, eye) for model in (model1, model2)]
+            total = float(_sensitivities(m, d[s], n_draws).sum())
+            P = np.tril(TtT @ G[m])
+            terms[m] = (0.5 * (P + np.tril(P, -1).T - total * eye),
+                        0.5 * (total * eye - T @ G[m] @ T.T))
+        return terms, solve_lower(models[s].chol, eye)
+
+    (first, W1), (second, W2) = _on_both_sides(side)
     out = {}
-    for m, pairs in terms.items():
-        G1, G2 = (W.T @ (A + B) @ W for W, (A, B) in zip(inverses, pairs))
+    for m in metrics:
+        pairs = (first[m][0], second[m][1]), (first[m][1], second[m][0])
+        G1, G2 = (W.T @ (A + B) @ W for W, (A, B) in zip((W1, W2), pairs))
         out[m] = DistanceGradient(0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T), int(seed), m)
     return out
 

@@ -84,8 +84,10 @@ def _load_manifest_run(manifest_path, metrics, n_samples, seed):
     manifest = read_manifest(manifest_path)
     layers = harness.load_layer_kernels(manifest)
     metric_list = _parse_list(metrics, str, "--metrics")
-    n_samples = n_samples if n_samples is not None else (manifest.n_samples or 10_000)
-    seed = seed if seed is not None else (manifest.seed or 0)
+    if n_samples is None:
+        n_samples = 10_000 if manifest.n_samples is None else manifest.n_samples
+    if seed is None:
+        seed = 0 if manifest.seed is None else manifest.seed
     return manifest, layers, metric_list, n_samples, seed
 
 
@@ -115,7 +117,7 @@ def _resolve_noise(a, b, manifest, n):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="pairs computed at once; BLAS already uses every core")
+              help="pairs computed at once; each pair already runs its two sides on two threads")
 @click.option("--format", "fmt", type=click.Choice(["auto", "csv", "binary"]), default="auto")
 @click.option("--rsa-squared/--no-rsa-squared", default=True,
               help="compare squared Euclidean distances in the RSA measures")
@@ -217,7 +219,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
 @click.option("--samples", "n_samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="pairs computed at once; BLAS already uses every core")
+              help="pairs computed at once; each pair already runs its two sides on two threads")
 @click.option("--rsa-squared/--no-rsa-squared", default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,

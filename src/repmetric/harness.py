@@ -5,7 +5,8 @@ level, and subsampling stability studies. Every pair gets its own seed
 derived from the master seed and the unordered label pair, with the
 sample stream for the lexicographically smaller label fixed, so results
 are exactly symmetric and independent of execution order and thread
-count.
+count. Each pair already runs its two Monte-Carlo sides on two threads
+(``bayes_metrics.estimate``), so one pair thread keeps two cores busy.
 """
 
 from __future__ import annotations

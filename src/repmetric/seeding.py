@@ -4,7 +4,8 @@ Every stochastic computation in the package draws from a Philox
 generator keyed by a 64-bit seed plus a stream index. Derived seeds are
 stable hashes of the master seed and string/int tokens, so results do
 not depend on scheduling or iteration order. The Monte-Carlo draws all
-come from ``standard_normal_block``.
+come from ``standard_normal_blocks``, in blocks of ``BLOCK_ROWS`` rows
+that stack to the stream's one block.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
+BLOCK_ROWS = 1024  # draws per block: a side holds O(BLOCK_ROWS·dim) normals at a time
 
 
 def derive_seed(master_seed: int, *tokens) -> int:
@@ -64,14 +66,16 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal_block(n_draws: int, dim: int, seed: int, stream: int = 0) -> np.ndarray:
-    """``n_draws`` x ``dim`` standard normals, deterministic for (seed, stream)."""
+def standard_normal_blocks(n_draws: int, dim: int, seed: int, stream: int = 0):
+    """The (seed, stream) stream's ``n_draws`` x ``dim`` standard normals, in row blocks.
+
+    An iterator of (rows, z): z holds the ``BLOCK_ROWS`` draws (fewer in the
+    last block) at the slice ``rows`` of the draw index. Stacked, the blocks
+    are the one ``n_draws`` x ``dim`` block the stream gives.
+    """
     if n_draws < 1:
         raise ValidationError("need at least one draw")
-    rng = stream_generator(seed, stream)
-    try:
-        return rng.standard_normal((n_draws, dim))
-    except (ValueError, MemoryError):
-        # numpy cannot index (ValueError) or allocate (MemoryError) the block
-        raise ValidationError(
-            f"cannot allocate {n_draws} draws of dimension {dim}") from None
+    rng, rows = stream_generator(seed, stream), BLOCK_ROWS
+    return ((slice(start, min(start + rows, n_draws)),
+             rng.standard_normal((min(rows, n_draws - start), dim)))
+            for start in range(0, n_draws, rows))

@@ -3,6 +3,12 @@
 import numpy as np
 
 from repmetric.kernel import RepresentationMatrix, gram
+from repmetric.seeding import standard_normal_blocks
+
+
+def normal_block(n_draws, dim, seed, stream=0):
+    """The (seed, stream) normals that the estimators draw, stacked into one block."""
+    return np.concatenate([z for _, z in standard_normal_blocks(n_draws, dim, seed, stream)])
 
 
 def random_representation(rng, n, k, labels=None):

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,17 +13,17 @@ from oracles import (LN2, closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      grid_quad_2d, imhof_upper_tail, jsd_exact_diag,
                      predictive_pair_eigenvalues, quad_jsd_1d, quad_tvd_1d,
                      tvd_exact_diag)
-from synth import random_orthogonal, random_spd
+from synth import normal_block, random_orthogonal, random_spd
 
 from repmetric import bayes_metrics
-from repmetric.bayes_metrics import (EIGEN_ROUNDING, _span_eigenvalues, estimate, gradients,
-                                     js_distance, js_distance_from_jsd, jsd, jsd_gradient,
-                                     tvd, tvd_gradient)
+from repmetric.bayes_metrics import (BAYES_METRICS, EIGEN_ROUNDING, _span_eigenvalues, estimate,
+                                     gradients, js_distance, js_distance_from_jsd, jsd,
+                                     jsd_gradient, tvd, tvd_gradient)
 from repmetric.bayes_metrics import DistanceEstimate
 from repmetric.errors import ValidationError
 from repmetric.kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
                               predictive_covariance)
-from repmetric.seeding import standard_normal_block
+from repmetric.seeding import BLOCK_ROWS, standard_normal_blocks
 
 
 def model(C):
@@ -188,8 +191,8 @@ class TestFusedEstimate:
     def test_empty_metric_list_rejected_before_drawing(self, call):
         rng = np.random.default_rng(42)
         m1, m2 = model(random_spd(rng, 5)), model(random_spd(rng, 5))
-        with mock.patch.object(bayes_metrics, "standard_normal_block",
-                               wraps=standard_normal_block) as spy, \
+        with mock.patch.object(bayes_metrics, "standard_normal_blocks",
+                               wraps=standard_normal_blocks) as spy, \
                 pytest.raises(ValidationError, match="no metrics requested"):
             call((), m1, m2, 100, seed=0)
         assert spy.call_count == 0
@@ -205,7 +208,7 @@ def per_point(C1, C2, n_draws, seed):
     the Cholesky factor with dense inverses.
     """
     m1, m2 = model(C1), model(C2)
-    Z = [standard_normal_block(n_draws, m.dim, seed, stream) for stream, m in enumerate((m1, m2))]
+    Z = [normal_block(n_draws, m.dim, seed, stream) for stream, m in enumerate((m1, m2))]
     Y = [z @ m.chol.T for z, m in zip(Z, (m1, m2))]
 
     def log_density(m, P):
@@ -626,3 +629,75 @@ class TestPseudoMetricProperties:
                 d02 = metric_fn(ms[0], ms[2], 4000, seed=320 + trial)
                 slack = 6 * max(d01.std_error, d12.std_error, d02.std_error)
                 assert d02.value <= d01.value + d12.value + slack
+
+
+def _estimate_in_child(queue, models, n_draws, seed):
+    queue.put(estimate(("tvd", "jsd"), *models, n_draws, seed))
+
+
+class TestBothSidesAtOnce:
+    """A pair's two sides run at once, side 1 on a helper thread, in row blocks."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(90)
+        dense = model(random_spd(rng, 6)), model(random_spd(rng, 6))
+        span = tuple(model_from_X(rng.standard_normal((40, 4)), a=0.3) for _ in range(2))
+        assert span[0].U is not None and span[1].U is not None
+        return {"dense": dense, "span": span}
+
+    @pytest.mark.parametrize("path", ["dense", "span"])
+    def test_threaded_equals_inline(self, path):
+        m1, m2 = self.pairs()[path]
+        n_draws = 2 * BLOCK_ROWS + 37  # three blocks, the last one short
+        threaded_est = estimate(BAYES_METRICS, m1, m2, n_draws, 5)
+        threaded_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
+        with mock.patch.object(bayes_metrics, "_on_both_sides",
+                               lambda side: (side(0), side(1))):
+            assert estimate(BAYES_METRICS, m1, m2, n_draws, 5) == threaded_est
+            inline_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
+        for metric, grad in threaded_grad.items():
+            assert np.array_equal(grad.d_cov1, inline_grad[metric].d_cov1)
+            assert np.array_equal(grad.d_cov2, inline_grad[metric].d_cov2)
+
+    def test_side_one_runs_on_another_thread(self):
+        m1, m2 = self.pairs()["dense"]
+        threads = []
+        real = bayes_metrics._whitened_side
+
+        def record(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        with mock.patch.object(bayes_metrics, "_whitened_side", side_effect=record):
+            estimate(("jsd",), m1, m2, 500, 5)
+        assert len(set(threads)) == 2
+
+    def test_fork_child_after_parent_estimate(self):
+        # the helper thread and BLAS state must not hang a child forked after a call
+        models = self.pairs()["dense"]
+        want = estimate(("tvd", "jsd"), *models, 3000, 8)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_estimate_in_child, args=(queue, models, 3000, 8))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+            child.join(timeout=60)
+            assert not child.is_alive()
+        finally:
+            child.kill()
+        assert got == want
+
+    def test_dense_memory_stays_within_blocks(self):
+        rng = np.random.default_rng(91)
+        n, n_draws = 300, 100_000
+        m1, m2 = model(random_spd(rng, n)), model(random_spd(rng, n))
+        tracemalloc.start()
+        try:
+            estimate(("tvd", "jsd"), m1, m2, n_draws, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few n-wide blocks per side and a few N-vectors; one N×n block is 240 MB
+        assert peak < 8 * (6 * BLOCK_ROWS * n + 16 * n_draws)

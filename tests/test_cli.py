@@ -356,6 +356,8 @@ class TestSingleLineValidationErrors:
         (["compare", "--manifest", "{manifest}", "--metrics", "cka"], {"b": [0.01]}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"n_samples": "many"}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--a", "0.5"],
+         {"n_samples": 0}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"entries": 5}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
@@ -403,6 +405,7 @@ class TestSingleLineValidationErrors:
           "--noise-kind", "variance", "--noise-values", "nan", "--samples", "100"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
+            "manifest-n_samples-zero",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",
@@ -527,6 +530,28 @@ class TestSingleBlas:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"
+
+
+    def test_import_holds_openblas_to_one_thread(self):
+        # an idle OpenBLAS worker would spin on the core a pair's second side needs
+        import repmetric
+        src = str(Path(repmetric.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import ctypes, repmetric\n"
+                "paths = sorted({line.split()[-1] for line in open('/proc/self/maps')\n"
+                "                if 'openblas' in line.split()[-1].rsplit('/', 1)[-1]})\n"
+                "for path in paths:\n"
+                "    lib = ctypes.CDLL(path)\n"
+                "    for name in ('openblas_get_num_threads', 'openblas_get_num_threads64_',\n"
+                "                 'scipy_openblas_get_num_threads',\n"
+                "                 'scipy_openblas_get_num_threads64_'):\n"
+                "        if hasattr(lib, name):\n"
+                "            print(getattr(lib, name)())\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        if not out.stdout.split():
+            pytest.skip("numpy loads no OpenBLAS here")
+        assert set(out.stdout.split()) == {"1"}
 
 
 class TestHelp:

@@ -119,12 +119,12 @@ class TestStationaryAtEquality:
         rng = np.random.default_rng(80)
         C = random_spd(rng, 3)
         model = GaussianModel.from_covariance(C)
-        real = bm.standard_normal_block
+        real = bm.standard_normal_blocks
 
         def shared(n, dim, seed, stream=0):
             return real(n, dim, seed, stream=0)
 
-        with mock.patch.object(bm, "standard_normal_block", side_effect=shared):
+        with mock.patch.object(bm, "standard_normal_blocks", side_effect=shared):
             grad = gradients(("jsd",), model, model, 2000, seed=5)["jsd"]
         assert np.abs(grad.d_cov1).max() < 1e-14
         assert np.abs(grad.d_cov2).max() < 1e-14
@@ -167,8 +167,8 @@ class TestGradientsCall:
         rng = np.random.default_rng(83)
         m1 = GaussianModel.from_covariance(random_spd(rng, 4))
         m2 = GaussianModel.from_covariance(random_spd(rng, 4))
-        with mock.patch.object(bm, "standard_normal_block",
-                               wraps=bm.standard_normal_block) as draws:
+        with mock.patch.object(bm, "standard_normal_blocks",
+                               wraps=bm.standard_normal_blocks) as draws:
             gradients(("jsd", "tvd"), m1, m2, 500, 3)
         assert [c.args[3] for c in draws.call_args_list] == [0, 1]  # the streams
 
@@ -189,7 +189,7 @@ class TestGradientsCall:
                              ids=["js_distance", "cka", "jsd-cka"])
     def test_unknown_metric_rejected_before_drawing(self, metrics):
         model = GaussianModel.from_covariance(np.eye(3))
-        with mock.patch.object(bm, "standard_normal_block") as draws:
+        with mock.patch.object(bm, "standard_normal_blocks") as draws:
             with pytest.raises(ValidationError, match="no gradient for metric"):
                 gradients(metrics, model, model, 100, 0)
         draws.assert_not_called()

@@ -196,8 +196,8 @@ class TestPairwiseMatrix:
     def test_bayes_metrics_share_one_draw_set_per_pair(self):
         rng = np.random.default_rng(20)
         layers = kernels_same_stimuli(rng, 8, 4, 3)
-        with mock.patch.object(bayes_metrics, "standard_normal_block",
-                               wraps=bayes_metrics.standard_normal_block) as spy:
+        with mock.patch.object(bayes_metrics, "standard_normal_blocks",
+                               wraps=bayes_metrics.standard_normal_blocks) as spy:
             pairwise_matrix(layers, ["jsd", "tvd", "js_distance"], a=0.5,
                             n_samples=200, seed=21)
         assert spy.call_count == 2 * 3  # one draw per model, three pairs

@@ -1,6 +1,6 @@
 """Draws and densities of the zero-mean Gaussian model.
 
-The program draws only z blocks (``standard_normal_block``) and maps them
+The program draws only z blocks (``standard_normal_blocks``) and maps them
 to x = L z in whitened form, so the sampling tests check the z block and
 that map. It evaluates log densities only as the whitened per-draw ratio
 of ``bayes_metrics``; ``log_density`` below recovers log p(x) from that
@@ -8,25 +8,23 @@ ratio against the standard normal, so the density tests check the
 estimators' own arithmetic.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from oracles import dense_logpdf
-from synth import random_spd
+from synth import normal_block, random_spd
 
 from repmetric import bayes_metrics
 from repmetric.errors import ValidationError
 from repmetric.kernel import GaussianModel, KernelMatrix, predictive_covariance
-from repmetric.seeding import derive_seed, standard_normal_block
+from repmetric.seeding import BLOCK_ROWS, derive_seed, standard_normal_blocks, stream_generator
 
 LOG_2PI = np.log(2 * np.pi)
 
 
 def draws(model, n_draws, seed, stream=0):
     """x = L z for the z block of (seed, stream)."""
-    return standard_normal_block(n_draws, model.dim, seed, stream) @ model.chol.T
+    return normal_block(n_draws, model.dim, seed, stream) @ model.chol.T
 
 
 def log_density(model, points):
@@ -36,15 +34,15 @@ def log_density(model, points):
     """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     standard = GaussianModel.from_covariance(np.eye(model.dim))
-    with mock.patch.object(bayes_metrics, "standard_normal_block", lambda *args: P):
-        d = bayes_metrics._whitened_side(standard, model, len(P), 0, 0)[2]
+    d = np.empty(len(P))
+    bayes_metrics._whitened_side(standard, model, [(slice(None), P)], d)
     return d - 0.5 * (model.dim * LOG_2PI + np.einsum("ij,ij->i", P, P))
 
 
 class TestSampling:
     def test_identity_covariance_statistics(self):
         N = 100_000
-        Z = standard_normal_block(N, 3, seed=123)
+        Z = normal_block(N, 3, seed=123)
         emp = Z.T @ Z / N
         # per-entry sampling SE of the empirical covariance
         se = np.sqrt((np.ones((3, 3)) + np.eye(3)) / N)
@@ -61,29 +59,41 @@ class TestSampling:
         assert np.all(np.abs(emp - C) < 5 * se)
 
     def test_deterministic(self):
-        z1 = standard_normal_block(50, 2, seed=7)
-        z2 = standard_normal_block(50, 2, seed=7)
+        z1 = normal_block(50, 2, seed=7)
+        z2 = normal_block(50, 2, seed=7)
         assert np.array_equal(z1, z2)
 
     def test_streams_differ(self):
-        z0 = standard_normal_block(50, 2, seed=7, stream=0)
-        z1 = standard_normal_block(50, 2, seed=7, stream=1)
+        z0 = normal_block(50, 2, seed=7, stream=0)
+        z1 = normal_block(50, 2, seed=7, stream=1)
         assert not np.array_equal(z0, z1)
 
     def test_scalar_unit_factor_passthrough(self):
         model = GaussianModel.from_covariance([[1.0]])
-        assert np.array_equal(draws(model, 1, seed=5), standard_normal_block(1, 1, seed=5))
+        assert np.array_equal(draws(model, 1, seed=5), normal_block(1, 1, seed=5))
+
+    @pytest.mark.parametrize("dim", [1, 25, 300])
+    def test_row_blocks_are_one_block(self, dim):
+        n_draws = 2 * BLOCK_ROWS + 37
+        blocks = list(standard_normal_blocks(n_draws, dim, seed=9, stream=1))
+        assert [rows for rows, _ in blocks] == [
+            slice(0, BLOCK_ROWS), slice(BLOCK_ROWS, 2 * BLOCK_ROWS), slice(2 * BLOCK_ROWS, n_draws)]
+        one = stream_generator(9, 1).standard_normal((n_draws, dim))
+        assert np.array_equal(np.concatenate([z for _, z in blocks]), one)
 
     def test_draw_count_validated(self):
         with pytest.raises(ValidationError):
-            standard_normal_block(0, 1, seed=1)
+            standard_normal_blocks(0, 1, seed=1)
 
     @pytest.mark.parametrize("n_draws", [10**30, 10**18])
     def test_unallocatable_block_is_validation_error(self, n_draws):
-        # 10**30 overflows numpy's shape (ValueError); 10**18 float64s are
-        # 8 EB, refused by the allocator (MemoryError) before any is written
-        with pytest.raises(ValidationError, match=f"cannot allocate {n_draws} draws of dimension 1"):
-            standard_normal_block(n_draws, 1, seed=1)
+        # the two sides' log-ratio N-vectors are sized before any draw:
+        # 10**30 overflows numpy's shape, 2·10**18 float64s its byte count
+        model = GaussianModel.from_covariance([[2.0]])
+        for call in (bayes_metrics.estimate, bayes_metrics.gradients):
+            with pytest.raises(ValidationError,
+                               match=f"cannot allocate {n_draws} draws of dimension 1"):
+                call(("jsd",), model, model, n_draws, seed=1)
 
     @pytest.mark.parametrize("token", [1.5, None, b"x"])
     def test_seed_tokens_are_strings_or_integers(self, token):
