@@ -1,7 +1,7 @@
-"""Deterministic seed derivation and counter-based random streams.
+"""Deterministic seed derivation and independent random streams.
 
-Every stochastic computation in the package draws from a Philox
-generator keyed by a 64-bit seed plus a stream index. Derived seeds are
+Every stochastic computation in the package draws from an SFC64
+generator seeded by a 64-bit seed plus a stream index. Derived seeds are
 stable hashes of the master seed and string/int tokens, so results do
 not depend on scheduling or iteration order. The Monte-Carlo draws all
 come from ``standard_normal_blocks``, in blocks of ``BLOCK_ROWS`` rows
@@ -56,14 +56,15 @@ def pair_seed(master_seed: int, label_a: str, label_b: str) -> int:
 
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based standard-normal stream for (seed, stream index).
+    """Standard-normal stream for (seed, stream index): SFC64 on a SeedSequence.
 
-    Streams with distinct (seed, stream) pairs are statistically
-    independent; the same pair always reproduces the same draws within
-    one build of numpy.
+    The seed is the entropy and the stream index the spawn key, so streams
+    with distinct (seed, stream) pairs are statistically independent; the
+    same pair always reproduces the same draws within one build of numpy.
+    Both are taken modulo 2**64.
     """
-    key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    sequence = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(stream) & _MASK64,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def standard_normal_blocks(n_draws: int, dim: int, seed: int, stream: int = 0):
