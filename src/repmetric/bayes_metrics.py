@@ -93,8 +93,8 @@ def _hold_blas_to_one_thread() -> None:
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            paths = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
-                     if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]}
+            # only the path field can hold the name, so such a line has all six fields
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in maps if "openblas" in line}
     except OSError:
         return
     for path in sorted(paths):
