@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, harness, mds
 from .bayes_metrics import BAYES_METRICS
 from .errors import RepmetricError, ValidationError
-from .kernel import KernelMatrix, RepresentationMatrix, gram
+from .kernel import RepresentationMatrix, gram
 from .matrix_io import MatrixKind, format_value, read_manifest, read_matrix, write_matrix
 
 CSV_SIZE_LIMIT = 200  # matrices up to this order default to CSV output
@@ -173,15 +173,8 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
 def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
               n_samples, seed, out_dir):
     """Distance grid over stimulus counts and noise levels for two pooled kernels."""
-    pools = []
-    for path in (kernel1, kernel2):
-        loaded = read_matrix(path, MatrixKind.KERNEL)
-        try:
-            pools.append(KernelMatrix.from_array(loaded.values, loaded.labels))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        del loaded  # the pool holds its own symmetrized copy
-    pool1, pool2 = pools
+    pool1, pool2 = (harness.load_kernel(path, MatrixKind.KERNEL, str(path))
+                    for path in (kernel1, kernel2))
     ns = _parse_list(n_values, int, "--n-values")
     noises = _parse_list(noise_values, float, "--noise-values")
     metric_list = _parse_list(metrics, str, "--metrics")

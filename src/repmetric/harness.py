@@ -55,24 +55,23 @@ class DistanceMatrix:
     holes: tuple[tuple[str, str, str], ...] = ()
 
 
+def load_kernel(path, kind: MatrixKind, what: str) -> KernelMatrix:
+    """A representation (grammed) or kernel file as a kernel; errors past the read name ``what``."""
+    if kind is MatrixKind.DISTANCE:
+        raise ValidationError(f"{what}: distance matrices cannot be compared")
+    loaded = read_matrix(path, kind)
+    try:
+        if kind is MatrixKind.REPRESENTATION:
+            return gram(RepresentationMatrix.from_array(loaded.values, loaded.labels))
+        return KernelMatrix.from_array(loaded.values, loaded.labels)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
 def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]]:
     """Load every manifest entry as a kernel, gramming representations."""
-    layers = []
-    for entry in manifest.entries:
-        loaded = read_matrix(manifest.resolve(entry), entry.kind)
-        if entry.kind is MatrixKind.DISTANCE:
-            raise ValidationError(
-                f"manifest entry {entry.name!r}: distance matrices cannot be compared"
-            )
-        try:
-            if entry.kind is MatrixKind.REPRESENTATION:
-                kern = gram(RepresentationMatrix.from_array(loaded.values, loaded.labels))
-            else:
-                kern = KernelMatrix.from_array(loaded.values, loaded.labels)
-        except ValidationError as exc:
-            raise ValidationError(f"layer {entry.name!r}: {exc}") from None
-        layers.append((entry.name, kern))
-    return layers
+    return [(e.name, load_kernel(manifest.resolve(e), e.kind, f"layer {e.name!r}"))
+            for e in manifest.entries]
 
 
 def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
@@ -290,6 +289,13 @@ def _sweep_cell(k1, k2, a, metrics, n_samples, seed):
     return bayes_metrics.estimate(metrics, m1, m2, n_samples, ps)
 
 
+def _median(values) -> float:
+    """np.median's value, without the numpy.ma import that np.median costs."""
+    v = np.sort(values)
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Spread of pairwise distances across random stimulus subsets."""
@@ -350,7 +356,7 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
 
     per_pair_sd = {
         m: {p: float(np.std(v, ddof=1)) for p, v in collected[m].items()} for m in metrics}
-    median_sd = {m: float(np.median(list(per_pair_sd[m].values()))) for m in metrics}
+    median_sd = {m: _median(list(per_pair_sd[m].values())) for m in metrics}
     max_sd = {m: float(np.max(list(per_pair_sd[m].values()))) for m in metrics}
     values = {m: {p: tuple(v) for p, v in collected[m].items()} for m in metrics}
     return StabilityReport(

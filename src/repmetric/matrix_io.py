@@ -10,12 +10,12 @@ Two on-disk formats are supported, selected by file extension:
       bytes 9..12  n_cols, unsigned 32-bit little-endian
       bytes 13..   payload, row-major IEEE-754 float64 little-endian
 
-* CSV (``.csv``): comma-separated values rendered with 17 significant
-  digits, which round-trips every finite double exactly. No header row
-  by default; kernel and distance files may carry an optional first row
-  with stimulus labels. The first row is read as labels when it does not
-  parse as numbers or, for kernel and distance files, when the file has
-  exactly one more row than columns, so numeric labels round-trip too.
+* CSV (``.csv``): UTF-8 text written by ``np.savetxt`` with 17 significant
+  digits, so every finite double round-trips exactly, and read by
+  ``np.loadtxt``, which rejects ``_`` separators, non-ASCII digits and empty
+  cells; ``#`` is not a comment. Kernel and distance files may carry a first
+  row of labels. It is read as labels when it does not parse as numbers or,
+  for kernel and distance files, when the file has one more row than columns.
 
 Values must be finite; kernel and distance matrices must be square and
 distance entries nonnegative. Binary files do not store labels, so
@@ -156,15 +156,18 @@ def _read_text(path: Path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
+def _parse_rows(lines: Sequence[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
+
+
 def _read_csv(path: Path, kind: MatrixKind):
-    text = _read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty CSV file")
     labels = None
     first = lines[0].split(",")
     try:
-        [float(tok) for tok in first]
+        _parse_rows(lines[:1])
         # numeric labels: the row is a header when it leaves a square matrix
         is_header = (kind in (MatrixKind.KERNEL, MatrixKind.DISTANCE)
                      and len(lines) == len(first) + 1)
@@ -175,19 +178,15 @@ def _read_csv(path: Path, kind: MatrixKind):
         lines = lines[1:]
         if not lines:
             raise ValidationError(f"{path}: CSV has a header but no data rows")
-    rows = []
-    width = None
+    width = lines[0].count(",") + 1
     for i, ln in enumerate(lines):
-        toks = ln.split(",")
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise ValidationError(f"{path}: row {i} has {len(toks)} columns, expected {width}")
-        try:
-            rows.append([float(tok) for tok in toks])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {i}: {exc}") from None
-    return np.array(rows, dtype=np.float64), labels
+        if ln.count(",") + 1 != width:
+            raise ValidationError(
+                f"{path}: row {i} has {ln.count(',') + 1} columns, expected {width}")
+    try:
+        return _parse_rows(lines), labels
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_matrix(values, path, kind, labels: Optional[Sequence[str]] = None) -> None:
@@ -216,9 +215,11 @@ def _write_binary(path: Path, values: np.ndarray, kind: MatrixKind) -> None:
     path.write_bytes(header + payload)
 
 
+CSV_FORMAT = "%.17g"  # 17 significant digits: any finite double round-trips exactly
+
+
 def format_value(x: float) -> str:
-    """17 significant digits: any finite double round-trips exactly."""
-    return f"{x:.17g}"
+    return CSV_FORMAT % x
 
 
 def _check_label(label: str, what: str) -> None:
@@ -231,14 +232,10 @@ def _check_label(label: str, what: str) -> None:
 
 
 def _write_csv(path: Path, values: np.ndarray, labels: Optional[Sequence[str]]) -> None:
-    out = []
-    if labels is not None:
-        for lab in labels:
-            _check_label(lab, "label")
-        out.append(",".join(labels))
-    for row in values:
-        out.append(",".join(format_value(x) for x in row))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    for lab in labels or ():
+        _check_label(lab, "label")
+    np.savetxt(path, values, fmt=CSV_FORMAT, delimiter=",",
+               header=",".join(labels or ()), comments="", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -297,8 +294,10 @@ def read_manifest(path) -> LayerManifest:
     for key, cast in (("seed", int), ("a", float), ("b", float), ("n_samples", int)):
         value = doc.get(key)
         try:
+            if type(value) not in (type(None), int, cast):  # JSON numbers, not bools or strings
+                raise TypeError
             defaults[key] = None if value is None else cast(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise ValidationError(f"{path}: manifest {key!r} is not a number: {value!r}") from None
     return LayerManifest(entries=tuple(entries), base_dir=path.parent, **defaults)
 

@@ -359,6 +359,13 @@ class TestSingleLineValidationErrors:
         (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--a", "0.5"],
          {"n_samples": 0}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"seed": 1.7}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
+         {"seed": True}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "jsd", "--a", "0.5"],
+         {"n_samples": 2.9}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka"], {"a": True}),
+        (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"entries": 5}),
         (["compare", "--manifest", "{manifest}", "--metrics", "cka", "--a", "0.5"],
          {"entries": [{"name": [1], "path": "layer0.csv", "kind": "kernel"}]}),
@@ -405,7 +412,8 @@ class TestSingleLineValidationErrors:
           "--noise-kind", "variance", "--noise-values", "nan", "--samples", "100"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
-            "manifest-n_samples-zero",
+            "manifest-n_samples-zero", "manifest-seed-float", "manifest-seed-bool",
+            "manifest-n_samples-float", "manifest-a-bool",
             "manifest-entries", "manifest-name", "compare-samples", "stability-samples",
             "sweep-samples", "embed-max-iter", "sweep-metrics", "compare-samples-skip",
             "compare-one-sample-skip", "manifest-name-newline", "manifest-directory",

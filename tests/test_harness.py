@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -298,6 +302,23 @@ class TestManifestLoading:
         with pytest.raises(ValidationError, match="distance"):
             load_layer_kernels(manifest)
 
+    def test_distance_entry_rejected_before_its_file_is_read(self, tmp_path):
+        manifest = LayerManifest(entries=(
+            ManifestEntry("d", "absent.rmx", MatrixKind.DISTANCE),), base_dir=tmp_path)
+        with pytest.raises(ValidationError,
+                           match="^layer 'd': distance matrices cannot be compared$"):
+            load_layer_kernels(manifest)
+
+    @pytest.mark.parametrize("kind", [MatrixKind.REPRESENTATION, MatrixKind.KERNEL])
+    def test_errors_after_the_read_name_what_was_loaded(self, tmp_path, kind):
+        path = tmp_path / "big.csv"
+        write_matrix(np.full((2, 2), 1e308), path, kind)
+        with pytest.raises(ValidationError, match="^layer 'x': .*overflow"):
+            harness.load_kernel(path, kind, "layer 'x'")
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(ValidationError, match=f"^{absent}: no such file$"):
+            harness.load_kernel(absent, kind, "layer 'x'")
+
 
 class TestSnrSweep:
     def test_pure_noise_limit(self):
@@ -421,6 +442,27 @@ class TestLowRankWorkOncePerKernel:
 
 
 class TestStabilityStudy:
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_median_bitwise_equals_numpy(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.random(size), rng.standard_normal(size) * 1e300):
+            got = np.float64(harness._median(list(values)))
+            assert got.tobytes() == np.median(values).tobytes()
+
+    def test_numpy_ma_never_imported(self):
+        # np.unique and np.median import numpy.ma, which costs every stability run
+        code = ("import sys, numpy as np\n"
+                "from repmetric import KernelMatrix, stability_study\n"
+                "X = np.random.default_rng(0).standard_normal((3, 30, 4))\n"
+                "layers = [(f'l{i}', KernelMatrix.from_array(x @ x.T)) for i, x in enumerate(X)]\n"
+                "stability_study(layers, 8, 3, ['jsd', 'tvd', 'cka'], 0.01, 200, 0)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_reproducible(self):
         rng = np.random.default_rng(14)
         layers = kernels_same_stimuli(rng, 40, 6, 3)

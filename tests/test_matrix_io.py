@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 from unittest import mock
 
@@ -84,6 +86,78 @@ class TestCsvRoundTrip:
         write_matrix(m, path, MatrixKind.REPRESENTATION)
         loaded = read_matrix(path, MatrixKind.REPRESENTATION)
         assert loaded.values.tobytes() == m.tobytes()
+
+
+class TestNumpyTextFormat:
+    """CSV cells go through np.loadtxt and np.savetxt, labels are UTF-8."""
+
+    EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                      np.finfo(float).max, -np.finfo(float).max, 0.1, -1.0 / 3.0])
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_edge_doubles_round_trip_bitwise(self, tmp_path, kind):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((10, 10)) * 10.0 ** rng.integers(-300, 300, (10, 10))
+        m.flat[rng.permutation(100)[:self.EDGES.size]] = self.EDGES
+        if kind is MatrixKind.DISTANCE:
+            m = np.abs(m)
+        labels = ["层1"] + [f"s{i}" for i in range(1, 10)]
+        loaded = roundtrip(tmp_path, m, kind, ".csv", labels=labels)
+        assert loaded.values.tobytes() == m.tobytes()
+        if kind is MatrixKind.REPRESENTATION:  # representation CSVs carry no label row
+            assert loaded.labels == tuple(f"s{i}" for i in range(10))
+        else:
+            assert loaded.labels == tuple(labels)
+            assert (tmp_path / "m.csv").read_bytes().startswith("层1,s1,".encode("utf-8"))
+
+    def test_parses_as_python_float_does(self, tmp_path):
+        # reference: the per-cell float() loop this reader replaced
+        rng = np.random.default_rng(13)
+        cells = [f"{rng.choice(['', '-', '+'])}{rng.integers(0, 10 ** 9)}"
+                 f".{rng.integers(0, 10 ** 18):0{rng.integers(1, 19)}d}e{rng.integers(-340, 299)}"
+                 for _ in range(600)] + [repr(float(x)) for x in rng.standard_normal(600)]
+        rows = [cells[i:i + 40] for i in range(0, len(cells), 40)]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        expected = np.array([[float(c) for c in r] for r in rows])
+        assert read_matrix(path, MatrixKind.REPRESENTATION).values.tobytes() == expected.tobytes()
+
+    def test_writes_17_significant_digits(self, tmp_path):
+        write_matrix(np.array([[0.1, -0.0], [1e300, 5e-324]]), tmp_path / "d.csv",
+                     MatrixKind.DISTANCE, labels=["a", "b"])
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"a,b\n0.10000000000000001,-0\n1.0000000000000001e+300,4.9406564584124654e-324\n")
+
+    def test_accepted_syntax(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b" 1 ,\t+1\t, 1e5\r\n\r\n  \n.5,-2.5E-1,  3.\r\n\n")
+        loaded = read_matrix(path, MatrixKind.REPRESENTATION)
+        assert loaded.values.tobytes() == np.array([[1.0, 1.0, 1e5],
+                                                    [0.5, -0.25, 3.0]]).tobytes()
+
+    @pytest.mark.parametrize("row, match", [
+        ("1_0,2", "could not convert string '1_0' to float64 at row 1, column 1"),
+        ("\uff11,2", "could not convert string '\uff11' to float64 at row 1, column 1"),
+        ("1,#2", "could not convert string '#2' to float64 at row 1, column 2"),
+        ("1,2,", "row 1 has 3 columns, expected 2"),
+        ("1,", "could not convert string '' to float64 at row 1, column 2"),
+        ("1", "row 1 has 1 columns, expected 2"),
+    ], ids=["underscore", "full-width-digit", "hash", "trailing-comma", "empty-cell",
+            "ragged"])
+    def test_rejected_syntax_one_line_naming_the_path(self, tmp_path, row, match):
+        path = tmp_path / "m.csv"
+        path.write_text(f"3,4\n{row}\n5,6\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(match)) as info:
+            read_matrix(path, MatrixKind.REPRESENTATION)
+        assert str(info.value).startswith(f"{path}: ")
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_trailing_comma_on_every_row_is_an_empty_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,\n3,4,\n")
+        with pytest.raises(ValidationError,
+                           match="could not convert string '' to float64 at row 0, column 3"):
+            read_matrix(path, MatrixKind.REPRESENTATION)
 
 
 class TestValidation:
@@ -186,7 +260,8 @@ class TestValidation:
         ("m.rmx", struct.pack("<4sBII", MAGIC, 9, 1, 1) + bytes(8), MatrixKind.KERNEL,
          "unknown kind code 9"),
         ("m.csv", "x,y\n", MatrixKind.KERNEL, "header but no data rows"),
-        ("m.csv", "1,2\n3,x\n", MatrixKind.REPRESENTATION, "row 1: could not convert"),
+        ("m.csv", "1,2\n3,x\n", MatrixKind.REPRESENTATION,
+         r"m\.csv: could not convert string 'x' to float64 at row 1, column 2\.$"),
     ], ids=["kind-string", "header-width", "kind-code", "header-only", "non-numeric-cell"])
     def test_malformed_file_rejected(self, tmp_path, name, content, kind, match):
         path = tmp_path / name
@@ -271,6 +346,24 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValidationError, match="no such manifest"):
             read_manifest(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.7), ("seed", True), ("seed", "12"), ("n_samples", 2.9),
+        ("n_samples", False), ("a", True), ("b", "0.01"), ("a", 10 ** 400),
+    ])
+    def test_defaults_must_be_json_numbers(self, tmp_path, key, value):
+        doc = {"entries": [{"name": "a", "path": "x", "kind": "kernel"}], key: value}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"manifest {key!r} is not a number: {value!r}")):
+            read_manifest(tmp_path / "m.json")
+
+    def test_integer_a_and_b_read_as_floats(self, tmp_path):
+        for key in ("a", "b"):
+            doc = {"entries": [{"name": "a", "path": "x", "kind": "kernel"}], key: 1}
+            (tmp_path / "m.json").write_text(json.dumps(doc))
+            value = getattr(read_manifest(tmp_path / "m.json"), key)
+            assert type(value) is float and value == 1.0
 
     @pytest.mark.parametrize("entry", ['{"name": "a", "path": "x"}', '"a"'],
                              ids=["missing-key", "not-an-object"])
