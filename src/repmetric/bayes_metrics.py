@@ -50,8 +50,9 @@ The two sides of a pair run at once, side 1 on a helper thread, and
 each draws and reduces its stream in ``seeding.BLOCK_ROWS``-row blocks
 that stack to the stream's one N-row block, so a pair holds O(block·n)
 normals whatever N is. Which thread runs a side changes no result.
-Importing this module holds numpy's OpenBLAS to one thread, so the two
-sides, not idle BLAS workers, get the cores.
+This helper is the program's one concurrency mechanism: pairs run one
+at a time. Importing this module holds numpy's OpenBLAS to one thread,
+so the two sides, not idle BLAS workers, get the cores.
 
 ``gradients``, the twin of ``estimate`` for tvd and jsd, differentiates
 the dense path's estimate w.r.t. the two covariances on its exact draws
@@ -84,7 +85,7 @@ BAYES_METRICS = ("tvd", "jsd", "js_distance")
 def _hold_blas_to_one_thread() -> None:
     """Set every OpenBLAS mapped into this process to one thread.
 
-    A pair's two sides already run on two threads, and an idle OpenBLAS
+    A pair's two sides run on two threads, and an idle OpenBLAS
     worker spins on the core the other side needs. The library's own
     ``*_set_num_threads*`` symbol is called, through ctypes, on each
     OpenBLAS file in /proc/self/maps; where there is no such file (no

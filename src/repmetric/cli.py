@@ -116,14 +116,12 @@ def _resolve_noise(a, b, manifest, n):
 @click.option("--samples", "n_samples", type=int, default=None, help="Monte-Carlo draws per pair")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="pairs computed at once; each pair already runs its two sides on two threads")
 @click.option("--format", "fmt", type=click.Choice(["auto", "csv", "binary"]), default="auto")
 @click.option("--rsa-squared/--no-rsa-squared", default=True,
               help="compare squared Euclidean distances in the RSA measures")
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort")
-def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
-                fmt, rsa_squared, on_error):
+def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
+                rsa_squared, on_error):
     """Pairwise distance matrices over the layers of a manifest."""
     manifest, layers, metric_list, n_samples, seed = _load_manifest_run(
         manifest_path, metrics, n_samples, seed)
@@ -131,8 +129,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
     a, used_b = _resolve_noise(a, b, manifest, n)
 
     matrices = harness.pairwise_matrix(
-        layers, metric_list, a, n_samples, seed,
-        threads=threads, rsa_squared=rsa_squared, on_error=on_error)
+        layers, metric_list, a, n_samples, seed, rsa_squared=rsa_squared, on_error=on_error)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, holes = {}, {}
@@ -153,7 +150,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, threads,
         "command": "compare", "manifest": str(manifest_path),
         "labels": [name for name, _ in layers], "metrics": metric_list,
         "a": a, "b": used_b, "n_samples": n_samples, "seed": seed,
-        "threads": threads, "rsa_squared": rsa_squared, "on_error": on_error,
+        "rsa_squared": rsa_squared, "on_error": on_error,
         "format": fmt, "n_stimuli": n, "outputs": outputs, "holes": holes,
         "pair_seed_scheme": "blake2b(master_seed, 'pair', sorted labels)"})
 
@@ -211,12 +208,12 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
               help=f"[default: manifest b, else {harness.DEFAULT_B}]")
 @click.option("--samples", "n_samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="pairs computed at once; each pair already runs its two sides on two threads")
+# accepted as 1 only, for callers that still pass it; pairs run one at a time
+@click.option("--threads", type=click.IntRange(1, 1), hidden=True, expose_value=False)
 @click.option("--rsa-squared/--no-rsa-squared", default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
-                  threads, rsa_squared, out_dir):
+                  rsa_squared, out_dir):
     """Stability of pairwise distances across random image subsets."""
     if repeats < 2:
         raise click.UsageError("--repeats must be >= 2")
@@ -228,8 +225,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     if not sizes:
         raise ValidationError("--n-images lists no subset size")
 
-    reports = [harness.stability_study(layers, n, repeats, metric_list, b,
-                                       n_samples, seed, threads=threads,
+    reports = [harness.stability_study(layers, n, repeats, metric_list, b, n_samples, seed,
                                        rsa_squared=rsa_squared)
                for n in sizes]
 
@@ -252,8 +248,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
         "command": "stability", "manifest": str(manifest_path),
         "labels": [name for name, _ in layers], "n_images": sizes,
         "repeats": repeats, "metrics": metric_list, "b": b,
-        "n_samples": n_samples, "seed": seed, "threads": threads,
-        "rsa_squared": rsa_squared,
+        "n_samples": n_samples, "seed": seed, "rsa_squared": rsa_squared,
         "outputs": {"pairs": "stability_pairs.csv", "summary": "stability_summary.csv"}})
 
 

@@ -4,14 +4,11 @@ Pairwise distance matrices, grid sweeps over stimulus count and noise
 level, and subsampling stability studies. Every pair gets its own seed
 derived from the master seed and the unordered label pair, with the
 sample stream for the lexicographically smaller label fixed, so results
-are exactly symmetric and independent of execution order and thread
-count. Each pair already runs its two Monte-Carlo sides on two threads
-(``bayes_metrics.estimate``), so one pair thread keeps two cores busy.
+are exactly symmetric and independent of pair order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,8 +97,7 @@ def _split_metrics(metrics: Sequence[str]):
 
 
 def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequence[str],
-                    a: float, n_samples: int, seed: int, threads: int = 1,
-                    rsa_squared: bool = True,
+                    a: float, n_samples: int, seed: int, rsa_squared: bool = True,
                     on_error: str = "abort") -> dict[str, DistanceMatrix]:
     """Distance matrices over all unordered layer pairs, one per metric.
 
@@ -111,7 +107,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     ``layer 'name': ``. ``on_error='abort'`` raises the first; ``'skip'``
     makes it a hole (NaN and the reason) in each of the layer's pairs, the
     pair's first label winning. A ValidationError aborts in both modes.
-    ``threads > 1`` runs pairs on a thread pool with identical results.
+    Pairs run one at a time.
     """
     if on_error not in ("abort", "skip"):
         raise ValidationError("on_error must be 'abort' or 'skip'")
@@ -159,11 +155,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
                     for m, r in prepared[la].compare(prepared[lb], base).items()}
         return results
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, pairs))
-    else:
-        results = [compute(p) for p in pairs]
+    results = [compute(p) for p in pairs]
 
     m = len(names)
     matrices = {}
@@ -323,8 +315,11 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
     pooled kernels, slices every layer to it, applies the proportional
     noise heuristic for the subset size, and computes all pairwise
     distances. Monte-Carlo seeds are refreshed per repeat, so reported
-    spreads include estimator noise for the Bayes metrics.
+    spreads include estimator noise for the Bayes metrics. Pairs run one
+    at a time; ``threads`` is kept for callers that still pass it, as 1.
     """
+    if threads != 1:
+        raise ValidationError(f"threads={threads}: pairs run one at a time, only 1 is accepted")
     pool_size = _check_layers(layers)
     if n_images > pool_size:
         raise ValidationError(f"n_images={n_images} exceeds pool size {pool_size}")
@@ -346,8 +341,7 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
         idx = np.sort(rng.choice(pool_size, size=n_images, replace=False))
         sub = [(name, kern.subset(idx)) for name, kern in layers]
         rep_seed = derive_seed(seed, "stability-repeat", rep)
-        mats = pairwise_matrix(sub, metrics, a, n_samples, rep_seed,
-                               threads=threads, rsa_squared=rsa_squared)
+        mats = pairwise_matrix(sub, metrics, a, n_samples, rep_seed, rsa_squared=rsa_squared)
         for m in metrics:
             dm = mats[m]
             order = {lab: i for i, lab in enumerate(dm.labels)}

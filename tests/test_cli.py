@@ -155,36 +155,27 @@ class TestCompareCommand:
         rng = np.random.default_rng(6)
         mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 10, 5, 3))
         args = ["compare", "--manifest", str(mpath), "--metrics", "jsd,tvd,cka",
-                "--a", "0.4", "--samples", "800", "--seed", "11", "--threads", "2"]
+                "--a", "0.4", "--samples", "800", "--seed", "11"]
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        rng = np.random.default_rng(7)
-        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 10, 5, 4))
-        base = ["compare", "--manifest", str(mpath), "--metrics", "jsd,tvd",
-                "--a", "0.4", "--samples", "800", "--seed", "11"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(out2)]) == 0
-        for name in ("jsd.csv", "tvd.csv", "jsd.se.csv", "tvd.se.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_threads_default_is_serial(self, tmp_path, monkeypatch, capsys):
+    def test_threads_only_as_stability_one(self, tmp_path, capsys):
+        # pairs run one at a time: compare has no --threads, stability keeps a hidden 1
         rng = np.random.default_rng(8)
         mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
-        monkeypatch.setenv("REPMETRIC_THREADS", "2")  # not read
         out = tmp_path / "out"
-        assert main(["compare", "--manifest", str(mpath), "--metrics", "cka",
-                     "--a", "0.5", "--out", str(out)]) == 0
-        record = json.loads((out / "record.json").read_text())
-        assert record["threads"] == 1
+        compare = ["compare", "--manifest", str(mpath), "--metrics", "cka", "--a", "0.5"]
+        stability = ["stability", "--manifest", str(mpath), "--n-images", "4",
+                     "--repeats", "2", "--metrics", "cka"]
         capsys.readouterr()
-        assert main(["compare", "--manifest", str(mpath), "--metrics", "cka",
-                     "--a", "0.5", "--threads", "0", "--out", str(out)]) == 1
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        for argv in (compare + ["--threads", "1"], stability + ["--threads", "2"]):
+            assert main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert main(stability + ["--threads", "1", "--out", str(out)]) == 0
+        assert "threads" not in json.loads((out / "record.json").read_text())
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant layer: zero centered kernel breaks cka in abort mode
@@ -656,7 +647,7 @@ _SAMPLES = st.sampled_from(["0", "1", "2", "50", str(10 ** 30)])
 _METRICS = _mostly(["jsd", "tvd,js_distance", "cka,shape", "rsa_corr,rsa_arccos",
                     "jsd,tvd,js_distance,cka,shape,rsa_corr,rsa_arccos"],
                    ["", "nope", "jsd,,cka", " jsd", "jsd,jsd"])
-_THREADS = _mostly(["1", "2"], ["-1", "0"])
+_THREADS = _mostly(["1"], ["-1", "0", "2"])  # stability's hidden --threads
 
 _ARGV = st.one_of(
     st.tuples(st.lists(_mostly(["rep.csv", "layer0.csv"], _BAD_CSVS), min_size=1, max_size=2),
@@ -664,8 +655,7 @@ _ARGV = st.one_of(
               ).map(lambda t: ["gram"] + t[0] + t[1]),
     _command(["compare"], {"--manifest": _MANIFESTS}, {
         "--metrics": _METRICS, "--a": _WEIGHTS, "--b": _WEIGHTS, "--samples": _SAMPLES,
-        "--seed": _SEEDS, "--threads": _THREADS,
-        "--on-error": st.sampled_from(["abort", "skip"]),
+        "--seed": _SEEDS, "--on-error": st.sampled_from(["abort", "skip"]),
         "--format": st.sampled_from(["auto", "binary"])}),
     _command(["sweep"], {
         "--kernel1": _mostly(_KERNEL_CSVS, _BAD_CSVS), "--kernel2": st.just("layer1.csv"),

@@ -101,7 +101,7 @@ class TestPairwiseMatrix:
             for y, ly in enumerate(m1.labels):
                 assert m1.values[x, y] == m2.values[i2[lx], i2[ly]]
 
-    def test_thread_count_does_not_matter(self):
+    def test_pair_order_does_not_matter_on_either_path(self):
         rng = np.random.default_rng(4)
         dense = kernels_same_stimuli(rng, 10, 6, 4)
         # rank 6 <= 40/4 takes the low-rank path, rank 40 the dense one
@@ -110,10 +110,10 @@ class TestPairwiseMatrix:
             for j in range(2)]
         metrics = ["jsd", "cka", "shape", "rsa_corr", "rsa_arccos"]
         for layers in (dense, mixed):
-            m1 = pairwise_matrix(layers, metrics, a=0.5, n_samples=1500, seed=5, threads=1)
-            m2 = pairwise_matrix(layers, metrics, a=0.5, n_samples=1500, seed=5, threads=4)
+            m1 = pairwise_matrix(layers, metrics, a=0.5, n_samples=1500, seed=5)
+            m2 = pairwise_matrix(layers[::-1], metrics, a=0.5, n_samples=1500, seed=5)
             for metric in metrics:
-                assert np.array_equal(m1[metric].values, m2[metric].values)
+                assert np.array_equal(m1[metric].values, m2[metric].values[::-1, ::-1])
 
     def test_mixed_sizes_rejected(self):
         k1 = KernelMatrix.from_array(np.eye(4))
@@ -214,7 +214,7 @@ class TestPairwiseMatrix:
                 mock.patch.object(baseline_metrics, "squared_distance_matrix",
                                   wraps=baseline_metrics.squared_distance_matrix) as dist:
             pairwise_matrix(layers, ["cka", "shape", "rsa_corr", "rsa_arccos"], a=0.5,
-                            n_samples=10, seed=25, threads=2)
+                            n_samples=10, seed=25)
         assert centered.call_count == dist.call_count == 3  # once per layer, not 2 per pair
 
     @pytest.mark.parametrize("squared", [True, False])
@@ -469,6 +469,15 @@ class TestStabilityStudy:
         r1 = stability_study(layers, 10, 3, ["jsd", "cka"], 0.01, 500, seed=15)
         r2 = stability_study(layers, 10, 3, ["jsd", "cka"], 0.01, 500, seed=15)
         assert r1.per_pair_sd == r2.per_pair_sd
+
+    def test_threads_accepted_only_as_one(self):
+        rng = np.random.default_rng(18)
+        layers = kernels_same_stimuli(rng, 10, 4, 2)
+        one = stability_study(layers, 5, 2, ["jsd"], 0.01, 100, seed=0, threads=1)
+        assert one == stability_study(layers, 5, 2, ["jsd"], 0.01, 100, seed=0)
+        for threads in (0, 2):
+            with pytest.raises(ValidationError, match=f"threads={threads}: pairs run one"):
+                stability_study(layers, 5, 2, ["jsd"], 0.01, 100, seed=0, threads=threads)
 
     def test_full_pool_subsets_are_identical(self):
         # n_images = pool size forces the same subset every repeat, so
