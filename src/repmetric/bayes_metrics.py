@@ -44,7 +44,8 @@ samples, by one of two exact paths (one stream per side either way):
   close to 0 (a at the rounding level of U Uᵀ) sends the pair dense.
 
 Both paths draw different normals for the same seed. Bitwise-equal
-factors (L, or U and a) give a log ratio of exactly zero.
+factors (L, or U and a) give a log ratio of exactly zero, and so does a
+dense T within ``EIGEN_ROUNDING``·n·ε of I entrywise.
 
 The two sides of a pair run at once, side 1 on a helper thread, and
 each draws and reduces its stream in ``seeding.BLOCK_ROWS``-row blocks
@@ -77,7 +78,9 @@ from .kernel import GaussianModel, above_rounding, solve_lower
 from .seeding import standard_normal_blocks
 
 LN2 = math.log(2.0)
-EIGEN_ROUNDING = 4.0  # computed μ lie within 4·r·ε·max μ: eigvalsh backward error, M rounding
+# computed μ lie within 4·r·ε·max μ (eigvalsh backward error, M rounding); the dense
+# T of covariances equal up to rounding, within 4·n·ε of I
+EIGEN_ROUNDING = 4.0
 
 BAYES_METRICS = ("tvd", "jsd", "js_distance")
 
@@ -180,10 +183,15 @@ def _whitened_side(own, other, blocks, d, reduce=None):
 
     Writes d[rows] for each (rows, z) of ``blocks``, the standard normals
     behind x = L_own z, then calls ``reduce(z, d[rows])`` if given. Returns
-    the triangular T = L_other⁻¹ L_own that maps z to L_other⁻¹ x.
+    the triangular T = L_other⁻¹ L_own that maps z to L_other⁻¹ x. A T
+    within ``EIGEN_ROUNDING``·n·ε of I entrywise is taken as I, as for
+    bitwise-equal factors, so pairs equal up to rounding score exactly zero.
     """
-    identical = np.array_equal(own.chol, other.chol)
-    T = np.eye(own.dim) if identical else solve_lower(other.chol, own.chol)
+    eye = np.eye(own.dim)
+    T = eye if np.array_equal(own.chol, other.chol) else solve_lower(other.chol, own.chol)
+    identical = np.abs(T - eye).max() <= EIGEN_ROUNDING * own.dim * np.finfo(float).eps
+    if identical:
+        T = eye
     log_det = float(np.sum(np.log(np.diag(T))))
     for rows, z in blocks:
         if identical:  # d is exactly zero, not rounding noise

@@ -527,6 +527,25 @@ class TestRoundingRule:
                 for est in estimate(("tvd", "jsd"), base, m2, 2000, seed=rep).values():
                     assert est.raw_value == 0.0 and est.std_error == 0.0
 
+    def test_dense_rotations_and_scalings_are_exact_zeros(self):
+        # C03's construction, whose 500-feature cases are full rank at 30 stimuli
+        rng = np.random.default_rng(42)
+        for rep in range(50):
+            k = 5 if rep % 2 == 0 else 500
+            X = rng.standard_normal((30, k))
+            Y = X @ random_orthogonal(rng, k)
+            shift = rng.standard_normal(k)
+            if k == 5:
+                continue
+            base = model_from_X(X)
+            assert base.U is None  # the dense path
+            for m2 in map(model_from_X, (Y, -2.0 * X, 0.1 * X, 7.0 * X)):
+                for est in estimate(("tvd", "jsd"), base, m2, 200, seed=rep).values():
+                    assert est.raw_value == 0.0 and est.std_error == 0.0
+            shifted = model_from_X(X + shift)
+            for est in estimate(("tvd", "jsd"), base, shifted, 200, seed=rep).values():
+                assert est.raw_value > 0.0  # far above the bound, so not dropped
+
 
 class TestCalibration:
     """The reported SE predicts the spread of estimates over seeds, on both paths."""
