@@ -4,8 +4,8 @@ Every command writes its numeric outputs plus a JSON run record holding
 all parameters needed to reproduce the run. Records carry no timestamps
 so reruns with the same configuration are byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ def cmd_gram(inputs, out_dir, fmt):
     outputs = {}
     for path in inputs:
         loaded = read_matrix(path, MatrixKind.REPRESENTATION)
-        rep = RepresentationMatrix.from_array(loaded.values, loaded.labels)
-        kern = gram(rep)
+        with harness.named(str(path)):
+            rep = RepresentationMatrix.from_array(loaded.values, loaded.labels)
+            kern = gram(rep)
         # matrix_rank's hermitian rule on K, |λ| > |λ|_max·n·ε, from the
         # smaller Gram: XᵀX shares K's nonzero eigenvalues
         X = rep.X
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
     except RepmetricError as exc:
         click.echo(f"numerical error: {exc}", err=True)
         return 3
+    except OSError as exc:  # an output or input path the file system refuses
+        click.echo(f"file error: {exc}", err=True)
+        return 2
 
 
 def entrypoint() -> None:

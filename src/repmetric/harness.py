@@ -9,6 +9,7 @@ are exactly symmetric and independent of pair order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,17 +53,24 @@ class DistanceMatrix:
     holes: tuple[tuple[str, str, str], ...] = ()
 
 
+@contextmanager
+def named(what: str):
+    """Prefix ``what: `` to a ValidationError raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
 def load_kernel(path, kind: MatrixKind, what: str) -> KernelMatrix:
     """A representation (grammed) or kernel file as a kernel; errors past the read name ``what``."""
     if kind is MatrixKind.DISTANCE:
         raise ValidationError(f"{what}: distance matrices cannot be compared")
     loaded = read_matrix(path, kind)
-    try:
+    with named(what):
         if kind is MatrixKind.REPRESENTATION:
             return gram(RepresentationMatrix.from_array(loaded.values, loaded.labels))
         return KernelMatrix.from_array(loaded.values, loaded.labels)
-    except ValidationError as exc:
-        raise ValidationError(f"{what}: {exc}") from None
 
 
 def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]]:

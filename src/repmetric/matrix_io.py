@@ -193,7 +193,8 @@ def write_matrix(values, path, kind, labels: Optional[Sequence[str]] = None) -> 
     """Write a matrix so that reading it back reproduces it bit-exactly.
 
     A CSV gets a label row exactly when labels are given and the kind
-    is kernel or distance. Binary files never store labels.
+    is kernel or distance; a lone empty label, which would make that row
+    blank, is refused. Binary files never store labels.
     """
     path = Path(path)
     kind = _coerce_kind(kind)
@@ -234,8 +235,11 @@ def _check_label(label: str, what: str) -> None:
 def _write_csv(path: Path, values: np.ndarray, labels: Optional[Sequence[str]]) -> None:
     for lab in labels or ():
         _check_label(lab, "label")
+    header = ",".join(labels or ())
+    if labels and not header:  # np.savetxt writes no line for an empty header
+        raise ValidationError(f"{path}: a lone empty label would leave the label row blank")
     np.savetxt(path, values, fmt=CSV_FORMAT, delimiter=",",
-               header=",".join(labels or ()), comments="", encoding="utf-8")
+               header=header, comments="", encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,7 @@ class TestSingleLineValidationErrors:
           "--noise-kind", "variance", "--noise-values", "inf", "--samples", "100"], None),
         (["sweep", "--kernel1", "{kernel}", "--kernel2", "{kernel}", "--n-values", "5",
           "--noise-kind", "variance", "--noise-values", "nan", "--samples", "100"], None),
+        (["gram", "{huge_rep}"], None),
     ], ids=["compare-seed", "stability-seed", "sweep-seed", "embed-seed",
             "manifest-seed", "manifest-a", "manifest-b", "manifest-n_samples",
             "manifest-n_samples-zero", "manifest-seed-float", "manifest-seed-bool",
@@ -411,7 +412,7 @@ class TestSingleLineValidationErrors:
             "csv-not-utf8", "manifest-not-utf8", "embed-dims", "embed-tol",
             "embed-tol-inf", "stability-b-nan", "stability-no-sizes", "compare-repeated-metric",
             "sweep-repeated-metric", "stability-repeated-metric", "compare-tiny-not-psd",
-            "sweep-variance-inf", "sweep-variance-nan"])
+            "sweep-variance-inf", "sweep-variance-nan", "gram-trace"])
     def test_exit_2_one_line(self, tmp_path, capsys, args, manifest_extra):
         rng = np.random.default_rng(30)
         layers = kernels_same_stimuli(rng, 8, 4, 2)
@@ -419,13 +420,16 @@ class TestSingleLineValidationErrors:
                  "kernel": str(tmp_path / "layer0.csv"),
                  "distance": str(tmp_path / "d.csv"),
                  "not_utf8_csv": str(tmp_path / "utf16.csv"),
-                 "not_utf8_manifest": str(tmp_path / "not_utf8.json")}
+                 "not_utf8_manifest": str(tmp_path / "not_utf8.json"),
+                 "huge_rep": str(tmp_path / "huge_rep.csv")}
         write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
                      MatrixKind.DISTANCE)
         # eigenvalue -1e-12: as far below zero, relative to its scale, as -1 in the unscaled K
         write_matrix(1e-12 * np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                      tmp_path / "tiny.csv", MatrixKind.KERNEL)
         write_matrix(np.eye(3), tmp_path / "eye3.csv", MatrixKind.KERNEL)
+        write_matrix(np.full((2, 2), 1e200), tmp_path / "huge_rep.csv",
+                     MatrixKind.REPRESENTATION)  # its Gram trace overflows
         (tmp_path / "utf16.csv").write_bytes("0,1\n1,0\n".encode("utf-16"))  # BOM ff fe
         (tmp_path / "not_utf8.json").write_bytes(
             b'{"entries": [{"name": "\xff", "path": "layer0.csv", "kind": "kernel"}]}')
@@ -454,6 +458,26 @@ class TestSingleLineValidationErrors:
                      MatrixKind.DISTANCE)
         assert main(["embed", "--input", str(tmp_path / "d.csv"), "--seed", str(seed),
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestFileErrors:
+    """A path the file system refuses exits 2 with one line naming it, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["compare", "embed"])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(32)
+        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
+        write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
+                     MatrixKind.DISTANCE)
+        args = {"compare": ["compare", "--manifest", str(mpath), "--metrics", "jsd,cka",
+                            "--a", "0.5", "--samples", "100"],
+                "embed": ["embed", "--input", str(tmp_path / "d.csv"), "--restarts", "1"]}
+        out = tmp_path / "d.csv" / "out"
+        capsys.readouterr()
+        assert main(args[command] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestTopOfDoubleRange:
@@ -487,6 +511,11 @@ class TestTopOfDoubleRange:
                      str(tmp_path / "small.csv"), "--n-values", "3", "--noise-values", "0.5",
                      "--samples", "200", "--out", str(tmp_path / "sweep")]) == 2
         assert "big.csv: kernel trace overflows" in capsys.readouterr().err
+        rep = tmp_path / "rep.csv"
+        write_matrix(np.full((2, 2), 1e200), rep, MatrixKind.REPRESENTATION)
+        assert main(["gram", str(rep), "--out", str(tmp_path / "gram")]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {rep}: kernel trace overflows the double range\n")
 
     def test_huge_diagonal_entry_baselines(self, tmp_path):
         # centering and squared distances used to overflow: cka 1, shape π/2, rsa_corr NaN

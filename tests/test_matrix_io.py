@@ -311,6 +311,17 @@ class TestLabelRule:
         loaded = roundtrip(tmp_path, np.eye(4), MatrixKind.KERNEL, ".csv", labels=labels)
         assert loaded.labels == tuple(labels)
 
+    @pytest.mark.parametrize("kind", [MatrixKind.KERNEL, MatrixKind.DISTANCE])
+    def test_lone_empty_label_rejected(self, tmp_path, kind):
+        # its label row would be blank, and a blank line is skipped on reading
+        path = tmp_path / "one.csv"
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: a lone empty")) as exc:
+            write_matrix(np.zeros((1, 1)), path, kind, labels=[""])
+        assert len(str(exc.value).splitlines()) == 1
+        assert not path.exists()
+        loaded = roundtrip(tmp_path, np.zeros((2, 2)), kind, ".csv", labels=["", ""])
+        assert loaded.labels == ("", "")
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
