@@ -4,14 +4,25 @@ Every command writes its numeric outputs plus a JSON run record holding
 all parameters needed to reproduce the run. Records carry no timestamps
 so reruns with the same configuration are byte-identical.
 
+All five commands publish through `_writes_out`: `--out` is created
+before any input is read, the files appear there together with
+`record.json` moved in last, and a failed run changes nothing there.
+Only a killed run can leave a hidden `.partial-*` directory behind.
+`gram` refuses inputs that share a stem, since each kernel is named
+after its input's stem. List flags ignore spaces around each item.
+
 Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
 numerical failure.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -28,7 +39,7 @@ CSV_SIZE_LIMIT = 200  # matrices up to this order default to CSV output
 
 def _parse_list(text, cast, what):
     try:
-        return [cast(tok) for tok in str(text).split(",") if tok.strip()]
+        return [cast(tok.strip()) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
         raise click.UsageError(f"cannot parse {what}: {text!r}") from None
 
@@ -39,10 +50,32 @@ def _matrix_path(out_dir: Path, stem: str, n: int, fmt: str) -> Path:
     return out_dir / f"{stem}.rmx"
 
 
-def _write_record(out_dir: Path, record: dict) -> None:
-    record = dict(record, version=__version__)
-    (out_dir / "record.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _writes_out(command):
+    """Give `command` its `--out` and publish what it writes (module docstring).
+
+    The command writes into a staging directory inside `--out`, so every
+    move below stays on one file system, and returns its record.
+    """
+    @functools.wraps(command)
+    def run(out_dir, **kwargs):
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=out_dir, prefix=".partial-") as stage:
+                stage = Path(stage)
+                record = dict(command(out_dir=stage, **kwargs), version=__version__)
+                (stage / "record.json").write_text(
+                    json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+                (out_dir / "record.json").unlink(missing_ok=True)
+                for path in sorted(stage.iterdir(), key=lambda p: p.name == "record.json"):
+                    os.replace(path, out_dir / path.name)
+        except BaseException:
+            for path in made:  # deepest first
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+            raise
+    return click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
+                        help="output directory, created before any input is read")(run)
 
 
 @click.group()
@@ -54,11 +87,16 @@ def cli():
 @cli.command("gram")
 @click.argument("inputs", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--format", "fmt", type=click.Choice(["auto", "csv", "binary"]), default="auto")
+@_writes_out
 def cmd_gram(inputs, out_dir, fmt):
     """Compute linear kernel matrices for representation files."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stems = {}
+    for path in inputs:  # each input's kernel is named after its stem
+        if path.stem in stems:
+            raise ValidationError(f"{stems[path.stem]} and {path} would both write "
+                                  f"{path.stem}.kernel; rename one")
+        stems[path.stem] = path
     outputs = {}
     for path in inputs:
         loaded = read_matrix(path, MatrixKind.REPRESENTATION)
@@ -75,9 +113,8 @@ def cmd_gram(inputs, out_dir, fmt):
         outputs[path.stem] = target.name
         click.echo(f"{path.name}: n={kern.n} k={rep.X.shape[1]} "
                    f"trace={np.trace(kern.K):.6g} rank={rank} -> {target.name}")
-    _write_record(out_dir, {"command": "gram",
-                            "inputs": [str(p) for p in inputs],
-                            "format": fmt, "outputs": outputs})
+    return {"command": "gram", "inputs": [str(p) for p in inputs],
+            "format": fmt, "outputs": outputs}
 
 
 def _load_manifest_run(manifest_path, metrics, n_samples, seed):
@@ -116,11 +153,11 @@ def _resolve_noise(a, b, manifest, n):
               help="proportional-noise constant; sets a = b*n/(1+b*n)")
 @click.option("--samples", "n_samples", type=int, default=None, help="Monte-Carlo draws per pair")
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--format", "fmt", type=click.Choice(["auto", "csv", "binary"]), default="auto")
 @click.option("--rsa-squared/--no-rsa-squared", default=True,
               help="compare squared Euclidean distances in the RSA measures")
 @click.option("--on-error", type=click.Choice(["abort", "skip"]), default="abort")
+@_writes_out
 def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
                 rsa_squared, on_error):
     """Pairwise distance matrices over the layers of a manifest."""
@@ -132,7 +169,6 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
     matrices = harness.pairwise_matrix(
         layers, metric_list, a, n_samples, seed, rsa_squared=rsa_squared, on_error=on_error)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs, holes = {}, {}
     for metric, dm in matrices.items():
         if dm.holes:
@@ -147,13 +183,13 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
             write_matrix(dm.std_errors, se_target, MatrixKind.DISTANCE, labels=dm.labels)
             outputs[f"{metric}.se"] = se_target.name
         click.echo(f"{metric}: wrote {target.name}")
-    _write_record(out_dir, {
+    return {
         "command": "compare", "manifest": str(manifest_path),
         "labels": [name for name, _ in layers], "metrics": metric_list,
         "a": a, "b": used_b, "n_samples": n_samples, "seed": seed,
         "rsa_squared": rsa_squared, "on_error": on_error,
         "format": fmt, "n_stimuli": n, "outputs": outputs, "holes": holes,
-        "pair_seed_scheme": "blake2b(master_seed, 'pair', sorted labels)"})
+        "pair_seed_scheme": "blake2b(master_seed, 'pair', sorted labels)"}
 
 
 @cli.command("sweep")
@@ -167,7 +203,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
 @click.option("--metrics", default="jsd", show_default=True, help="subset of jsd,tvd")
 @click.option("--samples", "n_samples", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
+@_writes_out
 def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
               n_samples, seed, out_dir):
     """Distance grid over stimulus counts and noise levels for two pooled kernels."""
@@ -180,7 +216,6 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
     grid = harness.snr_sweep(pool1, pool2, ns, noises, n_samples, seed,
                              b=b, metrics=metric_list, noise_kind=noise_kind)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["metric,n,a,source,value,std_error"]
     for metric in metric_list:
         for i, n in enumerate(grid.n_values):
@@ -192,11 +227,11 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
                          f"{format_value(est.value)},{format_value(est.std_error)}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"wrote sweep.csv ({len(lines) - 1} cells)")
-    _write_record(out_dir, {
+    return {
         "command": "sweep", "kernel1": str(kernel1), "kernel2": str(kernel2),
         "n_values": ns, "noise_values": noises, "noise_kind": noise_kind,
         "b": b, "metrics": metric_list, "n_samples": n_samples, "seed": seed,
-        "outputs": {"sweep": "sweep.csv"}})
+        "outputs": {"sweep": "sweep.csv"}}
 
 
 @cli.command("stability")
@@ -212,7 +247,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
 # accepted as 1 only, for callers that still pass it; pairs run one at a time
 @click.option("--threads", type=click.IntRange(1, 1), hidden=True, expose_value=False)
 @click.option("--rsa-squared/--no-rsa-squared", default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
+@_writes_out
 def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
                   rsa_squared, out_dir):
     """Stability of pairwise distances across random image subsets."""
@@ -230,7 +265,6 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
                                        rsa_squared=rsa_squared)
                for n in sizes]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     pair_lines = ["metric,n_images,label1,label2,sd"]
     for rep in reports:
         for metric in metric_list:
@@ -245,12 +279,12 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
         summary.append(f"{rep.n_images}," + ",".join(cells))
     (out_dir / "stability_summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
     click.echo("\n".join(summary))
-    _write_record(out_dir, {
+    return {
         "command": "stability", "manifest": str(manifest_path),
         "labels": [name for name, _ in layers], "n_images": sizes,
         "repeats": repeats, "metrics": metric_list, "b": b,
         "n_samples": n_samples, "seed": seed, "rsa_squared": rsa_squared,
-        "outputs": {"pairs": "stability_pairs.csv", "summary": "stability_summary.csv"}})
+        "outputs": {"pairs": "stability_pairs.csv", "summary": "stability_summary.csv"}}
 
 
 @cli.command("embed")
@@ -261,24 +295,23 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
 @click.option("--max-iter", type=int, default=500, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
+@_writes_out
 def cmd_embed(input_path, dims, restarts, max_iter, tol, seed, out_dir):
     """Metric MDS embedding of a distance matrix."""
     loaded = read_matrix(input_path, MatrixKind.DISTANCE)
     emb = mds.mds_embed(loaded.values, dims=dims, seed=seed, restarts=restarts,
                         max_iter=max_iter, tol=tol)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = "label," + ",".join(f"dim{i}" for i in range(dims))
     lines = [header]
     for lab, row in zip(loaded.labels, emb.coords):
         lines.append(lab + "," + ",".join(format_value(x) for x in row))
     (out_dir / "embedding.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"stress={emb.stress:.8g} iterations={emb.n_iterations}")
-    _write_record(out_dir, {
+    return {
         "command": "embed", "input": str(input_path), "dims": dims,
         "restarts": restarts, "max_iter": max_iter, "tol": tol, "seed": seed,
         "stress": emb.stress, "n_iterations": emb.n_iterations,
-        "outputs": {"embedding": "embedding.csv"}})
+        "outputs": {"embedding": "embedding.csv"}}
 
 
 def main(argv=None) -> int:

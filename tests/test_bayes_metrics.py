@@ -358,6 +358,15 @@ class TestExactJsdOracle:
             est = jsd(m1, m2, 20_000, seed=73)
             assert abs(est.raw_value - exact) < 4.0 * est.std_error, case
 
+    @pytest.mark.parametrize("s", [0.01, 0.001])
+    def test_refuses_small_distances(self, s):
+        # 200 nodes give 9.3e-3 and 5.9e-3, against second-order values of 8.6e-3
+        # and 8.6e-5; n = 1000, because at n = 100 the Imhof inversions at s = 0.001
+        # take 20 s and the rule fails the same way
+        lam = np.exp(np.random.default_rng(0).normal(0.0, s, 1000))
+        with pytest.raises(ValueError, match="does not resolve"):
+            jsd_exact_diag(lam)
+
 
 class TestPathSelection:
     """Which models take the low-rank path, and what the others give."""

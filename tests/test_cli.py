@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from synth import kernels_same_stimuli
 
+from repmetric import cli, harness
 from repmetric.cli import main
 from repmetric.harness import cell_seed
 from repmetric.kernel import RepresentationMatrix, gram
@@ -36,6 +37,30 @@ def write_manifest_dir(tmp_path, layers, extra=None):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+COMMANDS = ["gram", "compare", "sweep", "stability", "embed"]
+
+
+def small_run(tmp_path, command):
+    """argv, without --out, of a quick successful run of `command` on files it writes."""
+    rng = np.random.default_rng(32)
+    mpath = str(write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2)))
+    for name in ("a", "b"):
+        write_matrix(rng.standard_normal((5, 3)), tmp_path / f"{name}.csv",
+                     MatrixKind.REPRESENTATION)
+    X = rng.standard_normal((4, 3))
+    write_matrix(np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1)), tmp_path / "d.csv",
+                 MatrixKind.DISTANCE)
+    return {"gram": ["gram", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")],
+            "compare": ["compare", "--manifest", mpath, "--metrics", "jsd", "--a", "0.5",
+                        "--samples", "100"],
+            "sweep": ["sweep", "--kernel1", str(tmp_path / "layer0.csv"), "--kernel2",
+                      str(tmp_path / "layer1.csv"), "--n-values", "3,5", "--noise-values",
+                      "0.5", "--samples", "100"],
+            "stability": ["stability", "--manifest", mpath, "--n-images", "4", "--repeats",
+                          "2", "--metrics", "jsd", "--samples", "100"],
+            "embed": ["embed", "--input", str(tmp_path / "d.csv"), "--restarts", "1"]}[command]
 
 
 class TestGramCommand:
@@ -81,6 +106,21 @@ class TestGramCommand:
         rep.write_bytes(struct.pack("<4sBII", MAGIC, 1, 0, 3))
         code = main(["gram", str(rep), "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("same", ["same-stem", "same-file"])
+    def test_inputs_sharing_an_output_name_refused(self, tmp_path, capsys, same):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_matrix(np.eye(3), tmp_path / sub / "x.csv", MatrixKind.REPRESENTATION)
+        first = tmp_path / "a" / "x.csv"
+        second = tmp_path / ("a" if same == "same-file" else "b") / "x.csv"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["gram", str(first), str(second), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"validation error: {first} and {second} would both write x.kernel; "
+                       "rename one\n")
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -214,6 +254,30 @@ class TestCompareCommand:
         write_matrix(rng.standard_normal((20, 3)), small, MatrixKind.REPRESENTATION)
         assert main(["gram", str(small), "--out", str(out), "--format", "binary"]) == 0
         assert (out / "small.kernel.rmx").exists()
+
+
+class TestListFlags:
+    """Comma-separated flags ignore spaces around each item."""
+
+    @pytest.mark.parametrize("command", ["compare", "sweep", "stability"])
+    def test_spaces_around_items(self, tmp_path, command):
+        rng = np.random.default_rng(33)
+        mpath = str(write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2)))
+        layer0, layer1 = str(tmp_path / "layer0.csv"), str(tmp_path / "layer1.csv")
+        args = {"compare": ["--manifest", mpath, "--metrics", "jsd, cka", "--samples", "50"],
+                "sweep": ["--kernel1", layer0, "--kernel2", layer1, "--n-values", " 3, 5 ",
+                          "--noise-values", "0.2, 0.5", "--metrics", "jsd, tvd",
+                          "--samples", "50"],
+                "stability": ["--manifest", mpath, "--n-images", "4, 6", "--repeats", "2",
+                              "--metrics", "jsd, cka", "--samples", "50"]}
+        out = tmp_path / "out"
+        assert main([command] + args[command] + ["--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        if command == "sweep":
+            assert (record["n_values"], record["noise_values"]) == ([3, 5], [0.2, 0.5])
+        if command == "stability":
+            assert record["n_images"] == [4, 6]
+        assert record["metrics"] == (["jsd", "tvd"] if command == "sweep" else ["jsd", "cka"])
 
 
 class TestSweepCommand:
@@ -463,21 +527,83 @@ class TestSingleLineValidationErrors:
 class TestFileErrors:
     """A path the file system refuses exits 2 with one line naming it, never a traceback."""
 
-    @pytest.mark.parametrize("command", ["compare", "embed"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_out_under_a_regular_file(self, tmp_path, capsys, command):
-        rng = np.random.default_rng(32)
-        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
-        write_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "d.csv",
-                     MatrixKind.DISTANCE)
-        args = {"compare": ["compare", "--manifest", str(mpath), "--metrics", "jsd,cka",
-                            "--a", "0.5", "--samples", "100"],
-                "embed": ["embed", "--input", str(tmp_path / "d.csv"), "--restarts", "1"]}
         out = tmp_path / "d.csv" / "out"
         capsys.readouterr()
-        assert main(args[command] + ["--out", str(out)]) == 2
+        assert main(small_run(tmp_path, command) + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and str(out) in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_names_a_regular_file(self, tmp_path, capsys, command):
+        argv = small_run(tmp_path, command)
+        out = tmp_path / "d.csv"
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+        assert out.read_bytes() == before
+
+
+class TestOutputPath:
+    """--out is made first; its files appear together, record.json last, or not at all."""
+
+    def test_refused_out_runs_no_pair(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "pairwise_matrix", lambda *a, **k: calls.append(a))
+        argv = small_run(tmp_path, "compare") + ["--out", str(tmp_path / "d.csv" / "out")]
+        assert main(argv) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("command, bad", [
+        ("gram", None), ("compare", ["--metrics", "foo"]),
+        ("sweep", ["--metrics", "foo"]), ("stability", ["--metrics", "foo"]),
+        ("embed", ["--max-iter", "0"])])
+    def test_failed_run_leaves_no_directory(self, tmp_path, command, bad):
+        if bad is None:  # gram on a representation whose Gram trace overflows
+            write_matrix(np.full((2, 2), 1e200), tmp_path / "huge.csv", MatrixKind.REPRESENTATION)
+            argv = ["gram", str(tmp_path / "huge.csv")]
+        else:
+            argv = small_run(tmp_path, command) + bad
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--out", str(tmp_path / "new" / "deeper")]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_publishes_only_the_recorded_files(self, tmp_path, command):
+        out = tmp_path / "new" / "out"
+        assert main(small_run(tmp_path, command) + ["--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*record["outputs"].values(), "record.json"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_rerun_keeps_earlier_outputs(self, tmp_path, monkeypatch, command):
+        out = tmp_path / "out"
+        assert main(small_run(tmp_path, command) + ["--out", str(out)]) == 0
+        before = tree_bytes(out)
+        # outputs that differ from the first run's: another seed, or binary kernels
+        rerun = ["--format", "binary"] if command == "gram" else ["--seed", "1"]
+        argv = small_run(tmp_path, command) + rerun + ["--out", str(out)]
+        writes = []
+
+        def failing(write):
+            def wrapper(*args, **kwargs):
+                writes.append(args)
+                if len(writes) == 2:
+                    raise OSError(28, "No space left on device")
+                return write(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "write_matrix", failing(cli.write_matrix))
+        monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+        assert main(argv) == 2
+        assert len(writes) == 2
+        assert tree_bytes(out) == before  # no .partial-* entry either
 
 
 class TestTopOfDoubleRange:
