@@ -20,7 +20,6 @@ from .kernel import KernelMatrix, centered_kernel, squared_distance_matrix
 
 BASELINE_METRICS = ("cka", "shape", "rsa_corr", "rsa_arccos")
 
-_EPS_NORM = 1e-300
 DEGENERATE_RTOL = 1e-12  # spreads this small against the data's scale are rounding noise
 
 
@@ -53,9 +52,13 @@ class PreparedKernel:
     and shared by every pair the kernel is in.
 
     ``errors`` maps each requested metric the kernel leaves undefined to its
-    DegenerateRepresentationError: the centered kernel's RMS entry (norm / n)
-    is rounding noise against its largest diagonal entry, or the distance
-    vector's spread or norm is. Malformed input raises ValidationError.
+    DegenerateRepresentationError. Every rule judges its operand against one
+    scale, the kernel's largest diagonal entry s: cka and shape are undefined
+    when the centered kernel's RMS entry (norm / n) is at most
+    DEGENERATE_RTOL * s, rsa_corr when the squared-distance vector's standard
+    deviation is, rsa_arccos when its RMS is. Both RSA rules look at squared
+    distances, also when the measure compares plain ones. Malformed input
+    raises ValidationError.
     """
 
     def __init__(self, kernel, metrics: Sequence[str], rsa_squared: bool = True):
@@ -66,26 +69,26 @@ class PreparedKernel:
                     else KernelMatrix.from_array(kernel))
         self.n = k.n
         self.errors: dict[str, DegenerateRepresentationError] = {}
+        tol = DEGENERATE_RTOL * np.abs(k.K.diagonal()).max()
         if "cka" in metrics or "shape" in metrics:
             self.Kc = centered_kernel(k)
             self.Kc_norm = np.linalg.norm(self.Kc)
-            if self.Kc_norm <= DEGENERATE_RTOL * k.n * np.abs(k.K.diagonal()).max():
+            if self.Kc_norm <= k.n * tol:
                 self.errors["cka"] = self.errors["shape"] = DegenerateRepresentationError(
                     "centered kernel has zero norm (constant representation)")
         if "rsa_corr" in metrics or "rsa_arccos" in metrics:
             if k.n < 3:
                 raise ValidationError("RSA measures need at least 3 stimuli")
-            v = squared_distance_matrix(k)[np.triu_indices(k.n, k=1)]
-            if not rsa_squared:
-                v = np.sqrt(v)
+            d2 = squared_distance_matrix(k)[np.triu_indices(k.n, k=1)]
+            v = d2 if rsa_squared else np.sqrt(d2)
             if "rsa_corr" in metrics:
                 self.v_centered, self.v_sd = v - v.mean(), v.std()
-                if self.v_sd <= DEGENERATE_RTOL * v.max():
+                if d2.std() <= tol:
                     self.errors["rsa_corr"] = DegenerateRepresentationError(
                         "distance vector has zero variance")
             if "rsa_arccos" in metrics:
                 self.v, self.v_norm = v, np.linalg.norm(v)
-                if self.v_norm < _EPS_NORM:
+                if np.linalg.norm(d2) <= tol * math.sqrt(d2.size):
                     self.errors["rsa_arccos"] = DegenerateRepresentationError(
                         "distance vector is zero")
 

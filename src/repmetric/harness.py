@@ -9,6 +9,7 @@ are exactly symmetric and independent of pair order.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -55,11 +56,11 @@ class DistanceMatrix:
 
 @contextmanager
 def named(what: str):
-    """Prefix ``what: `` to a ValidationError raised inside."""
+    """Prefix ``what: `` to a RepmetricError raised inside, keeping its type."""
     try:
         yield
-    except ValidationError as exc:
-        raise ValidationError(f"{what}: {exc}") from None
+    except RepmetricError as exc:
+        raise type(exc)(f"{what}: {exc}") from None
 
 
 def load_kernel(path, kind: MatrixKind, what: str) -> KernelMatrix:
@@ -142,46 +143,32 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
         if undefined[name] and on_error == "abort":
             raise next(iter(undefined[name].values()))
 
+    # one pass over the unordered pairs: one estimate call (one set of draws) and one
+    # compare call each, on the metrics both layers define, written straight into the matrices
     names = [name for name, _ in layers]
-    order = {name: i for i, name in enumerate(names)}
-    pairs = [tuple(sorted((names[i], names[j])))
-             for i in range(len(names)) for j in range(i + 1, len(names))]
-
-    def compute(pair):
-        """{metric: (value, std_error, None) or (nan, nan, reason)}: one estimate call (one
-        set of draws) and one compare call, on the metrics both layers define."""
-        la, lb = pair
-        results = {m: (np.nan, np.nan, str(e))
-                   for m, e in {**undefined[lb], **undefined[la]}.items()}
-        bayes = [m for m in metrics_bayes if m not in results]
+    values = {m: np.zeros((len(names), len(names))) for m in metrics_bayes + metrics_base}
+    ses = {m: np.zeros((len(names), len(names))) for m in values}
+    holes = {m: [] for m in values}
+    for i, j in itertools.combinations(range(len(names)), 2):
+        la, lb = sorted((names[i], names[j]))
+        row = {}
+        for m, e in {**undefined[lb], **undefined[la]}.items():
+            row[m] = (np.nan, np.nan)
+            holes[m].append((la, lb, str(e)))
+        bayes = [m for m in metrics_bayes if m not in row]
         if bayes:
             ests = bayes_metrics.estimate(bayes, models[la], models[lb],
                                           n_samples, pair_seed(seed, la, lb))
-            results |= {m: (e.value, e.std_error, None) for m, e in ests.items()}
-        base = [m for m in metrics_base if m not in results]
-        results |= {m: (r.value, 0.0, None)
-                    for m, r in prepared[la].compare(prepared[lb], base).items()}
-        return results
-
-    results = [compute(p) for p in pairs]
-
-    m = len(names)
-    matrices = {}
-    for metric in metrics_bayes + metrics_base:
-        values = np.zeros((m, m))
-        ses = np.zeros((m, m))
-        holes = []
-        for (la, lb), res in zip(pairs, results):
-            i, j = order[la], order[lb]
-            v, se, reason = res[metric]
-            values[i, j] = values[j, i] = v
-            ses[i, j] = ses[j, i] = se
-            if reason is not None:
-                holes.append((la, lb, reason))
-        matrices[metric] = DistanceMatrix(
-            metric=metric, labels=tuple(names), values=values,
-            std_errors=ses, holes=tuple(holes))
-    return matrices
+            row |= {m: (e.value, e.std_error) for m, e in ests.items()}
+        base = [m for m in metrics_base if m not in row]
+        row |= {m: (r.value, 0.0)
+                for m, r in prepared[la].compare(prepared[lb], base).items()}
+        for m, (v, se) in row.items():
+            values[m][i, j] = values[m][j, i] = v
+            ses[m][i, j] = ses[m][j, i] = se
+    return {m: DistanceMatrix(metric=m, labels=tuple(names), values=values[m],
+                              std_errors=ses[m], holes=tuple(holes[m]))
+            for m in values}
 
 
 @dataclass(frozen=True)
@@ -245,17 +232,13 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     proportional = {m: [] for m in metrics}
     for n, a_prop in zip(n_values, a_props):
         k1, k2 = (_leading(pool, n) for pool in (pool1, pool2))
+        row = [_sweep_cell(k1, k2, a, metrics, n_samples, cell_seed(seed, n, j), f"n={n}, a={a}")
+               for j, a in enumerate(a_grid)]
+        prop = _sweep_cell(k1, k2, a_prop, metrics, n_samples, cell_seed(seed, n, "prop"),
+                           f"n={n}, proportional")
         for m in metrics:
-            grid[m].append([])
-        for j, a in enumerate(a_grid):
-            ests = _sweep_cell(k1, k2, a, metrics, n_samples,
-                               cell_seed(seed, n, j))
-            for m in metrics:
-                grid[m][-1].append(ests[m])
-        ests = _sweep_cell(k1, k2, a_prop, metrics, n_samples,
-                           cell_seed(seed, n, "prop"))
-        for m in metrics:
-            proportional[m].append((a_prop, ests[m]))
+            grid[m].append([ests[m] for ests in row])
+            proportional[m].append((a_prop, prop[m]))
     return SweepGrid(n_values=tuple(n_values), noise_values=tuple(float(v) for v in noise_values),
                      a_values=tuple(a_grid), noise_kind=noise_kind, b=float(b), grid=grid,
                      proportional=proportional)
@@ -282,11 +265,13 @@ def _leading(pool: KernelMatrix, n: int) -> KernelMatrix:
     return KernelMatrix(K=pool.K[:n, :n], labels=pool.labels[:n])
 
 
-def _sweep_cell(k1, k2, a, metrics, n_samples, seed):
-    m1 = predictive_covariance(k1, a)
-    m2 = predictive_covariance(k2, a)
-    ps = pair_seed(seed, *SWEEP_LABELS)
-    return bayes_metrics.estimate(metrics, m1, m2, n_samples, ps)
+def _sweep_cell(k1, k2, a, metrics, n_samples, seed, where):
+    """One cell's estimates; a failing model names its kernel and ``where`` (the cell)."""
+    models = []
+    for label, k in zip(SWEEP_LABELS, (k1, k2)):
+        with named(f"{label}, {where}"):
+            models.append(predictive_covariance(k, a))
+    return bayes_metrics.estimate(metrics, *models, n_samples, pair_seed(seed, *SWEEP_LABELS))
 
 
 def _median(values) -> float:
@@ -339,28 +324,26 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
 
     a = heuristic_a(n_images, b)
     names = [name for name, _ in layers]
-    pair_labels = [(names[i], names[j])
-                   for i in range(len(names)) for j in range(i + 1, len(names))]
-    collected: dict[str, dict[tuple[str, str], list[float]]] = {
-        m: {p: [] for p in pair_labels} for m in metrics}
+    pair_labels = list(itertools.combinations(names, 2))
+    upper = np.triu_indices(len(names), k=1)  # the pairs' (i, j) in pair_labels' order
+    runs: dict[str, list[np.ndarray]] = {m: [] for m in metrics}
 
     for rep in range(n_repeats):
         rng = stream_generator(derive_seed(seed, "stability-subset", rep))
         idx = np.sort(rng.choice(pool_size, size=n_images, replace=False))
         sub = [(name, kern.subset(idx)) for name, kern in layers]
         rep_seed = derive_seed(seed, "stability-repeat", rep)
-        mats = pairwise_matrix(sub, metrics, a, n_samples, rep_seed, rsa_squared=rsa_squared)
+        with named(f"n_images={n_images}, repeat {rep}"):
+            mats = pairwise_matrix(sub, metrics, a, n_samples, rep_seed, rsa_squared=rsa_squared)
         for m in metrics:
-            dm = mats[m]
-            order = {lab: i for i, lab in enumerate(dm.labels)}
-            for p in pair_labels:
-                collected[m][p].append(float(dm.values[order[p[0]], order[p[1]]]))
+            runs[m].append(mats[m].values[upper])
 
+    values = {m: {p: tuple(v) for p, v in zip(pair_labels, np.transpose(runs[m]).tolist())}
+              for m in metrics}
     per_pair_sd = {
-        m: {p: float(np.std(v, ddof=1)) for p, v in collected[m].items()} for m in metrics}
+        m: {p: float(np.std(v, ddof=1)) for p, v in values[m].items()} for m in metrics}
     median_sd = {m: _median(list(per_pair_sd[m].values())) for m in metrics}
     max_sd = {m: float(np.max(list(per_pair_sd[m].values()))) for m in metrics}
-    values = {m: {p: tuple(v) for p, v in collected[m].items()} for m in metrics}
     return StabilityReport(
         n_images=int(n_images), n_repeats=int(n_repeats), pool_size=pool_size,
         b=float(b), a=float(a), metrics=tuple(metrics),

@@ -202,6 +202,30 @@ class TestDistances:
         assert isinstance(got["rsa_corr"], DegenerateRepresentationError)
         assert all(np.isfinite(got[m].value) for m in ("cka", "shape", "rsa_arccos"))
 
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_near_constant_layer_undefined_for_every_measure(self, squared):
+        # distances at rounding level of the kernel's largest diagonal entry (about 3);
+        # both RSA rules judge the squared distances, also when comparing plain ones
+        rng = np.random.default_rng(20)
+        near = kern(1.0 + 1e-8 * rng.standard_normal((20, 3)))
+        other = kern(rng.standard_normal((20, 3)))
+        with pytest.raises(DegenerateRepresentationError, match="zero variance"):
+            rsa_one_minus_corr(near, other, squared=squared)
+        with pytest.raises(DegenerateRepresentationError, match="distance vector is zero"):
+            rsa_arccos(other, near, squared=squared)
+        got = distances(BASELINE_METRICS, near, other, squared)
+        assert all(isinstance(r, DegenerateRepresentationError) for r in got.values())
+
+    @pytest.mark.parametrize("spread, offset", [(1e-5, 1.0), (1.0, 3e5)],
+                             ids=["small-spread", "large-offset"])
+    def test_spread_above_rounding_level_is_defined(self, spread, offset):
+        rng = np.random.default_rng(21)
+        X = offset + spread * rng.standard_normal((20, 3))
+        for squared in (True, False):
+            got = distances(BASELINE_METRICS, kern(X), kern(rng.standard_normal((20, 3))),
+                            squared)
+            assert all(np.isfinite(r.value) for r in got.values())
+
     def test_validation_still_raises(self):
         K3, K4 = KernelMatrix.from_array(np.eye(3)), KernelMatrix.from_array(np.eye(4))
         with pytest.raises(ValidationError, match="sizes differ"):

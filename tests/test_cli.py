@@ -243,6 +243,23 @@ class TestCompareCommand:
             ["flat", "good",
              "layer 'flat': centered kernel has zero norm (constant representation)"]]
 
+    def test_skip_mode_holes_for_a_near_constant_layer(self, tmp_path):
+        # spread at rounding level of the layer's scale: every baseline is a hole
+        rng = np.random.default_rng(34)
+        near = gram(RepresentationMatrix.from_array(1.0 + 1e-8 * rng.standard_normal((20, 3))))
+        good = gram(RepresentationMatrix.from_array(rng.standard_normal((20, 3))))
+        mpath = write_manifest_dir(tmp_path, [("good", good), ("near", near)])
+        out = tmp_path / "out"
+        assert main(["compare", "--manifest", str(mpath), "--metrics", "cka,rsa_corr,rsa_arccos",
+                     "--a", "0.5", "--on-error", "skip", "--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        reasons = {"cka": "centered kernel has zero norm (constant representation)",
+                   "rsa_corr": "distance vector has zero variance",
+                   "rsa_arccos": "distance vector is zero"}
+        assert record["holes"] == {m: [["good", "near", f"layer 'near': {r}"]]
+                                   for m, r in reasons.items()}
+        assert record["outputs"] == {}
+
     def test_binary_output_above_size_limit(self, tmp_path):
         rng = np.random.default_rng(11)
         rep = tmp_path / "big.csv"
@@ -330,6 +347,27 @@ class TestSweepCommand:
         assert text.count("proportional") == 2
         assert text.count("grid") == 4
 
+    @pytest.mark.parametrize("noise, zero_pool, where", [
+        ("0.5", 1, "kernel1, n=5, a=0.5"), ("1", 2, "kernel2, n=5, proportional")],
+        ids=["kernel1-grid", "kernel2-proportional"])
+    def test_failing_cell_named(self, tmp_path, capsys, noise, zero_pool, where):
+        # the pool's first 10 stimuli carry no signal, so n=5 has no predictive
+        # distribution at a < 1 (a = 1 is pure noise and needs none)
+        rng = np.random.default_rng(36)
+        for i in (1, 2):
+            X = rng.standard_normal((40, 5))
+            if i == zero_pool:
+                X[:10] = 0.0
+            write_matrix(X @ X.T, tmp_path / f"k{i}.csv", MatrixKind.KERNEL)
+        out = tmp_path / "out"
+        assert main(["sweep", "--kernel1", str(tmp_path / "k1.csv"),
+                     "--kernel2", str(tmp_path / "k2.csv"), "--n-values", "20,5",
+                     "--noise-values", noise, "--samples", "50", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error: {where}: kernel trace is not positive; "
+            "cannot build a predictive distribution\n")
+        assert not out.exists()
+
 
 class TestStabilityCommand:
     def test_single_repeat_is_usage_error(self, tmp_path):
@@ -354,6 +392,24 @@ class TestStabilityCommand:
         assert pairs[0] == "metric,n_images,label1,label2,sd"
         assert len(pairs) == 1 + 2 * 2 * 3  # metrics x sizes x pairs
 
+
+    def test_failing_repeat_named(self, tmp_path, capsys):
+        # one signal-carrying stimulus in 12: every subset of 12 holds it; at seed 10
+        # the first subset of 2 holds it and the second misses it
+        rng = np.random.default_rng(37)
+        X = np.zeros((12, 3))
+        X[7] = 1.0
+        layers = kernels_same_stimuli(rng, 12, 3, 1) + [
+            ("sparse", gram(RepresentationMatrix.from_array(X)))]
+        mpath = write_manifest_dir(tmp_path, layers)
+        out = tmp_path / "out"
+        assert main(["stability", "--manifest", str(mpath), "--n-images", "12,2",
+                     "--repeats", "4", "--metrics", "jsd", "--samples", "50",
+                     "--seed", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: n_images=2, repeat 1: layer 'sparse': kernel trace is not "
+            "positive; cannot build a predictive distribution\n")
+        assert not out.exists()
 
     def test_manifest_b_applies_unless_flag_given(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -221,9 +221,11 @@ class TestPairwiseMatrix:
     def test_baselines_match_per_pair_distances(self, squared):
         rng = np.random.default_rng(28)
         huge = np.ldexp(gram(RepresentationMatrix.from_array(rng.standard_normal((8, 4)))).K, 700)
+        near = gram(RepresentationMatrix.from_array(1.0 + 1e-8 * rng.standard_normal((8, 4))))
         layers = kernels_same_stimuli(rng, 8, 4, 3) + [
             ("huge", KernelMatrix.from_array(huge)),  # outside [2^-400, 2^400]: scaled
-            ("one_hot", KernelMatrix.from_array(np.eye(8)))]  # equal distances: no rsa_corr
+            ("one_hot", KernelMatrix.from_array(np.eye(8))),  # equal distances: no rsa_corr
+            ("near", near)]  # spread at rounding level of its scale: no baseline at all
         metrics = baseline_metrics.BASELINE_METRICS
         mats = pairwise_matrix(layers, metrics, a=0.5, n_samples=10, seed=29,
                                rsa_squared=squared, on_error="skip")
@@ -236,12 +238,20 @@ class TestPairwiseMatrix:
                 r = baseline_metrics.distances(metrics, kernels[la], kernels[lb], squared)[metric]
                 if isinstance(r, RepmetricError):
                     assert np.isnan(dm.values[i, j]) and np.isnan(dm.values[j, i])
-                    holes.append((la, lb, f"layer 'one_hot': {r}"))
+                    bad = "near" if "near" in (la, lb) else "one_hot"
+                    holes.append((la, lb, f"layer {bad!r}: {r}"))
                 else:
                     assert dm.values[i, j] == dm.values[j, i] == r.value
             assert dm.holes == tuple(holes)
+        for metric in metrics:  # near against all five others
+            assert [h[:2] for h in mats[metric].holes
+                    if h[2].startswith("layer 'near'")] == [
+                ("layer0", "near"), ("layer1", "near"), ("layer2", "near"), ("huge", "near"),
+                ("near", "one_hot")]
         reason = "layer 'one_hot': distance vector has zero variance"
-        assert [h[2] for h in mats["rsa_corr"].holes] == [reason] * 4
+        assert [h[2] for h in mats["rsa_corr"].holes
+                if h[2].startswith("layer 'one_hot'")] == [reason] * 4
+        assert np.isfinite(mats["rsa_arccos"].values[:5, :5]).all()  # one_hot keeps rsa_arccos
 
     def test_skip_holes_are_per_metric(self):
         rng = np.random.default_rng(26)
