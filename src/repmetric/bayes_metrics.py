@@ -52,8 +52,10 @@ each draws and reduces its stream in ``seeding.BLOCK_ROWS``-row blocks
 that stack to the stream's one N-row block, so a pair holds O(block·n)
 normals whatever N is. Which thread runs a side changes no result.
 This helper is the program's one concurrency mechanism: pairs run one
-at a time. Importing this module holds numpy's OpenBLAS to one thread,
-so the two sides, not idle BLAS workers, get the cores.
+at a time. It is one thread per process, made on the first call and
+kept for the next ones, and made again in a child forked after a call.
+Importing this module holds numpy's OpenBLAS to one thread, so the two
+sides, not idle BLAS workers, get the cores.
 
 ``gradients``, the twin of ``estimate`` for tvd and jsd, differentiates
 the dense path's estimate w.r.t. the two covariances on its exact draws
@@ -67,7 +69,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -171,11 +174,28 @@ def _pair_draws(n_draws, dim, seed):
     return d, [standard_normal_blocks(n_draws, dim, seed, stream) for stream in (0, 1)]
 
 
+_helper = None  # (pid, executor) of side 1's thread; a forked child makes its own
+
+
 def _on_both_sides(side):
-    """(side(0), side(1)) at once: side 1 on a helper thread while side 0 runs here."""
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(side, 1)
-        return side(0), second.result()
+    """(side(0), side(1)) at once: side 1 on the process's helper thread.
+
+    The helper is made on first use, through this module's
+    ``ThreadPoolExecutor`` name, and kept. Two threads that find none at
+    once each make one, and the one not kept stops once dropped; a lock
+    here could be held by another thread at a fork and hang the child.
+    Side 1 has finished when this returns or raises; side 0's error wins.
+    """
+    global _helper
+    helper = _helper
+    if helper is None or helper[0] != os.getpid():
+        helper = _helper = os.getpid(), ThreadPoolExecutor(max_workers=1)
+    second = helper[1].submit(side, 1)
+    try:
+        first = side(0)
+    finally:
+        wait((second,))
+    return first, second.result()
 
 
 def _whitened_side(own, other, blocks, d, reduce=None):

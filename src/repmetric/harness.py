@@ -71,7 +71,8 @@ def load_kernel(path, kind: MatrixKind, what: str) -> KernelMatrix:
     with named(what):
         if kind is MatrixKind.REPRESENTATION:
             return gram(RepresentationMatrix.from_array(loaded.values, loaded.labels))
-        return KernelMatrix.from_array(loaded.values, loaded.labels)
+        # the array read_matrix just made is no one else's: symmetrized where it lies
+        return KernelMatrix._adopt(loaded.values, loaded.labels)
 
 
 def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]]:
@@ -92,7 +93,9 @@ def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
     return sizes.pop()
 
 
-def _split_metrics(metrics: Sequence[str]):
+def _split_metrics(metrics: Sequence[str], n_samples: int):
+    """(Bayes metrics, baselines), checked before any work: a run's draws
+    are refused here, not in the first pair that uses them."""
     bayes = [m for m in metrics if m in bayes_metrics.BAYES_METRICS]
     base = [m for m in metrics if m in baseline_metrics.BASELINE_METRICS]
     unknown = [m for m in metrics if m not in bayes and m not in base]
@@ -102,6 +105,8 @@ def _split_metrics(metrics: Sequence[str]):
         raise ValidationError("no metrics requested")
     if len(set(metrics)) < len(metrics):
         raise ValidationError(f"repeated metrics: {list(metrics)}")
+    if bayes and n_samples < 2:
+        raise ValidationError("need at least 2 draws for a standard error")
     return bayes, base
 
 
@@ -121,7 +126,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     if on_error not in ("abort", "skip"):
         raise ValidationError("on_error must be 'abort' or 'skip'")
     _check_layers(layers)
-    metrics_bayes, metrics_base = _split_metrics(metrics)
+    metrics_bayes, metrics_base = _split_metrics(metrics, n_samples)
 
     # per layer, before any pair runs: its model, baseline operands and undefined metrics
     models: dict[str, GaussianModel] = {}
@@ -217,7 +222,7 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     for m in metrics:
         if m not in ("jsd", "tvd"):
             raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
-    _split_metrics(metrics)
+    _split_metrics(metrics, n_samples)
     n_values = [int(n) for n in n_values]
     if not n_values or not len(noise_values):
         raise ValidationError("empty sweep axes")
@@ -320,7 +325,7 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
         raise ValidationError("n_images must be >= 2")
     if n_repeats < 2:
         raise ValidationError("n_repeats must be >= 2")
-    _split_metrics(metrics)
+    _split_metrics(metrics, n_samples)
 
     a = heuristic_a(n_images, b)
     names = [name for name, _ in layers]

@@ -59,40 +59,46 @@ def _as_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
 
 
 def symmetric_part(M, what: str) -> np.ndarray:
-    """M/2 + Mᵀ/2 of a square, finite M, in one new n×n array.
+    """M/2 + Mᵀ/2 of a square, finite M, in one new n×n array; M is not written.
 
     The one symmetry rule, for kernels, covariances and distance matrices:
     |M - Mᵀ| ≤ ``SYMMETRY_RTOL``·max(|M|, 1) entrywise, else a
-    ValidationError naming ``what``. Works on pairs of mirrored tiles of
-    at most ``SYMMETRY_TILE`` rows, so each pass stays in cache; a matrix
-    that small is one tile.
+    ValidationError naming ``what``.
     """
-    M = np.asarray(M, dtype=np.float64)
+    return _symmetrize(np.array(M, dtype=np.float64), what)
+
+
+def _symmetrize(M: np.ndarray, what: str) -> np.ndarray:
+    """``symmetric_part`` written over the float64 M itself (part-written on an error).
+
+    One pass over pairs of mirrored tiles of at most ``SYMMETRY_TILE`` rows,
+    each in cache: the mirrored tile is read once, halved and transposed,
+    into a buffer, and A·½ + Bᵀ·½ is written over both tiles.
+    """
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValidationError(f"{what} must be a nonempty square matrix")
     hi, lo = M.max(), M.min()  # NaN propagates, so these also decide finiteness
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValidationError(f"{what} contains non-finite values")
-    tol = SYMMETRY_RTOL * max(hi, -lo, 1.0)
+    # A·½ - Bᵀ·½ cannot overflow, and is the rounded A - Bᵀ halved wherever
+    # it could reach this bound: the decisions are those of |A - Bᵀ| ≤ tol
+    half_tol = 0.5 * SYMMETRY_RTOL * max(hi, -lo, 1.0)
     n = M.shape[0]
     tiles = -(-n // SYMMETRY_TILE)
     b = -(-n // tiles)  # equal tiles, none larger than SYMMETRY_TILE
-    S = np.empty_like(M)
-    work = np.empty((b, b))
-    with np.errstate(over="ignore"):  # a difference beyond the double range fails
-        for i in range(0, n, b):
-            for j in range(i, n, b):
-                A, Bt = M[i:i + b, j:j + b], M[j:j + b, i:i + b].T
-                h = work[:A.shape[0], :A.shape[1]]
-                if np.abs(np.subtract(A, Bt, out=h), out=h).max() > tol:
-                    raise ValidationError(f"{what} is not symmetric")
-                # halve before adding, so entries near the top of the range cannot overflow
-                out = S[i:i + b, j:j + b]
-                np.multiply(A, 0.5, out=out)
-                out += np.multiply(Bt, 0.5, out=h)
-                if j > i:
-                    S[j:j + b, i:i + b] = out.T
-    return S
+    half_bt, diff = np.empty((b, b)), np.empty((b, b))
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            A = M[i:i + b, j:j + b]
+            Bt = np.multiply(M[j:j + b, i:i + b].T, 0.5, out=half_bt[:A.shape[0], :A.shape[1]])
+            A *= 0.5
+            h = np.subtract(A, Bt, out=diff[:A.shape[0], :A.shape[1]])
+            if h.max() > half_tol or h.min() < -half_tol:
+                raise ValidationError(f"{what} is not symmetric")
+            A += Bt
+            if j > i:
+                M[j:j + b, i:i + b] = A.T
+    return M
 
 
 @dataclass(frozen=True)
@@ -225,8 +231,15 @@ class KernelMatrix:
         proves the bound (Weyl: λ_min(K) ≥ -‖K - G Gᵀ‖_F). Otherwise a
         dense Cholesky of K shifted by the floor decides, and the smallest
         eigenvalue, reported on rejection, settles a borderline failure.
+        The caller's K is not written: validation works on a float64 copy.
         """
-        K = symmetric_part(K, "kernel")
+        return cls._adopt(np.array(K, dtype=np.float64), labels)
+
+    @classmethod
+    def _adopt(cls, K: np.ndarray, labels: Optional[Sequence[str]]) -> "KernelMatrix":
+        """``from_array`` of a float64 K that the caller hands over: K is
+        symmetrized in place and becomes the kernel's K."""
+        K = _symmetrize(K, "kernel")
         n = K.shape[0]
         trace = _check_trace(K)
         floor = -PSD_RTOL * max(trace, 0.0) / n

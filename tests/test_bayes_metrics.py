@@ -1,5 +1,6 @@
 import multiprocessing
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -716,6 +717,59 @@ class TestBothSidesAtOnce:
         finally:
             child.kill()
         assert got == want
+
+    def test_one_helper_thread_serves_every_call(self):
+        m1, m2 = self.pairs()["dense"]
+        real = bayes_metrics._whitened_side
+        side_one = set()
+
+        def record(own, *args, **kwargs):
+            if own is m2:
+                side_one.add(threading.current_thread())
+            return real(own, *args, **kwargs)
+
+        estimate(("jsd",), m1, m2, 200, 5)
+        before = set(threading.enumerate())
+        with mock.patch.object(bayes_metrics, "_whitened_side", side_effect=record):
+            for seed in range(50):
+                estimate(("jsd",), m1, m2, 200, seed)
+        assert set(threading.enumerate()) == before
+        (helper,) = side_one
+        assert helper.is_alive() and helper is not threading.current_thread()
+
+    def test_side_one_error_reaches_the_caller(self):
+        m1, m2 = self.pairs()["dense"]
+        real = bayes_metrics._whitened_side
+
+        def fail_side_one(own, *args, **kwargs):
+            if own is m2:
+                raise KeyError("side 1")
+            return real(own, *args, **kwargs)
+
+        with mock.patch.object(bayes_metrics, "_whitened_side", side_effect=fail_side_one):
+            with pytest.raises(KeyError, match="side 1"):
+                estimate(("jsd",), m1, m2, 200, 5)
+        want = estimate(("jsd",), m1, m2, 200, 5)
+        with mock.patch.object(bayes_metrics, "_on_both_sides", lambda side: (side(0), side(1))):
+            assert estimate(("jsd",), m1, m2, 200, 5) == want
+
+    def test_side_zero_error_waits_for_side_one(self):
+        m1, m2 = self.pairs()["dense"]
+        real = bayes_metrics._whitened_side
+        side_one_done = threading.Event()
+
+        def slow_side_one(own, *args, **kwargs):
+            if own is m1:
+                raise KeyError("side 0")
+            time.sleep(0.2)
+            result = real(own, *args, **kwargs)
+            side_one_done.set()
+            return result
+
+        with mock.patch.object(bayes_metrics, "_whitened_side", side_effect=slow_side_one):
+            with pytest.raises(KeyError, match="side 0"):
+                estimate(("jsd",), m1, m2, 200, 5)
+            assert side_one_done.is_set()
 
     def test_dense_memory_stays_within_blocks(self):
         rng = np.random.default_rng(91)

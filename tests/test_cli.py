@@ -764,6 +764,20 @@ class TestSingleBlas:
         assert set(out.stdout.split()) == {"1"}
 
 
+def test_gc_frozen_by_the_cli_not_the_package():
+    # the CLI spares its exit a walk over every imported object; library users keep their GC
+    import repmetric
+    env = dict(os.environ, PYTHONPATH=str(Path(repmetric.__file__).resolve().parent.parent))
+    code = ("import gc, repmetric\n"
+            "package = gc.get_freeze_count()\n"
+            "import repmetric.cli\n"
+            "print(package, gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    package, cli = map(int, out.stdout.split())
+    assert package == 0 and cli > 0
+
+
 class TestHelp:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

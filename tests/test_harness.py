@@ -451,6 +451,25 @@ class TestLowRankWorkOncePerKernel:
         assert len(set(map(id, gram_basis_calls))) == 2 * len(n_values)
 
 
+@pytest.mark.parametrize("pipeline", ["pairwise", "sweep", "stability"])
+def test_too_few_draws_refused_before_any_work(pipeline):
+    rng = np.random.default_rng(19)
+    layers = kernels_same_stimuli(rng, 10, 4, 2)
+    run = {"pairwise": lambda: pairwise_matrix(layers, ["cka", "jsd"], 0.5, 1, 0),
+           "sweep": lambda: snr_sweep(layers[0][1], layers[1][1], [5], [0.5], 1, 0),
+           "stability": lambda: stability_study(layers, 5, 2, ["cka", "jsd"], 0.01, 1, 0),
+           }[pipeline]
+    spy = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(KernelMatrix, "subset", spy), \
+            mock.patch.object(harness, "predictive_covariance", spy), \
+            mock.patch.object(bayes_metrics, "estimate", spy):
+        with pytest.raises(ValidationError,
+                           match="^need at least 2 draws for a standard error$"):
+            run()
+    spy.assert_not_called()
+    assert stability_study(layers, 5, 2, ["cka"], 0.01, 1, 0).metrics == ("cka",)
+
+
 class TestStabilityStudy:
     @pytest.mark.parametrize("size", [1, 2, 5, 6])
     def test_median_bitwise_equals_numpy(self, size):

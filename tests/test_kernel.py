@@ -13,10 +13,12 @@ from repmetric import kernel as kernel_module
 from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import (DegenerateRepresentationError, NotPositiveDefiniteError,
                               ValidationError)
+from repmetric.harness import load_kernel
 from repmetric.mds import mds_embed
 from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, pivoted_cholesky, predictive_covariance,
                               solve_lower, squared_distance_matrix, symmetric_part)
+from repmetric.matrix_io import MatrixKind, read_matrix, write_matrix
 
 
 class TestGram:
@@ -245,8 +247,38 @@ class TestSymmetricPart:
 
     def test_top_of_the_double_range(self):
         # halving before adding: (M + Mᵀ)/2 would overflow to inf
-        M = np.array([[1.7e308, 1.2e308], [1.2e308, 1.0]])
-        assert np.array_equal(symmetric_part(M, "kernel"), M)
+        for M in (np.array([[1.7e308, 1.2e308], [1.2e308, 1.0]]),
+                  np.array([[1.0, -1e308, 1e308], [-1e308, 1.0, -1e308], [1e308, -1e308, 1.0]])):
+            assert np.array_equal(symmetric_part(M, "kernel"), M)
+
+    @pytest.mark.parametrize("what", ["symmetric_part", *VALIDATORS])
+    def test_caller_array_not_written(self, what):
+        P = np.random.default_rng(13).standard_normal((250, 3))  # two tiles
+        if what == "distance":
+            M = np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1))
+        else:
+            M = P @ P.T + np.eye(250)
+        M[3, 240] = np.nextafter(M[240, 3], np.inf)  # asymmetric within the rule
+        before = M.tobytes()
+        validate = self.VALIDATORS.get(what, lambda M: symmetric_part(M, "kernel"))
+        validate(M)
+        assert M.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["k.rmx", "k.csv"])
+    def test_loaded_kernel_is_symmetric_part_of_the_file(self, tmp_path, name):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((257, 5))
+        M = X @ X.T + 1e-12 * rng.standard_normal((257, 257))  # asymmetric within the rule
+        path = tmp_path / name
+        write_matrix(M, path, MatrixKind.KERNEL, labels=[f"r{i}" for i in range(257)])
+        read = read_matrix(path, MatrixKind.KERNEL)
+        kern = load_kernel(path, MatrixKind.KERNEL, "layer 'x'")
+        assert kern.K.tobytes() == symmetric_part(read.values, "kernel").tobytes()
+        assert kern.labels == read.labels
+        M[3, 240] *= 1.5
+        write_matrix(M, path, MatrixKind.KERNEL)
+        with pytest.raises(ValidationError, match="^layer 'x': kernel is not symmetric$"):
+            load_kernel(path, MatrixKind.KERNEL, "layer 'x'")
 
     @pytest.mark.parametrize("n", [1, 2, 192, 193, 255, 256, 257, 1000])
     def test_bitwise_equal_to_halved_sum(self, n):
