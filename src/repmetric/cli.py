@@ -8,6 +8,8 @@ All five commands publish through `_writes_out`: `--out` is created
 before any input is read, the files appear there together with
 `record.json` moved in last, and a failed run changes nothing there.
 Only a killed run can leave a hidden `.partial-*` directory behind.
+`compare`, `sweep` and `stability` check their flags, with the manifest's
+defaults, before any layer or kernel file is read.
 `gram` refuses inputs that share a stem, since each kernel is named
 after its input's stem. List flags ignore spaces around each item.
 
@@ -125,22 +127,20 @@ def cmd_gram(inputs, out_dir, fmt):
             "format": fmt, "outputs": outputs}
 
 
-def _load_manifest_run(manifest_path, metrics, n_samples, seed):
-    """(manifest, layers, metrics, n_samples, seed); flags beat manifest defaults."""
+def _read_manifest_run(manifest_path, metric_list, n_samples, seed):
+    """(manifest, n_samples, seed), flags beating manifest defaults, with the
+    metrics and draws checked before any layer is read."""
     manifest = read_manifest(manifest_path)
-    layers = harness.load_layer_kernels(manifest)
-    metric_list = _parse_list(metrics, str, "--metrics")
     if n_samples is None:
         n_samples = 10_000 if manifest.n_samples is None else manifest.n_samples
     if seed is None:
         seed = 0 if manifest.seed is None else manifest.seed
-    return manifest, layers, metric_list, n_samples, seed
+    harness.split_metrics(metric_list, n_samples)
+    return manifest, n_samples, seed
 
 
 def _resolve_noise(a, b, manifest, n):
     """(a, b it came from): the flags, else the manifest's a/b, else DEFAULT_B."""
-    if a is not None and b is not None:
-        raise click.UsageError("--a and --b are mutually exclusive")
     if a is None and b is None:
         a, b = manifest.a, manifest.b
     if a is None:
@@ -169,8 +169,11 @@ def _resolve_noise(a, b, manifest, n):
 def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
                 rsa_squared, on_error):
     """Pairwise distance matrices over the layers of a manifest."""
-    manifest, layers, metric_list, n_samples, seed = _load_manifest_run(
-        manifest_path, metrics, n_samples, seed)
+    metric_list = _parse_list(metrics, str, "--metrics")
+    if a is not None and b is not None:
+        raise click.UsageError("--a and --b are mutually exclusive")
+    manifest, n_samples, seed = _read_manifest_run(manifest_path, metric_list, n_samples, seed)
+    layers = harness.load_layer_kernels(manifest)
     n = layers[0][1].n
     a, used_b = _resolve_noise(a, b, manifest, n)
 
@@ -215,11 +218,12 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
 def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
               n_samples, seed, out_dir):
     """Distance grid over stimulus counts and noise levels for two pooled kernels."""
-    pool1, pool2 = (harness.load_kernel(path, MatrixKind.KERNEL, str(path))
-                    for path in (kernel1, kernel2))
     ns = _parse_list(n_values, int, "--n-values")
     noises = _parse_list(noise_values, float, "--noise-values")
     metric_list = _parse_list(metrics, str, "--metrics")
+    harness.check_sweep_metrics(metric_list, n_samples)
+    pool1, pool2 = (harness.load_kernel(path, MatrixKind.KERNEL, str(path))
+                    for path in (kernel1, kernel2))
 
     grid = harness.snr_sweep(pool1, pool2, ns, noises, n_samples, seed,
                              b=b, metrics=metric_list, noise_kind=noise_kind)
@@ -261,13 +265,14 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     """Stability of pairwise distances across random image subsets."""
     if repeats < 2:
         raise click.UsageError("--repeats must be >= 2")
-    manifest, layers, metric_list, n_samples, seed = _load_manifest_run(
-        manifest_path, metrics, n_samples, seed)
-    if b is None:
-        b = manifest.b if manifest.b is not None else harness.DEFAULT_B
     sizes = _parse_list(n_images, int, "--n-images")
     if not sizes:
         raise ValidationError("--n-images lists no subset size")
+    metric_list = _parse_list(metrics, str, "--metrics")
+    manifest, n_samples, seed = _read_manifest_run(manifest_path, metric_list, n_samples, seed)
+    if b is None:
+        b = manifest.b if manifest.b is not None else harness.DEFAULT_B
+    layers = harness.load_layer_kernels(manifest)
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b, n_samples, seed,
                                        rsa_squared=rsa_squared)

@@ -93,7 +93,7 @@ def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
     return sizes.pop()
 
 
-def _split_metrics(metrics: Sequence[str], n_samples: int):
+def split_metrics(metrics: Sequence[str], n_samples: int):
     """(Bayes metrics, baselines), checked before any work: a run's draws
     are refused here, not in the first pair that uses them."""
     bayes = [m for m in metrics if m in bayes_metrics.BAYES_METRICS]
@@ -126,7 +126,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     if on_error not in ("abort", "skip"):
         raise ValidationError("on_error must be 'abort' or 'skip'")
     _check_layers(layers)
-    metrics_bayes, metrics_base = _split_metrics(metrics, n_samples)
+    metrics_bayes, metrics_base = split_metrics(metrics, n_samples)
 
     # per layer, before any pair runs: its model, baseline operands and undefined metrics
     models: dict[str, GaussianModel] = {}
@@ -219,10 +219,7 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     """
     if pool1.n != pool2.n:
         raise ValidationError("kernel pools have different sizes")
-    for m in metrics:
-        if m not in ("jsd", "tvd"):
-            raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
-    _split_metrics(metrics, n_samples)
+    check_sweep_metrics(metrics, n_samples)
     n_values = [int(n) for n in n_values]
     if not n_values or not len(noise_values):
         raise ValidationError("empty sweep axes")
@@ -247,6 +244,14 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     return SweepGrid(n_values=tuple(n_values), noise_values=tuple(float(v) for v in noise_values),
                      a_values=tuple(a_grid), noise_kind=noise_kind, b=float(b), grid=grid,
                      proportional=proportional)
+
+
+def check_sweep_metrics(metrics: Sequence[str], n_samples: int) -> None:
+    """``split_metrics``'s rule for a sweep, which estimates jsd and tvd only."""
+    for m in metrics:
+        if m not in ("jsd", "tvd"):
+            raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
+    split_metrics(metrics, n_samples)
 
 
 SWEEP_LABELS = ("kernel1", "kernel2")
@@ -325,7 +330,7 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
         raise ValidationError("n_images must be >= 2")
     if n_repeats < 2:
         raise ValidationError("n_repeats must be >= 2")
-    _split_metrics(metrics, n_samples)
+    split_metrics(metrics, n_samples)
 
     a = heuristic_a(n_images, b)
     names = [name for name, _ in layers]

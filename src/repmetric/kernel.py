@@ -225,13 +225,12 @@ class KernelMatrix:
         """Validate a kernel: symmetric, and no eigenvalue below the floor
         ``-PSD_RTOL``·tr K/n, relative to the kernel's own scale.
 
-        Validation factors K once. Unless K's trace and norm already show
-        its rank exceeds n/4, it runs the pivoted Cholesky K ≈ G Gᵀ that
-        ``low_rank`` holds, and a residual ‖K - G Gᵀ‖_F within the floor
-        proves the bound (Weyl: λ_min(K) ≥ -‖K - G Gᵀ‖_F). Otherwise a
-        dense Cholesky of K shifted by the floor decides, and the smallest
-        eigenvalue, reported on rejection, settles a borderline failure.
-        The caller's K is not written: validation works on a float64 copy.
+        Validation reads the kernel's ``low_rank`` factor K ≈ G Gᵀ, and a
+        residual ‖K - G Gᵀ‖_F within the floor proves the bound (Weyl:
+        λ_min(K) ≥ -‖K - G Gᵀ‖_F). Without such a factor a dense Cholesky
+        of K shifted by the floor decides, and the smallest eigenvalue,
+        reported on rejection, settles a borderline failure. The caller's
+        K is not written: validation works on a float64 copy.
         """
         return cls._adopt(np.array(K, dtype=np.float64), labels)
 
@@ -241,18 +240,13 @@ class KernelMatrix:
         symmetrized in place and becomes the kernel's K."""
         K = _symmetrize(K, "kernel")
         n = K.shape[0]
-        trace = _check_trace(K)
-        floor = -PSD_RTOL * max(trace, 0.0) / n
-        cache, certified = {}, False
+        floor = -PSD_RTOL * max(_check_trace(K), 0.0) / n
+        kernel = cls(K=K, labels=_as_labels(labels, n))
+        factor = kernel.low_rank
         with np.errstate(over="ignore", invalid="ignore"):  # K may be far from PSD
-            # a PSD K has rank ≥ tr(K)²/‖K‖²_F: past n/4 the attempt cannot succeed
-            if trace * trace <= (n // 4) * float(np.einsum("ij,ij->", K, K)):
-                factor = cache["low_rank"] = pivoted_cholesky(K, n // 4)
-                certified = factor is not None and _residual_norm(K, factor.G) <= -floor
+            certified = factor is not None and _residual_norm(K, factor.G) <= -floor
         if not certified:
             _check_floor(K, floor)
-        kernel = cls(K=K, labels=_as_labels(labels, n))
-        vars(kernel).update(cache)  # fills the low_rank cached_property
         return kernel
 
     @property
@@ -263,11 +257,16 @@ class KernelMatrix:
     def low_rank(self) -> Optional[LowRankFactor]:
         """The kernel's pivoted Cholesky, or None when its rank exceeds n/4.
 
-        ``from_array`` fills it while validating; otherwise it is computed
-        once, on first use, from K alone: a ``subset`` gets the factor
-        that the same submatrix read from a file would get.
+        Computed once, on first use, from K alone: every kernel gets the
+        factor that the same K read from a file would get. A PSD K has rank
+        ≥ tr(K)²/‖K‖²_F, so when that exceeds n/4 no attempt is made.
         """
-        return pivoted_cholesky(self.K, self.n // 4)
+        K, n = self.K, self.n
+        with np.errstate(over="ignore", invalid="ignore"):  # K may be far from PSD
+            trace = float(np.trace(K))
+            if trace * trace > (n // 4) * float(np.einsum("ij,ij->", K, K)):
+                return None
+            return pivoted_cholesky(K, n // 4)
 
     def subset(self, indices) -> "KernelMatrix":
         """Principal submatrix for a subset of stimuli.

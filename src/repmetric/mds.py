@@ -6,8 +6,8 @@ dissimilarities, so it inherits that monotonicity up to the rounding
 noted below.
 
 Restarts advance together, as many at a time as keep their (k, m, m)
-stack and D within ``SMACOF_BATCH_BYTES``, so a batch stays in one
-core's cache; a batch holds at least one restart. The stack is the only
+stack and D within ``SMACOF_BATCH_BYTES``, which bounds the stack's
+memory; a batch holds at least one restart. The stack is the only
 m×m buffer, R = δ/d. Each iteration (de Leeuw 1977; Borg & Groenen 2005,
 ch. 8) writes every squared distance into R from one product of the
 augmented coordinates, [-2X | ‖x‖² | 1] [X | 1 | ‖x‖²]ᵀ, puts 1 on its

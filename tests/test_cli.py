@@ -580,6 +580,33 @@ class TestSingleLineValidationErrors:
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
 
 
+class TestFlagsBeforeInputs:
+    """A run its flags (with the manifest's defaults) refuse reads no kernel or representation."""
+
+    @pytest.mark.parametrize("command, bad, code, message", [
+        ("stability", ["--samples", "1"], 2,
+         "validation error: need at least 2 draws for a standard error"),
+        ("compare", ["--metrics", "nope"], 2, "validation error: unknown metrics: ['nope']"),
+        ("sweep", ["--metrics", "cka"], 2,
+         "validation error: snr_sweep supports jsd/tvd, got 'cka'"),
+        ("compare", ["--b", "0.01"], 1, "usage error: --a and --b are mutually exclusive"),
+        ("stability", ["--n-images", "x"], 1, "usage error: cannot parse --n-images: 'x'"),
+        ("sweep", ["--n-values", "x"], 1, "usage error: cannot parse --n-values: 'x'")],
+        ids=["stability-samples", "compare-metrics", "sweep-metrics", "compare-a-and-b",
+             "stability-n-images", "sweep-n-values"])
+    def test_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, command,
+                                              bad, code, message):
+        argv = small_run(tmp_path, command) + bad + ["--out", str(tmp_path / "out")]
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(harness, "load_kernel", unread)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err == message + "\n"
+
+
 class TestFileErrors:
     """A path the file system refuses exits 2 with one line naming it, never a traceback."""
 

@@ -13,7 +13,7 @@ from repmetric import kernel as kernel_module
 from repmetric.bayes_metrics import tvd_gradient
 from repmetric.errors import (DegenerateRepresentationError, NotPositiveDefiniteError,
                               ValidationError)
-from repmetric.harness import load_kernel
+from repmetric.harness import _leading, load_kernel
 from repmetric.mds import mds_embed
 from repmetric.kernel import (PSD_RTOL, GaussianModel, KernelMatrix, RepresentationMatrix,
                               centered_kernel, gram, pivoted_cholesky, predictive_covariance,
@@ -433,7 +433,8 @@ class TestPsdCertificate:
         assert np.trace(K) ** 2 / np.vdot(K, K) > 120 // 4  # its rank must exceed n/4
         kern = KernelMatrix.from_array(K)
         assert (pivoted.call_count, dense.call_count) == (0, 1)
-        assert "low_rank" not in vars(kern)
+        assert kern.low_rank is None
+        assert pivoted.call_count == 0
 
     def test_decaying_full_rank_kernel_takes_the_dense_check(self, spies):
         pivoted, dense = spies
@@ -459,6 +460,28 @@ class TestPsdCertificate:
             KernelMatrix.from_array(np.diag([1.0] * (n - 1) + [-1.0]))
         assert dense.call_count == 2
 
+    def test_every_kernel_source_follows_one_rule(self, spies):
+        pivoted, dense = spies
+        rng = np.random.default_rng(45)
+        grammed = gram(RepresentationMatrix.from_array(rng.standard_normal((100, 200))))
+        pool = KernelMatrix.from_array(grammed.K)
+        sub = pool.subset(rng.choice(100, size=60, replace=False))
+        for kern in (grammed, sub, _leading(grammed, 60), _leading(sub, 40)):
+            assert np.trace(kern.K) ** 2 / np.vdot(kern.K, kern.K) > kern.n // 4
+            predictive_covariance(kern, 0.5)
+            assert kern.low_rank is None
+        assert (pivoted.call_count, dense.call_count) == (0, 1)
+        # a low-rank pool's subset and view: one attempt each, the factor of the same K loaded
+        X = rng.standard_normal((100, 8))
+        pool = KernelMatrix.from_array(X @ X.T)
+        for kern in (pool.subset(rng.choice(100, size=60, replace=False)), _leading(pool, 60)):
+            calls = pivoted.call_count
+            predictive_covariance(kern, 0.5)
+            assert pivoted.call_count == calls + 1
+            loaded = KernelMatrix.from_array(np.array(kern.K)).low_rank
+            assert np.array_equal(kern.low_rank.G, loaded.G)
+            assert np.array_equal(kern.low_rank.residual, loaded.residual)
+
     @pytest.mark.parametrize("kind", ["low_rank", "flat", "decaying"])
     def test_one_pivoted_cholesky_per_kernel(self, spies, kind):
         pivoted, _ = spies
@@ -473,7 +496,8 @@ class TestPsdCertificate:
         kern = KernelMatrix.from_array(0.5 * K + 0.5 * K.T)
         for a in (0.3, 0.7):
             predictive_covariance(kern, a)
-        assert pivoted.call_count == 1
+        # a flat kernel's tr(K)²/‖K‖²_F already shows a rank above n/4: no attempt
+        assert pivoted.call_count == (0 if kind == "flat" else 1)
 
 
 class TestKernelValidation:
