@@ -8,8 +8,11 @@ All five commands publish through `_writes_out`: `--out` is created
 before any input is read, the files appear there together with
 `record.json` moved in last, and a failed run changes nothing there.
 Only a killed run can leave a hidden `.partial-*` directory behind.
-`compare`, `sweep` and `stability` check their flags, with the manifest's
-defaults, before any layer or kernel file is read.
+Every command settles its run arguments, with the manifest's defaults,
+through its pipeline's argument check (`harness.check_pairwise_args`,
+`check_sweep_args`, `check_stability_args`, `mds.check_embed_args`)
+before any layer, kernel or distance file is read; only rules that need
+the data come after.
 `gram` refuses inputs that share a stem, since each kernel is named
 after its input's stem. List flags ignore spaces around each item.
 
@@ -127,28 +130,24 @@ def cmd_gram(inputs, out_dir, fmt):
             "format": fmt, "outputs": outputs}
 
 
-def _read_manifest_run(manifest_path, metric_list, n_samples, seed):
-    """(manifest, n_samples, seed), flags beating manifest defaults, with the
-    metrics and draws checked before any layer is read."""
+def _read_manifest_run(manifest_path, n_samples, seed):
+    """(manifest, n_samples, seed), flags beating manifest defaults."""
     manifest = read_manifest(manifest_path)
     if n_samples is None:
         n_samples = 10_000 if manifest.n_samples is None else manifest.n_samples
     if seed is None:
         seed = 0 if manifest.seed is None else manifest.seed
-    harness.split_metrics(metric_list, n_samples)
     return manifest, n_samples, seed
 
 
-def _resolve_noise(a, b, manifest, n):
-    """(a, b it came from): the flags, else the manifest's a/b, else DEFAULT_B."""
+def _resolve_noise(a, b, manifest):
+    """(a, b): the flags, else the manifest's a/b, else b = DEFAULT_B. a is
+    None when b sets it, since heuristic_a needs the stimulus count."""
     if a is None and b is None:
         a, b = manifest.a, manifest.b
-    if a is None:
-        b = harness.DEFAULT_B if b is None else b
-        a = harness.heuristic_a(n, b)
-    if not 0.0 <= a <= 1.0:
-        raise ValidationError(f"a={a} outside [0, 1]")
-    return float(a), b
+    if a is None and b is None:
+        b = harness.DEFAULT_B
+    return a, b
 
 
 @cli.command("compare")
@@ -172,10 +171,13 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
     metric_list = _parse_list(metrics, str, "--metrics")
     if a is not None and b is not None:
         raise click.UsageError("--a and --b are mutually exclusive")
-    manifest, n_samples, seed = _read_manifest_run(manifest_path, metric_list, n_samples, seed)
+    manifest, n_samples, seed = _read_manifest_run(manifest_path, n_samples, seed)
+    a, b = _resolve_noise(a, b, manifest)
+    harness.check_pairwise_args(metric_list, n_samples, seed, a=a, b=b, on_error=on_error)
     layers = harness.load_layer_kernels(manifest)
     n = layers[0][1].n
-    a, used_b = _resolve_noise(a, b, manifest, n)
+    if a is None:
+        a = harness.heuristic_a(n, b)
 
     matrices = harness.pairwise_matrix(
         layers, metric_list, a, n_samples, seed, rsa_squared=rsa_squared, on_error=on_error)
@@ -197,7 +199,7 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
     return {
         "command": "compare", "manifest": str(manifest_path),
         "labels": [name for name, _ in layers], "metrics": metric_list,
-        "a": a, "b": used_b, "n_samples": n_samples, "seed": seed,
+        "a": a, "b": b, "n_samples": n_samples, "seed": seed,
         "rsa_squared": rsa_squared, "on_error": on_error,
         "format": fmt, "n_stimuli": n, "outputs": outputs, "holes": holes,
         "pair_seed_scheme": "blake2b(master_seed, 'pair', sorted labels)"}
@@ -221,7 +223,7 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
     ns = _parse_list(n_values, int, "--n-values")
     noises = _parse_list(noise_values, float, "--noise-values")
     metric_list = _parse_list(metrics, str, "--metrics")
-    harness.check_sweep_metrics(metric_list, n_samples)
+    harness.check_sweep_args(ns, noises, n_samples, seed, b, metric_list, noise_kind)
     pool1, pool2 = (harness.load_kernel(path, MatrixKind.KERNEL, str(path))
                     for path in (kernel1, kernel2))
 
@@ -269,9 +271,11 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
     if not sizes:
         raise ValidationError("--n-images lists no subset size")
     metric_list = _parse_list(metrics, str, "--metrics")
-    manifest, n_samples, seed = _read_manifest_run(manifest_path, metric_list, n_samples, seed)
+    manifest, n_samples, seed = _read_manifest_run(manifest_path, n_samples, seed)
     if b is None:
         b = manifest.b if manifest.b is not None else harness.DEFAULT_B
+    for n in sizes:
+        harness.check_stability_args(n, repeats, metric_list, b, n_samples, seed)
     layers = harness.load_layer_kernels(manifest)
 
     reports = [harness.stability_study(layers, n, repeats, metric_list, b, n_samples, seed,
@@ -311,6 +315,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
 @_writes_out
 def cmd_embed(input_path, dims, restarts, max_iter, tol, seed, out_dir):
     """Metric MDS embedding of a distance matrix."""
+    mds.check_embed_args(dims, seed, restarts, max_iter, tol)
     loaded = read_matrix(input_path, MatrixKind.DISTANCE)
     emb = mds.mds_embed(loaded.values, dims=dims, seed=seed, restarts=restarts,
                         max_iter=max_iter, tol=tol)

@@ -19,7 +19,8 @@ import numpy as np
 from . import baseline_metrics, bayes_metrics
 from .bayes_metrics import DistanceEstimate
 from .errors import RepmetricError, ValidationError
-from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix, gram,
+from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix,
+                     check_finite_nonnegative, check_mixture_weight, gram,
                      predictive_covariance)
 from .matrix_io import LayerManifest, MatrixKind, read_matrix
 from .seeding import derive_seed, pair_seed, stream_generator
@@ -37,9 +38,7 @@ def heuristic_a(n: int, b: float) -> float:
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
-    if not 0.0 <= b < np.inf:
-        raise ValidationError(f"b={b} must be finite and >= 0")
-    bn = b * n
+    bn = check_finite_nonnegative(b, f"b={b}") * n
     return bn / (1.0 + bn) if bn < np.inf else 1.0
 
 
@@ -110,6 +109,23 @@ def split_metrics(metrics: Sequence[str], n_samples: int):
     return bayes, base
 
 
+def check_pairwise_args(metrics: Sequence[str], n_samples: int, seed: int,
+                        a: float | None = None, b: float | None = None,
+                        on_error: str = "abort"):
+    """``pairwise_matrix``'s argument rules, none of which needs a kernel:
+    ``split_metrics`` (returned), the seed's range, a in [0, 1] and, when
+    ``heuristic_a`` is to set a from b, b finite and >= 0."""
+    if on_error not in ("abort", "skip"):
+        raise ValidationError("on_error must be 'abort' or 'skip'")
+    split = split_metrics(metrics, n_samples)
+    derive_seed(seed)  # refuses a seed outside its range
+    if a is not None:
+        check_mixture_weight(a)
+    if b is not None:
+        check_finite_nonnegative(b, f"b={b}")
+    return split
+
+
 def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequence[str],
                     a: float, n_samples: int, seed: int, rsa_squared: bool = True,
                     on_error: str = "abort") -> dict[str, DistanceMatrix]:
@@ -123,10 +139,9 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
     pair's first label winning. A ValidationError aborts in both modes.
     Pairs run one at a time.
     """
-    if on_error not in ("abort", "skip"):
-        raise ValidationError("on_error must be 'abort' or 'skip'")
+    metrics_bayes, metrics_base = check_pairwise_args(metrics, n_samples, seed, a=a,
+                                                      on_error=on_error)
     _check_layers(layers)
-    metrics_bayes, metrics_base = split_metrics(metrics, n_samples)
 
     # per layer, before any pair runs: its model, baseline operands and undefined metrics
     models: dict[str, GaussianModel] = {}
@@ -197,14 +212,27 @@ class SweepGrid:
 
 def _noise_to_a(value: float, noise_kind: str) -> float:
     if noise_kind == "a":
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"a={value} outside [0, 1]")
-        return float(value)
-    if noise_kind == "variance":
-        if not 0.0 <= value < np.inf:  # heuristic_a's rule for b
-            raise ValidationError(f"noise variance {value} must be finite and >= 0")
-        return float(value / (1.0 + value))
+        return check_mixture_weight(value)
+    if noise_kind == "variance":  # b's rule
+        value = check_finite_nonnegative(value, f"noise variance {value}")
+        return value / (1.0 + value)
     raise ValidationError("noise_kind must be 'a' or 'variance'")
+
+
+def check_sweep_args(n_values: Sequence[int], noise_values: Sequence[float], n_samples: int,
+                     seed: int, b: float = DEFAULT_B, metrics: Sequence[str] = ("jsd",),
+                     noise_kind: str = "a") -> list[float]:
+    """``snr_sweep``'s argument rules, none of which needs a kernel; returns
+    each noise value's mixture weight. A sweep estimates jsd and tvd only."""
+    for m in metrics:
+        if m not in ("jsd", "tvd"):
+            raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
+    check_pairwise_args(metrics, n_samples, seed, b=b)
+    if not len(n_values) or not len(noise_values):
+        raise ValidationError("empty sweep axes")
+    if min(n_values) < 2:
+        raise ValidationError("need n >= 2")
+    return [_noise_to_a(v, noise_kind) for v in noise_values]
 
 
 def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
@@ -217,18 +245,13 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     leading principal submatrices of size n. A separate slice with
     a = heuristic_a(n, b) marks the proportional-noise diagonal.
     """
+    a_grid = check_sweep_args(n_values, noise_values, n_samples, seed, b, metrics, noise_kind)
     if pool1.n != pool2.n:
         raise ValidationError("kernel pools have different sizes")
-    check_sweep_metrics(metrics, n_samples)
     n_values = [int(n) for n in n_values]
-    if not n_values or not len(noise_values):
-        raise ValidationError("empty sweep axes")
     if max(n_values) > pool1.n:
         raise ValidationError(f"n={max(n_values)} exceeds pool size {pool1.n}")
-    if min(n_values) < 2:
-        raise ValidationError("need n >= 2")
 
-    a_grid = [_noise_to_a(v, noise_kind) for v in noise_values]
     a_props = [heuristic_a(n, b) for n in n_values]
     grid = {m: [] for m in metrics}
     proportional = {m: [] for m in metrics}
@@ -244,14 +267,6 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     return SweepGrid(n_values=tuple(n_values), noise_values=tuple(float(v) for v in noise_values),
                      a_values=tuple(a_grid), noise_kind=noise_kind, b=float(b), grid=grid,
                      proportional=proportional)
-
-
-def check_sweep_metrics(metrics: Sequence[str], n_samples: int) -> None:
-    """``split_metrics``'s rule for a sweep, which estimates jsd and tvd only."""
-    for m in metrics:
-        if m not in ("jsd", "tvd"):
-            raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
-    split_metrics(metrics, n_samples)
 
 
 SWEEP_LABELS = ("kernel1", "kernel2")
@@ -308,6 +323,18 @@ class StabilityReport:
     values: dict[str, dict[tuple[str, str], tuple[float, ...]]] = field(repr=False, default_factory=dict)
 
 
+def check_stability_args(n_images: int, n_repeats: int, metrics: Sequence[str], b: float,
+                         n_samples: int, seed: int) -> float:
+    """``stability_study``'s argument rules, none of which needs a kernel;
+    returns the subsets' mixture weight, heuristic_a(n_images, b)."""
+    if n_images < 2:
+        raise ValidationError("n_images must be >= 2")
+    if n_repeats < 2:
+        raise ValidationError("n_repeats must be >= 2")
+    check_pairwise_args(metrics, n_samples, seed)
+    return heuristic_a(n_images, b)
+
+
 def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
                     n_repeats: int, metrics: Sequence[str], b: float,
                     n_samples: int, seed: int, threads: int = 1,
@@ -323,16 +350,11 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
     """
     if threads != 1:
         raise ValidationError(f"threads={threads}: pairs run one at a time, only 1 is accepted")
+    a = check_stability_args(n_images, n_repeats, metrics, b, n_samples, seed)
     pool_size = _check_layers(layers)
     if n_images > pool_size:
         raise ValidationError(f"n_images={n_images} exceeds pool size {pool_size}")
-    if n_images < 2:
-        raise ValidationError("n_images must be >= 2")
-    if n_repeats < 2:
-        raise ValidationError("n_repeats must be >= 2")
-    split_metrics(metrics, n_samples)
 
-    a = heuristic_a(n_images, b)
     names = [name for name, _ in layers]
     pair_labels = list(itertools.combinations(names, 2))
     upper = np.triu_indices(len(names), k=1)  # the pairs' (i, j) in pair_labels' order

@@ -384,6 +384,21 @@ def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.concatenate((top, bottom))
 
 
+def check_mixture_weight(a: float) -> float:
+    """The noise mixture weight a as a float; it must lie in [0, 1]."""
+    if not 0.0 <= a <= 1.0:
+        raise ValidationError(f"a={a} outside [0, 1]")
+    return float(a)
+
+
+def check_finite_nonnegative(value: float, what: str) -> float:
+    """``value`` as a float; it must be finite and >= 0. ``what`` names it,
+    value included, in the error."""
+    if not 0.0 <= value < np.inf:
+        raise ValidationError(f"{what} must be finite and >= 0")
+    return float(value)
+
+
 def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     """Mix the trace-normalized kernel with isotropic noise and factorize.
 
@@ -394,8 +409,7 @@ def predictive_covariance(kernel: KernelMatrix, a: float) -> GaussianModel:
     Raises DegenerateRepresentationError when tr(K) <= 0 and a < 1: a
     representation with no signal variance induces no distribution.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValidationError(f"mixture weight a={a} outside [0, 1]")
+    check_mixture_weight(a)
     K = kernel.K
     n = kernel.n
     trace = _check_trace(K)

@@ -298,8 +298,10 @@ def read_manifest(path) -> LayerManifest:
     for key, cast in (("seed", int), ("a", float), ("b", float), ("n_samples", int)):
         value = doc.get(key)
         try:
-            if type(value) not in (type(None), int, cast):  # JSON numbers, not bools or strings
+            if type(value) not in (type(None), int, float):  # JSON numbers, not bools or strings
                 raise TypeError
+            if type(value) is float and cast is int:
+                raise ValidationError(f"{path}: manifest {key!r} is not an integer: {value!r}")
             defaults[key] = None if value is None else cast(value)
         except (TypeError, OverflowError):
             raise ValidationError(f"{path}: manifest {key!r} is not a number: {value!r}") from None

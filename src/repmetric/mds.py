@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import symmetric_part
+from .kernel import check_finite_nonnegative, symmetric_part
 from .seeding import derive_seed, stream_generator
 
 SMACOF_BATCH_BYTES = 2 << 20  # restarts advanced together keep their R stack and D within this
@@ -134,6 +134,18 @@ def _smacof(D: np.ndarray, dims: int, starts: Sequence[np.ndarray], max_iter: in
     return list(zip(coords, histories))
 
 
+def check_embed_args(dims: int, seed: int, restarts: int, max_iter: int, tol: float) -> None:
+    """``mds_embed``'s argument rules, none of which needs the distances."""
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
+    check_finite_nonnegative(tol, f"tol={tol}")
+    if dims < 1:
+        raise ValidationError("dims must be >= 1")
+    derive_seed(seed)  # refuses a seed outside its range
+
+
 def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
               max_iter: int = 500, tol: float = 1e-9) -> Embedding:
     """Embed a symmetric distance matrix into ``dims`` dimensions.
@@ -144,22 +156,17 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
     Coordinates are centered at the origin; orientation is arbitrary.
     Deterministic for a given seed.
     """
+    check_embed_args(dims, seed, restarts, max_iter, tol)
     S = symmetric_part(D, "distance matrix")
     if np.any(np.asarray(D) < 0):
         raise ValidationError("distance matrix has negative entries")
     if np.any(np.diag(S) != 0):
         raise ValidationError("distance matrix diagonal must be zero")
     D = S
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol={tol} must be finite and >= 0")
     m = D.shape[0]
     if m < 2:
         raise ValidationError("need at least 2 points")
-    if not 1 <= dims <= m:
+    if dims > m:
         raise ValidationError(f"dims must be between 1 and the number of points ({m})")
 
     if not np.any(D > 0):

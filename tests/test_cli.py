@@ -580,8 +580,12 @@ class TestSingleLineValidationErrors:
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
 
 
+SEED_2_130 = str(2 ** 130)
+
+
 class TestFlagsBeforeInputs:
-    """A run its flags (with the manifest's defaults) refuse reads no kernel or representation."""
+    """A run its arguments (with the manifest's defaults) refuse reads no kernel,
+    representation or distance matrix."""
 
     @pytest.mark.parametrize("command, bad, code, message", [
         ("stability", ["--samples", "1"], 2,
@@ -591,17 +595,49 @@ class TestFlagsBeforeInputs:
          "validation error: snr_sweep supports jsd/tvd, got 'cka'"),
         ("compare", ["--b", "0.01"], 1, "usage error: --a and --b are mutually exclusive"),
         ("stability", ["--n-images", "x"], 1, "usage error: cannot parse --n-images: 'x'"),
-        ("sweep", ["--n-values", "x"], 1, "usage error: cannot parse --n-values: 'x'")],
+        ("sweep", ["--n-values", "x"], 1, "usage error: cannot parse --n-values: 'x'"),
+        ("stability", ["--b", "nan"], 2, "validation error: b=nan must be finite and >= 0"),
+        ("stability", ["--n-images", "1"], 2, "validation error: n_images must be >= 2"),
+        ("sweep", ["--noise-values", "nan"], 2, "validation error: a=nan outside [0, 1]"),
+        ("sweep", ["--n-values", "1"], 2, "validation error: need n >= 2"),
+        ("sweep", ["--n-values", ""], 2, "validation error: empty sweep axes"),
+        ("sweep", ["--b", "-1"], 2, "validation error: b=-1.0 must be finite and >= 0"),
+        ("sweep", ["--noise-kind", "variance", "--noise-values", "-1"], 2,
+         "validation error: noise variance -1.0 must be finite and >= 0"),
+        ("compare", ["--a", None, "--b", "nan"], 2,
+         "validation error: b=nan must be finite and >= 0"),
+        ("compare", ["--a", "2"], 2, "validation error: a=2.0 outside [0, 1]"),
+        ("compare", ["--seed", SEED_2_130], 2,
+         f"validation error: seed {SEED_2_130} outside [-2**127, 2**127 - 1]"),
+        ("sweep", ["--seed", SEED_2_130], 2,
+         f"validation error: seed {SEED_2_130} outside [-2**127, 2**127 - 1]"),
+        ("stability", ["--seed", SEED_2_130], 2,
+         f"validation error: seed {SEED_2_130} outside [-2**127, 2**127 - 1]"),
+        ("embed", ["--seed", SEED_2_130], 2,
+         f"validation error: seed {SEED_2_130} outside [-2**127, 2**127 - 1]"),
+        ("embed", ["--restarts", "0"], 2, "validation error: restarts must be >= 1"),
+        ("embed", ["--max-iter", "0"], 2, "validation error: max_iter must be >= 1"),
+        ("embed", ["--tol", "-1"], 2, "validation error: tol=-1.0 must be finite and >= 0")],
         ids=["stability-samples", "compare-metrics", "sweep-metrics", "compare-a-and-b",
-             "stability-n-images", "sweep-n-values"])
+             "stability-n-images", "sweep-n-values", "stability-b-nan", "stability-one-image",
+             "sweep-noise-nan", "sweep-one-stimulus", "sweep-no-n-values", "sweep-b-negative",
+             "sweep-variance-negative", "compare-b-nan", "compare-a-above-one", "compare-seed",
+             "sweep-seed", "stability-seed", "embed-seed", "embed-restarts", "embed-max-iter",
+             "embed-tol"])
     def test_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, command,
                                               bad, code, message):
-        argv = small_run(tmp_path, command) + bad + ["--out", str(tmp_path / "out")]
+        argv = small_run(tmp_path, command)
+        for flag, value in zip(bad[::2], bad[1::2]):  # a value replaces the flag's, None drops it
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            argv += [] if value is None else [flag, value]
+        argv += ["--out", str(tmp_path / "out")]
 
         def unread(*args, **kwargs):
             raise AssertionError("an input was read")
 
         monkeypatch.setattr(harness, "load_kernel", unread)
+        monkeypatch.setattr(cli, "read_matrix", unread)
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().err == message + "\n"

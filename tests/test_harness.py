@@ -10,7 +10,7 @@ import pytest
 
 from synth import kernels_same_stimuli, pooled_kernel_pair, random_orthogonal
 
-from repmetric import baseline_metrics, bayes_metrics, harness
+from repmetric import baseline_metrics, bayes_metrics, harness, mds
 from repmetric import kernel as kernel_module
 from repmetric.errors import RepmetricError, ValidationError
 from repmetric.harness import (heuristic_a, load_layer_kernels, pairwise_matrix,
@@ -468,6 +468,39 @@ def test_too_few_draws_refused_before_any_work(pipeline):
             run()
     spy.assert_not_called()
     assert stability_study(layers, 5, 2, ["cka"], 0.01, 1, 0).metrics == ("cka",)
+
+
+@pytest.mark.parametrize("pipeline, bad, match", [
+    ("pairwise", {"a": 2.0}, r"^a=2.0 outside \[0, 1\]$"),
+    ("pairwise", {"seed": 2 ** 130}, r"^seed \d+ outside"),
+    ("sweep", {"b": np.nan}, "^b=nan must be finite and >= 0$"),
+    ("sweep", {"seed": 2 ** 130}, r"^seed \d+ outside"),
+    ("stability", {"b": -1.0}, "^b=-1.0 must be finite and >= 0$"),
+    ("stability", {"seed": 2 ** 130}, r"^seed \d+ outside"),
+    ("embed", {"restarts": 0}, "^restarts must be >= 1$"),
+    ("embed", {"seed": 2 ** 130}, r"^seed \d+ outside"),
+], ids=["pairwise-a", "pairwise-seed", "sweep-b", "sweep-seed", "stability-b",
+        "stability-seed", "embed-restarts", "embed-seed"])
+def test_argument_error_before_any_kernel_work(pipeline, bad, match):
+    layers = kernels_same_stimuli(np.random.default_rng(19), 10, 4, 2)
+    D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    run = {"pairwise": lambda a=0.5, seed=0: pairwise_matrix(layers, ["jsd", "cka"], a, 100, seed),
+           "sweep": lambda b=0.01, seed=0: snr_sweep(layers[0][1], layers[1][1], [5, 10], [0.5],
+                                                     100, seed, b=b),
+           "stability": lambda b=0.01, seed=0: stability_study(layers, 5, 2, ["jsd", "cka"], b,
+                                                               100, seed),
+           "embed": lambda restarts=1, seed=0: mds.mds_embed(D, seed=seed, restarts=restarts),
+           }[pipeline]
+    spy = mock.Mock(side_effect=AssertionError("kernel work started"))
+    with mock.patch.object(KernelMatrix, "subset", spy), \
+            mock.patch.object(harness, "predictive_covariance", spy), \
+            mock.patch.object(harness, "_leading", spy), \
+            mock.patch.object(mds, "_smacof", spy):
+        with pytest.raises(ValidationError, match=match):
+            run(**bad)
+        spy.assert_not_called()
+        with pytest.raises(AssertionError, match="kernel work started"):
+            run()  # the spies are on the valid run's path
 
 
 class TestStabilityStudy:

@@ -360,13 +360,15 @@ class TestManifest:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", 1.7), ("seed", True), ("seed", "12"), ("n_samples", 2.9),
-        ("n_samples", False), ("a", True), ("b", "0.01"), ("a", 10 ** 400),
+        ("n_samples", False), ("a", True), ("b", "0.01"), ("a", 10 ** 400), ("seed", 1.5),
     ])
     def test_defaults_must_be_json_numbers(self, tmp_path, key, value):
         doc = {"entries": [{"name": "a", "path": "x", "kind": "kernel"}], key: value}
         (tmp_path / "m.json").write_text(json.dumps(doc))
+        # seed and n_samples are counts: a JSON number with a fraction is not one
+        what = "an integer" if type(value) is float else "a number"
         with pytest.raises(ValidationError,
-                           match=re.escape(f"manifest {key!r} is not a number: {value!r}")):
+                           match=re.escape(f"manifest {key!r} is not {what}: {value!r}")):
             read_manifest(tmp_path / "m.json")
 
     def test_integer_a_and_b_read_as_floats(self, tmp_path):
