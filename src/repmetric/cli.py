@@ -265,8 +265,6 @@ def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,
 def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
                   rsa_squared, out_dir):
     """Stability of pairwise distances across random image subsets."""
-    if repeats < 2:
-        raise click.UsageError("--repeats must be >= 2")
     sizes = _parse_list(n_images, int, "--n-images")
     if not sizes:
         raise ValidationError("--n-images lists no subset size")
@@ -308,7 +306,7 @@ def cmd_stability(manifest_path, n_images, repeats, metrics, b, n_samples, seed,
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--dims", type=int, default=2, show_default=True)
-@click.option("--restarts", type=int, default=8, show_default=True)
+@click.option("--restarts", type=int, default=1, show_default=True)
 @click.option("--max-iter", type=int, default=500, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -5,10 +5,11 @@ is reported normalized by the constant sum of squared input
 dissimilarities, so it inherits that monotonicity up to the rounding
 noted below.
 
-Restarts advance together, as many at a time as keep their (k, m, m)
-stack and D within ``SMACOF_BATCH_BYTES``, which bounds the stack's
-memory; a batch holds at least one restart. The stack is the only
-m×m buffer, R = δ/d. Each iteration (de Leeuw 1977; Borg & Groenen 2005,
+The first start is classical scaling (Torgerson 1952), the default start
+of de Leeuw & Mair's SMACOF: deterministic, and already exact where the
+distances are Euclidean in the target dimension. Further restarts start
+from seeded random coordinates and run one after another. A run holds
+one m×m buffer, R = δ/d. Each iteration (de Leeuw 1977; Borg & Groenen 2005,
 ch. 8) writes every squared distance into R from one product of the
 augmented coordinates, [-2X | ‖x‖² | 1] [X | 1 | ‖x‖²]ᵀ, puts 1 on its
 diagonal, and takes the square root and the divide of δ in place. One
@@ -19,8 +20,8 @@ X <- (diag(R 1) X - R X)/m, with no B matrix, and the stress of X:
 
 That identity resolves the squared normalized stress only to about m·ε
 (stress ~1e-7 at m = 150), so the history never increases only up to
-that rounding. A change within the rounding cannot stop a restart on
-``tol``, so a restart whose stress falls below that level runs to
+that rounding. A change within the rounding cannot stop a run on
+``tol``, so a run whose stress falls below that level goes on to
 ``max_iter``. The last entry of each history, and so the stress
 returned, is taken from the final iterate's distances in one more pass.
 
@@ -32,15 +33,12 @@ stress do not depend on the scale of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .kernel import check_finite_nonnegative, symmetric_part
 from .seeding import derive_seed, stream_generator
-
-SMACOF_BATCH_BYTES = 2 << 20  # restarts advanced together keep their R stack and D within this
 
 
 @dataclass(frozen=True)
@@ -69,69 +67,77 @@ def _final_stress(D: np.ndarray, A: np.ndarray, Ct: np.ndarray, out: np.ndarray,
     return float(np.sqrt(0.5 * np.einsum("ij,ij->", out, out) / denom))
 
 
-def _smacof(D: np.ndarray, dims: int, starts: Sequence[np.ndarray], max_iter: int,
-            tol: float) -> list[tuple[np.ndarray, list[float]]]:
-    """(coordinates, stress history) of SMACOF from each (m, dims) start.
+def _smacof(D: np.ndarray, start: np.ndarray, max_iter: int,
+            tol: float) -> tuple[np.ndarray, list[float]]:
+    """(coordinates, stress history) of SMACOF from the (m, dims) start.
 
-    The restarts advance together in one (k, m, m) stack that only ever
-    holds R = δ/d. History entry t is the stress of the t-th iterate from
-    the product identity, the last entry from the iterate's distances. A
-    restart whose relative decrease falls below ``tol``, by more than the
-    identity's rounding, leaves the batch with its own history; the rest
-    run on to ``max_iter``.
+    R = δ/d is the only m×m buffer. History entry t is the stress of the
+    t-th iterate from the product identity, the last entry from the
+    iterate's distances. The run stops at ``max_iter``, or once its
+    relative decrease falls below ``tol`` by more than the identity's
+    rounding.
     """
-    k, m = len(starts), D.shape[0]
+    m, dims = start.shape
     denom = 0.5 * float(np.einsum("ij,ij->", D, D))  # Σ_{i<j} δ²
     resolution = m * np.finfo(float).eps  # per unit of the identity's terms, over denom
-    X = np.array(starts, dtype=float)
-    R = np.empty((k, m, m))
+    X = np.array(start, dtype=float)
+    R = np.empty((m, m))
     # A = [-2X | ‖x‖² | 1] and Cᵀ = [X | 1 | ‖x‖²]ᵀ, the ones preset here
-    A, Ct = np.empty((k, m, dims + 2)), np.empty((k, dims + 2, m))
-    A[:, :, dims + 1] = Ct[:, dims] = 1.0
-    live, coords, histories = list(range(k)), [None] * k, [[] for _ in range(k)]
-    noise = [0.0] * k  # the rounding of each restart's last squared stress
+    A, Ct = np.empty((m, dims + 2)), np.empty((dims + 2, m))
+    A[:, dims + 1] = Ct[dims] = 1.0
+    sq, XI = Ct[dims + 1], Ct[:dims + 1].T
+    history, noise = [], 0.0  # noise: the rounding of the last squared stress
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iter + 1):
-            Rk, sq = R[:len(live)], Ct[:, dims + 1]
-            np.multiply(X, -2.0, out=A[:, :, :dims])
-            Ct[:, :dims] = X.transpose(0, 2, 1)
-            np.einsum("kij,kij->ki", X, X, out=sq)
-            A[:, :, dims] = sq
-            np.matmul(A, Ct, out=Rk)  # squared distances
-            Rk.reshape(len(live), -1)[:, ::m + 1] = 1.0  # D's diagonal is 0, so R's comes out 0
-            np.sqrt(Rk, out=Rk)
-            np.divide(D, Rk, out=Rk)
-            XI = Ct[:, :dims + 1].transpose(0, 2, 1)
-            RX = np.matmul(Rk, XI)  # [R X | R 1]
-            for b in np.flatnonzero(~np.isfinite(RX[:, :, dims].sum(axis=1))):
+            np.multiply(X, -2.0, out=A[:, :dims])
+            Ct[:dims] = X.T
+            np.einsum("ij,ij->i", X, X, out=sq)
+            A[:, dims] = sq
+            np.matmul(A, Ct, out=R)  # squared distances
+            R.reshape(-1)[::m + 1] = 1.0  # D's diagonal is 0, so R's comes out 0
+            np.sqrt(R, out=R)
+            np.divide(D, R, out=R)
+            RX = R @ XI  # [R X | R 1]
+            if not np.isfinite(RX[:, dims].sum()):
                 # coincident points (d = 0: inf, or NaN where δ = 0 too) or a
                 # negative rounding square (NaN): those pairs contribute nothing
-                Rk[b][~np.isfinite(Rk[b])] = 0.0
-                RX[b] = Rk[b] @ XI[b]
+                R[~np.isfinite(R)] = 0.0
+                RX = R @ XI
             if it:  # the stress of X from the same product
-                cross = (np.einsum("ki,ki->k", sq, RX[:, :, dims])
-                         - np.einsum("kij,kij->k", X, RX[:, :, :dims]))
-                total = Ct[:, :dims].sum(axis=2)  # Σ x_i, over Xᵀ's contiguous rows
-                square = m * sq.sum(axis=1) - np.einsum("kj,kj->k", total, total)
-                stress = np.sqrt(np.maximum(square - 2.0 * cross + denom, 0.0) / denom)
-                rounding = resolution * (square + 2.0 * np.abs(cross) + denom) / denom
-                going = np.ones(len(live), dtype=bool)
-                for b, r in enumerate(live):
-                    history = histories[r]
-                    history.append(float(stress[b]))
-                    floor, noise[r] = noise[r] + rounding[b], rounding[b]
-                    # a change within the identity's rounding cannot stop a restart
-                    if it == max_iter or (it > 1 and history[-2] - history[-1] < tol * history[-2]
-                                          and abs(history[-2] ** 2 - history[-1] ** 2) > floor):
-                        history[-1] = _final_stress(D, A[b], Ct[b], Rk[b], denom)
-                        coords[r], going[b] = X[b], False
-                if not going.all():
-                    live = [r for r, g in zip(live, going) if g]
-                    if not live:
-                        break
-                    X, RX, A, Ct = X[going], RX[going], A[going], Ct[going]
-            X = (X * RX[:, :, dims:] - RX[:, :, :dims]) / m
-    return list(zip(coords, histories))
+                cross = np.einsum("i,i->", sq, RX[:, dims]) - np.einsum("ij,ij->", X, RX[:, :dims])
+                total = Ct[:dims].sum(axis=1)  # Σ x_i, over Xᵀ's contiguous rows
+                square = m * sq.sum() - np.einsum("j,j->", total, total)
+                history.append(float(np.sqrt(max(square - 2.0 * cross + denom, 0.0) / denom)))
+                rounding = resolution * (square + 2.0 * abs(cross) + denom) / denom
+                floor, noise = noise + rounding, rounding
+                # a change within the identity's rounding cannot stop the run
+                if it == max_iter or (it > 1 and history[-2] - history[-1] < tol * history[-2]
+                                      and abs(history[-2] ** 2 - history[-1] ** 2) > floor):
+                    history[-1] = _final_stress(D, A, Ct, R, denom)
+                    return X, history
+            X = (X * RX[:, dims:] - RX[:, :dims]) / m
+
+
+def _torgerson(D: np.ndarray, dims: int) -> np.ndarray:
+    """Classical scaling (Torgerson 1952): the (m, dims) start of restart 0.
+
+    Double-centers B = -J D² J / 2 and takes its top ``dims``
+    eigenvectors scaled by √λ, so for a D that is Euclidean in ``dims``
+    dimensions the start reproduces it before any iteration. A column
+    with λ ≤ 0 starts at zero, and SMACOF stays in the subspace the
+    others span: the Guttman transform keeps a zero column zero. Where
+    the top eigenvalues tie, as for equal distances, the eigenvectors
+    are any basis of their space, fixed by the LAPACK build; the start
+    is still deterministic but need not be a good one (m = 10 equal
+    distances: stress 0.3456 from it, 0.3315 from the best of 8 random
+    starts), and more ``restarts`` can do better.
+    """
+    B = D * D
+    B *= -0.5
+    B -= B.mean(axis=0)
+    B -= B.mean(axis=1, keepdims=True)
+    w, V = np.linalg.eigh(B)  # ascending
+    return V[:, :-dims - 1:-1] * np.sqrt(np.maximum(w[:-dims - 1:-1], 0.0))
 
 
 def check_embed_args(dims: int, seed: int, restarts: int, max_iter: int, tol: float) -> None:
@@ -146,12 +152,16 @@ def check_embed_args(dims: int, seed: int, restarts: int, max_iter: int, tol: fl
     derive_seed(seed)  # refuses a seed outside its range
 
 
-def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
+def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 1,
               max_iter: int = 500, tol: float = 1e-9) -> Embedding:
     """Embed a symmetric distance matrix into ``dims`` dimensions.
 
-    Runs SMACOF from ``restarts`` independent random initializations and
-    keeps the lowest-stress solution (ties broken by restart index).
+    Runs SMACOF from ``restarts`` starts, one after another, and keeps the
+    lowest-stress solution (ties broken by restart index). Restart 0
+    starts from classical scaling (``_torgerson``), which is exact for a
+    D that is Euclidean in ``dims`` dimensions; restart r ≥ 1 from
+    standard normal coordinates seeded by ``seed`` and r, so ``seed``
+    matters only when ``restarts`` > 1.
     ``dims`` may not exceed the number of points m; m - 1 already fit them exactly.
     Coordinates are centered at the origin; orientation is arbitrary.
     Deterministic for a given seed.
@@ -175,14 +185,13 @@ def mds_embed(D, dims: int = 2, seed: int = 0, restarts: int = 8,
 
     exponent = np.frexp(D.max())[1]
     np.ldexp(D, -exponent, out=D)  # D is symmetric_part's own copy
-    per_batch = max(1, SMACOF_BATCH_BYTES // (8 * m * m) - 1)  # the R stack and D
     best = None
-    for lo in range(0, restarts, per_batch):
-        starts = [stream_generator(derive_seed(seed, "mds-restart", r)).standard_normal((m, dims))
-                  for r in range(lo, min(lo + per_batch, restarts))]
-        for X, history in _smacof(D, dims, starts, max_iter, tol):
-            if best is None or history[-1] < best[1][-1]:
-                best = X, history
+    for r in range(restarts):
+        start = (_torgerson(D, dims) if r == 0 else
+                 stream_generator(derive_seed(seed, "mds-restart", r)).standard_normal((m, dims)))
+        X, history = _smacof(D, start, max_iter, tol)
+        if best is None or history[-1] < best[1][-1]:
+            best = X, history
     X, history = best
     X = np.ldexp(X, exponent)
     X -= X.mean(axis=0, keepdims=True)

@@ -360,13 +360,13 @@ class TestExactJsdOracle:
             assert abs(est.raw_value - exact) < 4.0 * est.std_error, case
 
     @pytest.mark.parametrize("s", [0.01, 0.001])
-    def test_refuses_small_distances(self, s):
-        # 200 nodes give 9.3e-3 and 5.9e-3, against second-order values of 8.6e-3
-        # and 8.6e-5; n = 1000, because at n = 100 the Imhof inversions at s = 0.001
-        # take 20 s and the rule fails the same way
-        lam = np.exp(np.random.default_rng(0).normal(0.0, s, 1000))
-        with pytest.raises(ValueError, match="does not resolve"):
-            jsd_exact_diag(lam)
+    def test_small_distances_match_second_order(self, s):
+        # JSD = Σ(log λ)²/(16 ln 2) up to a relative term of order Σ(log λ)²
+        # (-0.06 Σ(log λ)² here); the oracle checks 200 against 400 nodes itself
+        log_lam = np.random.default_rng(0).normal(0.0, s, 1000)
+        second_order = np.sum(log_lam ** 2) / (16.0 * LN2)
+        got = jsd_exact_diag(np.exp(log_lam))
+        assert abs(got - second_order) <= 0.1 * np.sum(log_lam ** 2) * second_order
 
 
 class TestPathSelection:

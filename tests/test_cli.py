@@ -370,13 +370,6 @@ class TestSweepCommand:
 
 
 class TestStabilityCommand:
-    def test_single_repeat_is_usage_error(self, tmp_path):
-        rng = np.random.default_rng(14)
-        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 10, 4, 2))
-        code = main(["stability", "--manifest", str(mpath), "--n-images", "5",
-                     "--repeats", "1", "--out", str(tmp_path / "out")])
-        assert code == 1
-
     def test_summary_layout(self, tmp_path):
         rng = np.random.default_rng(15)
         mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 30, 5, 3))
@@ -598,6 +591,7 @@ class TestFlagsBeforeInputs:
         ("sweep", ["--n-values", "x"], 1, "usage error: cannot parse --n-values: 'x'"),
         ("stability", ["--b", "nan"], 2, "validation error: b=nan must be finite and >= 0"),
         ("stability", ["--n-images", "1"], 2, "validation error: n_images must be >= 2"),
+        ("stability", ["--repeats", "1"], 2, "validation error: n_repeats must be >= 2"),
         ("sweep", ["--noise-values", "nan"], 2, "validation error: a=nan outside [0, 1]"),
         ("sweep", ["--n-values", "1"], 2, "validation error: need n >= 2"),
         ("sweep", ["--n-values", ""], 2, "validation error: empty sweep axes"),
@@ -620,6 +614,7 @@ class TestFlagsBeforeInputs:
         ("embed", ["--tol", "-1"], 2, "validation error: tol=-1.0 must be finite and >= 0")],
         ids=["stability-samples", "compare-metrics", "sweep-metrics", "compare-a-and-b",
              "stability-n-images", "sweep-n-values", "stability-b-nan", "stability-one-image",
+             "stability-one-repeat",
              "sweep-noise-nan", "sweep-one-stimulus", "sweep-no-n-values", "sweep-b-negative",
              "sweep-variance-negative", "compare-b-nan", "compare-a-above-one", "compare-seed",
              "sweep-seed", "stability-seed", "embed-seed", "embed-restarts", "embed-max-iter",

@@ -6,7 +6,8 @@ import pytest
 
 from repmetric.errors import ValidationError
 from repmetric import mds
-from repmetric.mds import _smacof, mds_embed
+from repmetric.mds import _smacof, _torgerson, mds_embed
+from repmetric.seeding import derive_seed, stream_generator
 
 
 def pairwise(X):
@@ -151,11 +152,6 @@ def assert_close_to_oracle(X, history, X_ref, history_ref):
     assert np.all(np.abs(h - h_ref) <= 1e-12 * h_ref)
 
 
-def smacof_one(D, start, max_iter, tol=0.0):
-    [(X, history)] = _smacof(D, start.shape[1], [start], max_iter, tol)
-    return X, history
-
-
 class TestBufferedIterations:
     def test_bitwise_equal_to_allocating_reference(self):
         rng = np.random.default_rng(16)
@@ -163,7 +159,7 @@ class TestBufferedIterations:
         np.fill_diagonal(D, 0.0)
         start = np.random.default_rng(17).standard_normal((40, 2))
         X_ref, history_ref = allocating_augmented_smacof(D, start, 60)
-        X, history = smacof_one(D, start, 60)
+        X, history = _smacof(D, start, 60, 0.0)
         assert len(history) == 60
         assert np.array_equal(X, X_ref)
         assert history == history_ref
@@ -174,7 +170,7 @@ class TestBufferedIterations:
         np.fill_diagonal(D, 0.0)
         start = np.random.default_rng(17).standard_normal((40, 2))
         X_ref, history_ref = allocating_smacof(D, start, 60)
-        X, history = smacof_one(D, start, 60)
+        X, history = _smacof(D, start, 60, 0.0)
         assert len(history) == len(history_ref)
         assert_close_to_oracle(X, history, X_ref, history_ref)
 
@@ -187,7 +183,7 @@ class TestBufferedIterations:
         D = pairwise(pts)
         np.fill_diagonal(D, 0.0)
         start = rng.standard_normal((40, 2))
-        X, history = smacof_one(D, start, 400)
+        X, history = _smacof(D, start, 400, 0.0)
         X_ref, history_ref = allocating_smacof(D, start, 400)
         assert len(history) == 400
         assert np.abs(X - X_ref).max() <= 1e-10 * np.abs(X_ref).max()
@@ -207,7 +203,7 @@ class TestBufferedIterations:
         start[1] = start[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X, history = smacof_one(D, start, 40)
+            X, history = _smacof(D, start, 40, 0.0)
         X_aug, history_aug = allocating_augmented_smacof(D, start, 40)
         X_ref, history_ref = allocating_smacof(D, start, 40)
         assert np.all(np.isfinite(X)) and np.all(np.isfinite(history))
@@ -218,41 +214,47 @@ class TestBufferedIterations:
         assert np.array_equal(X[0], X[1]) == same_input
 
 
+def distances(m, seed, dims=5):
+    D = pairwise(np.random.default_rng(seed).standard_normal((m, dims)))
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+class TestRestarts:
+    def test_torgerson_start_is_exact_for_planar_points(self):
+        D = distances(30, 28, dims=2)
+        rec = pairwise(_torgerson(D, 2))  # before any SMACOF iteration
+        iu = np.triu_indices(30, k=1)
+        assert np.abs(rec[iu] - D[iu]).max() <= 1e-10 * D[iu].max()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_best_of_restarts_each_run_alone(self, tol):
+        D = distances(30, 20)  # restart 2 wins at tol 0, the Torgerson start at 1e-4
+        D = np.ldexp(D, -np.frexp(D.max())[1])  # the scale mds_embed runs at
+        starts = [_torgerson(D, 2)] + [
+            stream_generator(derive_seed(22, "mds-restart", r)).standard_normal((30, 2))
+            for r in range(1, 6)]
+        alone = [_smacof(D, start, 200, tol) for start in starts]
+        X, history = min(alone, key=lambda run: run[1][-1])  # the first of equal stresses
+        emb = mds_embed(D, seed=22, restarts=6, max_iter=200, tol=tol)
+        assert np.array_equal(emb.coords, X - X.mean(axis=0, keepdims=True))
+        assert emb.stress_history == tuple(history)
+        if tol:  # the restarts stopped at different iterations
+            assert len({len(h) for _, h in alone}) > 1
+
+    def test_equal_distances_tie_every_eigenvalue(self):
+        # the Torgerson start of a simplex is an arbitrary, but fixed, basis
+        D = 1.0 - np.eye(10)
+        one, again = mds_embed(D), mds_embed(D)
+        assert np.array_equal(one.coords, again.coords) and one.stress == again.stress
+        assert mds_embed(D, seed=0, restarts=8).stress < one.stress
+
+
 class TestBatches:
-    @staticmethod
-    def distances(m, seed):
-        D = pairwise(np.random.default_rng(seed).standard_normal((m, 5)))
-        np.fill_diagonal(D, 0.0)
-        return D
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-4])
-    def test_each_restart_as_when_run_alone(self, tol):
-        D = self.distances(30, 21)
-        starts = np.random.default_rng(22).standard_normal((6, 30, 2))
-        together = _smacof(D, 2, starts, 200, tol)
-        lengths = set()
-        for start, (X, history) in zip(starts, together):
-            X_alone, history_alone = smacof_one(D, start, 200, tol)
-            assert np.array_equal(X, X_alone) and history == history_alone
-            lengths.add(len(history))
-        if tol:  # the restarts left the batch at different iterations
-            assert len(lengths) > 1 and max(lengths) < 200
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-4])
-    def test_batch_budget_does_not_change_the_embedding(self, monkeypatch, tol):
-        D = self.distances(25, 23)
-        runs = []
-        for budget in (1, 8 * 25 * 25 * 4, 1 << 40):  # one, three and all restarts per batch
-            monkeypatch.setattr(mds, "SMACOF_BATCH_BYTES", budget)
-            runs.append(mds_embed(D, seed=24, restarts=7, max_iter=150, tol=tol))
-        for emb in runs[1:]:
-            assert np.array_equal(emb.coords, runs[0].coords)
-            assert emb.stress_history == runs[0].stress_history
-
     def test_working_set_is_one_m_by_m_buffer(self, monkeypatch):
         # the SMACOF loop used to hold two m×m buffers, distances and ratios
         m = 400
-        D = self.distances(m, 25)
+        D = distances(m, 25)
         peaks, smacof = [], mds._smacof
 
         def traced(*args):
@@ -265,11 +267,11 @@ class TestBatches:
         monkeypatch.setattr(mds, "_smacof", traced)
         tracemalloc.start()
         try:
-            mds_embed(D, seed=26, restarts=2, max_iter=3)
+            mds_embed(D, seed=26, max_iter=3)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 2  # an m = 400 stack of one restart fills the budget
-        assert max(peaks) < 2 * 8 * m * m
+        assert len(peaks) == 1
+        assert peaks[0] < 2 * 8 * m * m
 
 
 class TestScale:
