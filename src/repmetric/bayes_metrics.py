@@ -1,9 +1,10 @@
 """Monte-Carlo distances between two zero-mean Gaussians.
 
-Both estimators average a per-index summand over N paired draws, one
-stream per distribution, so the reported standard error is simply the
-sample standard deviation of the summands over sqrt(N). ``estimate``
-builds any subset of the metrics below from one shared set of draws.
+Both estimators average one summand over N draws of each distribution,
+one independent stream per side, and report the mean of the two sides'
+means; the standard error comes from the two sides' own sample
+variances, SE² = (s₁² + s₂²)/(4N). ``estimate`` builds any subset of the
+metrics below from one shared set of draws.
 
 Total variation distance uses the one-sided density-ratio form
 
@@ -47,10 +48,14 @@ Both paths draw different normals for the same seed. Bitwise-equal
 factors (L, or U and a) give a log ratio of exactly zero, and so does a
 dense T within ``EIGEN_ROUNDING``·n·ε of I entrywise.
 
-The two sides of a pair run at once, side 1 on a helper thread, and
-each draws and reduces its stream in ``seeding.BLOCK_ROWS``-row blocks
-that stack to the stream's one N-row block, so a pair holds O(block·n)
-normals whatever N is. Which thread runs a side changes no result.
+The two sides of a pair run at once, side 1 on a helper thread. Each
+draws its stream in ``seeding.BLOCK_ROWS``-row blocks that stack to the
+stream's one N-row block and reduces every block as it comes: a
+(count, mean, M2) per metric, merged in block order (Chan, Golub &
+LeVeque 1979), or for ``gradients`` Σr and zᵀ diag(r) z. A side so holds
+O(BLOCK_ROWS·dim) memory whatever N is, and a huge N runs rather than
+being refused by an allocation. Which thread runs a side changes no
+result.
 This helper is the program's one concurrency mechanism: pairs run one
 at a time. It is one thread per process, made on the first call and
 kept for the next ones, and made again in a child forked after a call.
@@ -125,9 +130,10 @@ class DistanceEstimate:
     """Point estimate with its Monte-Carlo uncertainty.
 
     For tvd and jsd, ``raw_value`` is the estimate before clamping to
-    [0, 1] and ``summand_variance`` v gives the estimator variance
-    v / n_samples. A js_distance has raw_value = value = √(clamped jsd)
-    and carries its jsd's v; its SE is the delta method's (√SE near 0).
+    [0, 1] and ``summand_variance`` v = (s₁² + s₂²)/4, from the two sides'
+    sample variances, gives the estimator variance v / n_samples. A
+    js_distance has raw_value = value = √(clamped jsd) and carries its
+    jsd's v; its SE is the delta method's (√SE near 0).
     """
 
     value: float
@@ -150,28 +156,25 @@ class DistanceGradient:
     metric: str
 
 
+def check_request(metrics: Sequence[str], n_draws: int) -> None:
+    """The rules a request meets before any draw: a metric is asked for, and
+    a sampled one has from 2 draws to the most rows numpy can shape, since a
+    side's blocks stack to one N-row block. ``harness.split_metrics``
+    applies them to a whole run."""
+    if not metrics:
+        raise ValidationError("no metrics requested")
+    if any(m in BAYES_METRICS for m in metrics):
+        if n_draws < 2:
+            raise ValidationError("need at least 2 draws for a standard error")
+        if n_draws > np.iinfo(np.intp).max:
+            raise ValidationError(f"{n_draws} draws exceed numpy's largest array length")
+
+
 def _check_pair(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
                 n_draws: int) -> None:
-    if not metrics:  # before any draw: nothing would use them
-        raise ValidationError("no metrics requested")
+    check_request(metrics, n_draws)
     if model1.dim != model2.dim:
         raise ValidationError(f"dimension mismatch: {model1.dim} vs {model2.dim}")
-    if n_draws < 2:
-        raise ValidationError("need at least 2 draws for a standard error")
-
-
-def _pair_draws(n_draws, dim, seed):
-    """Each side's log-ratio vector d[s] and its normals, stream s, in row blocks.
-
-    The two N-vectors are allocated here, before any draw or thread, so an
-    N that no array can hold is a ValidationError.
-    """
-    try:
-        d = np.empty((2, n_draws))
-    except (ValueError, MemoryError):
-        # numpy cannot index (ValueError) or allocate (MemoryError) the vectors
-        raise ValidationError(f"cannot allocate {n_draws} draws of dimension {dim}") from None
-    return d, [standard_normal_blocks(n_draws, dim, seed, stream) for stream in (0, 1)]
 
 
 _helper = None  # (pid, executor) of side 1's thread; a forked child makes its own
@@ -198,30 +201,23 @@ def _on_both_sides(side):
     return first, second.result()
 
 
-def _whitened_side(own, other, blocks, d, reduce=None):
-    """Draws of P_own and the log ratio d = log p_other/p_own at each, block by block.
+def _whitened_side(own, other):
+    """(T, log_ratio): T = L_other⁻¹ L_own, and the map from the standard
+    normals z behind draws x = L_own z to d = log p_other/p_own at each x.
 
-    Writes d[rows] for each (rows, z) of ``blocks``, the standard normals
-    behind x = L_own z, then calls ``reduce(z, d[rows])`` if given. Returns
-    the triangular T = L_other⁻¹ L_own that maps z to L_other⁻¹ x. A T
-    within ``EIGEN_ROUNDING``·n·ε of I entrywise is taken as I, as for
+    A T within ``EIGEN_ROUNDING``·n·ε of I entrywise is taken as I, as for
     bitwise-equal factors, so pairs equal up to rounding score exactly zero.
     """
     eye = np.eye(own.dim)
     T = eye if np.array_equal(own.chol, other.chol) else solve_lower(other.chol, own.chol)
-    identical = np.abs(T - eye).max() <= EIGEN_ROUNDING * own.dim * np.finfo(float).eps
-    if identical:
-        T = eye
+    if np.abs(T - eye).max() <= EIGEN_ROUNDING * own.dim * np.finfo(float).eps:
+        return eye, lambda z: np.zeros(len(z))  # d is exactly zero, not rounding noise
     log_det = float(np.sum(np.log(np.diag(T))))
-    for rows, z in blocks:
-        if identical:  # d is exactly zero, not rounding noise
-            d[rows] = 0.0
-        else:
-            U = z @ T.T
-            d[rows] = log_det - 0.5 * (np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z))
-        if reduce is not None:
-            reduce(z, d[rows])
-    return T
+
+    def log_ratio(z):
+        U = z @ T.T
+        return log_det - 0.5 * (np.einsum("ij,ij->i", U, U) - np.einsum("ij,ij->i", z, z))
+    return T, log_ratio
 
 
 def _span_eigenvalues(model1, model2):
@@ -247,12 +243,6 @@ def _span_eigenvalues(model1, model2):
         return np.linalg.eigvalsh(B @ B.T + np.diag(a * w * w))
 
 
-def _tvd_summands(d1, d2):
-    u1 = np.where(d1 < 0.0, -np.expm1(np.minimum(d1, 0.0)), 0.0)
-    u2 = np.where(d2 < 0.0, -np.expm1(np.minimum(d2, 0.0)), 0.0)
-    return 0.5 * (u1 + u2)
-
-
 def _log_mixture_fraction(d):
     """log(p_own / (p_own + p_other)) from d = log p_own - log p_other.
 
@@ -273,30 +263,32 @@ def _log_twice_mixture_fraction(d):
     return -np.maximum(d, 0.0) - np.log1p(0.5 * np.expm1(-np.abs(d)))
 
 
-def _jsd_summands(d1, d2):
-    return (_log_twice_mixture_fraction(d1) + _log_twice_mixture_fraction(d2)) / (2.0 * LN2)
+# one side's summand at its draws' d = log p_other/p_own; a metric's estimate is the
+# mean of the two sides' means
+_SUMMANDS = {
+    "tvd": lambda d: 0.0 - np.expm1(np.minimum(d, 0.0)),  # +0.0 where d ≥ 0
+    "jsd": lambda d: _log_twice_mixture_fraction(d) / LN2,
+}
 
 
-def _estimate_from_summands(s, metric, n_draws, seed):
-    raw = float(s.mean())
-    var = float(s.var(ddof=1))
-    se = math.sqrt(var / n_draws)
-    return DistanceEstimate(
-        value=min(max(raw, 0.0), 1.0),
-        std_error=se,
-        n_samples=int(n_draws),
-        metric=metric,
-        seed=int(seed),
-        raw_value=raw,
-        summand_variance=var,
-    )
+def _merge_moments(acc, s):
+    """Update each [count, mean, M2] of acc in place with the same row of
+    block s (Chan, Golub & LeVeque 1979)."""
+    n = s.shape[1]
+    block_mean = s.mean(axis=1)
+    dev = s - block_mean[:, None]
+    block_m2 = np.einsum("ij,ij->i", dev, dev)
+    for row, mean_b, m2_b in zip(acc, block_mean.tolist(), block_m2.tolist()):
+        count, mean, m2 = row
+        total, delta = count + n, mean_b - mean
+        row[:] = total, mean + delta * (n / total), m2 + m2_b + delta * delta * (count * n / total)
 
 
 def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
              n_draws: int, seed: int) -> dict[str, DistanceEstimate]:
     """Every requested metric of 'tvd', 'jsd' and 'js_distance' for one pair.
 
-    All three are functionals of the same two log-ratio arrays, so the
+    All three are functionals of the same two log-ratio streams, so the
     pair is drawn and evaluated once however many metrics are
     requested; each result equals a separate call with this seed. The
     low-rank path needs U and the same a on both models and μ off zero.
@@ -305,32 +297,39 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
     if unknown:
         raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
     _check_pair(metrics, model1, model2, n_draws)
-    mu = None
+    sampled = [m for m in ("tvd", "jsd") if m in metrics or m == "jsd" and "js_distance" in metrics]
+    mu, dim = None, model1.dim
     if model1.U is not None and model2.U is not None and model1.a == model2.a:
         mu = _span_eigenvalues(model1, model2)
         bound = EIGEN_ROUNDING * mu.size * np.finfo(float).eps * mu[-1]
         mu = mu[np.abs(1.0 - mu) > bound] if mu[0] > bound else None  # NaN fails too
-    d, blocks = _pair_draws(n_draws, model1.dim if mu is None else mu.size, seed)
-    if mu is None:
-        models = (model1, model2)
-
-        def side(s):
-            _whitened_side(models[s], models[1 - s], blocks[s], d[s])
-    else:  # with no μ left, d is exactly +0
+    if mu is not None:  # with no μ left, d is exactly +0
         gap = 1.0 - mu  # exact by Sterbenz for μ in [1/2, 2]
         half_log_det = 0.5 * float(np.sum(np.log1p(-gap)))
-        weights, offsets = (-gap / mu, gap), (-half_log_det, half_log_det)
+        weights, offsets, dim = (-gap / mu, gap), (-half_log_det, half_log_det), mu.size
+    blocks = [standard_normal_blocks(n_draws, dim, seed, s) for s in (0, 1)]
 
-        def side(s):
-            for rows, w in blocks[s]:
-                d[s, rows] = 0.5 * np.einsum("ij,ij,j->i", w, w, weights[s]) + offsets[s]
-    _on_both_sides(side)
-    d1, d2 = d
+    def side(s):
+        """Side s's (count, mean, M2) of each sampled metric's summands."""
+        if mu is None:  # T is solved on this side's thread
+            models = (model1, model2)
+            log_ratio = _whitened_side(models[s], models[1 - s])[1]
+        else:
+            def log_ratio(w):
+                return 0.5 * np.einsum("ij,ij,j->i", w, w, weights[s]) + offsets[s]
+        moments = [[0, 0.0, 0.0] for _ in sampled]
+        for z in blocks[s]:
+            d = log_ratio(z)
+            _merge_moments(moments, np.stack([_SUMMANDS[m](d) for m in sampled]))
+        return moments
+
     out = {}
-    if "tvd" in metrics:
-        out["tvd"] = _estimate_from_summands(_tvd_summands(d1, d2), "tvd", n_draws, seed)
-    if "jsd" in metrics or "js_distance" in metrics:
-        out["jsd"] = _estimate_from_summands(_jsd_summands(d1, d2), "jsd", n_draws, seed)
+    for m, (_, mean1, m2_1), (_, mean2, m2_2) in zip(sampled, *_on_both_sides(side)):
+        raw, var = 0.5 * (mean1 + mean2), (m2_1 + m2_2) / (4 * (n_draws - 1))
+        out[m] = DistanceEstimate(value=min(max(raw, 0.0), 1.0), std_error=math.sqrt(var / n_draws),
+                                  n_samples=int(n_draws), metric=m, seed=int(seed),
+                                  raw_value=raw, summand_variance=var)
+    if "jsd" in out:
         out["js_distance"] = js_distance_from_jsd(out["jsd"])
     return {m: out[m] for m in metrics}
 
@@ -405,25 +404,26 @@ def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMod
     _check_pair(metrics, model1, model2, n_draws)
     models = (model1, model2)
     eye = np.eye(model1.dim)
-    d, blocks = _pair_draws(n_draws, model1.dim, seed)
+    blocks = [standard_normal_blocks(n_draws, model1.dim, seed, s) for s in (0, 1)]
 
     def side(s):
         """Side s's two terms per metric: (to its own model, to the other)."""
+        T, log_ratio = _whitened_side(models[s], models[1 - s])
         G = {m: np.zeros_like(eye) for m in metrics}
-
-        def reduce(z, d_rows):
+        total = dict.fromkeys(metrics, 0.0)
+        for z in blocks[s]:
+            d = log_ratio(z)
             for m in metrics:
-                S = z * np.sqrt(_sensitivities(m, d_rows, n_draws))[:, None]
+                r = _sensitivities(m, d, n_draws)
+                total[m] += float(r.sum())
+                S = z * np.sqrt(r)[:, None]
                 G[m] += S.T @ S
-
-        T = _whitened_side(models[s], models[1 - s], blocks[s], d[s], reduce)
         TtT = T.T @ T
         terms = {}
         for m in metrics:
-            total = float(_sensitivities(m, d[s], n_draws).sum())
             P = np.tril(TtT @ G[m])
-            terms[m] = (0.5 * (P + np.tril(P, -1).T - total * eye),
-                        0.5 * (total * eye - T @ G[m] @ T.T))
+            terms[m] = (0.5 * (P + np.tril(P, -1).T - total[m] * eye),
+                        0.5 * (total[m] * eye - T @ G[m] @ T.T))
         return terms, solve_lower(models[s].chol, eye)
 
     (first, W1), (second, W2) = _on_both_sides(side)

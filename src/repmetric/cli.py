@@ -134,7 +134,7 @@ def _read_manifest_run(manifest_path, n_samples, seed):
     """(manifest, n_samples, seed), flags beating manifest defaults."""
     manifest = read_manifest(manifest_path)
     if n_samples is None:
-        n_samples = 10_000 if manifest.n_samples is None else manifest.n_samples
+        n_samples = harness.DEFAULT_SAMPLES if manifest.n_samples is None else manifest.n_samples
     if seed is None:
         seed = 0 if manifest.seed is None else manifest.seed
     return manifest, n_samples, seed
@@ -214,7 +214,8 @@ def cmd_compare(manifest_path, metrics, a, b, n_samples, seed, out_dir, fmt,
 @click.option("--b", type=float, default=harness.DEFAULT_B, show_default=True,
               help="constant for the proportional-noise slice")
 @click.option("--metrics", default="jsd", show_default=True, help="subset of jsd,tvd")
-@click.option("--samples", "n_samples", type=int, default=10_000, show_default=True)
+@click.option("--samples", "n_samples", type=int, default=harness.DEFAULT_SAMPLES,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_writes_out
 def cmd_sweep(kernel1, kernel2, n_values, noise_values, noise_kind, b, metrics,

@@ -27,6 +27,7 @@ from .seeding import derive_seed, pair_seed, stream_generator
 
 ALL_METRICS = bayes_metrics.BAYES_METRICS + baseline_metrics.BASELINE_METRICS
 DEFAULT_B = 0.01  # proportional-noise constant when neither a nor b is given
+DEFAULT_SAMPLES = 10_000  # Monte-Carlo draws per side when no flag or manifest sets them
 
 
 def heuristic_a(n: int, b: float) -> float:
@@ -100,12 +101,9 @@ def split_metrics(metrics: Sequence[str], n_samples: int):
     unknown = [m for m in metrics if m not in bayes and m not in base]
     if unknown:
         raise ValidationError(f"unknown metrics: {unknown}")
-    if not metrics:
-        raise ValidationError("no metrics requested")
     if len(set(metrics)) < len(metrics):
         raise ValidationError(f"repeated metrics: {list(metrics)}")
-    if bayes and n_samples < 2:
-        raise ValidationError("need at least 2 draws for a standard error")
+    bayes_metrics.check_request(metrics, n_samples)
     return bayes, base
 
 

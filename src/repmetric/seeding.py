@@ -70,13 +70,12 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
 def standard_normal_blocks(n_draws: int, dim: int, seed: int, stream: int = 0):
     """The (seed, stream) stream's ``n_draws`` x ``dim`` standard normals, in row blocks.
 
-    An iterator of (rows, z): z holds the ``BLOCK_ROWS`` draws (fewer in the
-    last block) at the slice ``rows`` of the draw index. Stacked, the blocks
-    are the one ``n_draws`` x ``dim`` block the stream gives.
+    An iterator of blocks of ``BLOCK_ROWS`` draws (fewer in the last one).
+    Stacked, the blocks are the one ``n_draws`` x ``dim`` block the stream
+    gives.
     """
     if n_draws < 1:
         raise ValidationError("need at least one draw")
-    rng, rows = stream_generator(seed, stream), BLOCK_ROWS
-    return ((slice(start, min(start + rows, n_draws)),
-             rng.standard_normal((min(rows, n_draws - start), dim)))
-            for start in range(0, n_draws, rows))
+    rng = stream_generator(seed, stream)
+    return (rng.standard_normal((min(BLOCK_ROWS, n_draws - start), dim))
+            for start in range(0, n_draws, BLOCK_ROWS))

@@ -254,19 +254,35 @@ def imhof_upper_tail(c, x):
     and ρ(u) = Π (1 + cⱼ²u²)^¼, whose inverse is taken in log space so
     it underflows to 0 instead of overflowing. x may be an array: it
     enters θ only through xu/2, so one adaptive vector integration
-    (``quad_vec``) serves every x. The integrand decays like u^(-1-r/2)
-    with r nonzero cⱼ, so the integration converges cleanly from r ≈ 4
-    up and struggles with one or two.
+    (``quad_vec``) serves every x.
+
+    On the real axis the integrand decays only like u^(−1−r/2) with r
+    nonzero cⱼ while it oscillates at rate x/2, so with few cⱼ and large
+    |x| it takes seconds. Past u₀ = 1/max |cⱼ| the integral is therefore
+    taken as Im ∫ F with F(u) = Π (1 − icⱼu)^(−½) e^(−ixu/2) / u, which
+    equals e^(iθ)/(uρ) on the real axis and is analytic off the imaginary
+    axis, where its branch points ±i/|cⱼ| lie. Its path turns from u₀ by
+    ∓π/4 (the sign of x), along which e^(−ixu/2) decays exponentially.
     """
     c = np.asarray(c, float)
     x = np.asarray(x, float)
+    u0 = 1.0 / np.abs(c).max()
 
-    def integrand(u):
+    def head(u):  # the real axis, [0, u₀]
         theta = 0.5 * np.sum(np.arctan(c * u)) - 0.5 * x * u
         return np.sin(theta) * np.exp(-0.25 * np.sum(np.log1p((c * u) ** 2))) / u
 
-    val, _ = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-8)
-    return 0.5 + val / np.pi
+    side = (np.sign(x) + 1).astype(int)  # x < 0, x = 0, x > 0
+    turns = np.exp(0.25j * np.pi * np.array([1.0, 0.0, -1.0]))
+
+    def ray(v):  # u₀ + v·turn, one turn per sign of x
+        u = u0 + v * turns
+        log_phi = -0.5 * np.sum(np.log(1.0 - 1j * np.outer(u, c)), axis=1)
+        return (np.exp(log_phi[side] - 0.5j * x * u[side]) / u[side] * turns[side]).imag
+
+    h, _ = integrate.quad_vec(head, 0.0, u0, epsabs=1e-11, epsrel=1e-9)
+    t, _ = integrate.quad_vec(ray, 0.0, np.inf, epsabs=1e-11, epsrel=1e-9)
+    return 0.5 + (h + t) / np.pi
 
 
 def tvd_exact_diag(lam):
@@ -301,32 +317,44 @@ def jsd_exact_diag(lam, nodes=200):
     4e-12 on each side and the mass the window cuts off below
     1e-11 SD(D). Fitted to D, the window puts the rule's nodes on the
     step of P(D > t) from 1 to 0, which at small distances is narrow: a
-    fixed [−40, 40] put it within one node spacing. Where every 1 − λⱼ
-    has one sign, D is bounded on one side and P(D > t) is not smooth
-    there; with few coefficients the rule then loses digits (2e-6 at six
-    equal ones).
+    fixed [−40, 40] put it within one node spacing.
+
+    P(D > t) is not smooth at D's value at z = 0, t₀ = −shift/2: it
+    behaves like |t − t₀|^(r/2) there. So each rule runs twice, from t₀ to
+    each end of the window, on u with t = t₀ + (end − t₀)u², in which that
+    term is the polynomial u^r. Where every cⱼ has one sign, t₀ bounds D
+    and the piece beyond it drops out: below a lower bound P(D > t) = 1,
+    which softplus at the window's start integrates in closed form.
 
     The Gauss–Legendre rule is checked against one with twice the nodes
     (the same Imhof integration serves both), and a disagreement beyond
     1e-9 raises ValueError. With log λ ~ N(0, s²), 200 and 400 nodes
-    agree to 4e-11 at r = 100 to 1000 coefficients and s = 0.001 to 0.3;
-    they disagree, and the rule raises, at r = 20 for s ≥ 0.01 and at
-    r = 6 for every s from 0.001 to 0.3.
+    agree at r = 1, 2, 3, 6, 20 and 100 to 1000 coefficients for every s
+    from 0.001 to 0.3.
     """
     lam = np.asarray(lam, float)
     log_det = float(np.sum(np.log(lam)))
     rules = [np.polynomial.legendre.leggauss(k) for k in (nodes, 2 * nodes)]
-    x = np.concatenate([x for x, _ in rules])  # on [-1, 1]
-    w = np.concatenate([w for _, w in rules])
+    u = 0.5 + 0.5 * np.concatenate([x for x, _ in rules])  # on [0, 1]
+    w = 0.5 * np.concatenate([w for _, w in rules])
     sums = 0.0  # E softplus D₁ + E softplus D₂, by each rule
     for c, shift in ((1.0 - 1.0 / lam, log_det), (1.0 - lam, -log_det)):
         mean, sd = 0.5 * (np.sum(c) - shift), np.sqrt(0.5 * np.sum(c * c))
         lo, hi = np.clip([mean - 40.0 * sd, mean + 40.0 * sd], -40.0, 40.0)
-        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        # quadrature weight times σ(t) P(D > t), both rules in one vector
-        weighted = 0.5 * (hi - lo) * w / (1.0 + np.exp(-t)) * imhof_upper_tail(c, 2.0 * t + shift)
-        sums = sums + np.logaddexp(0.0, lo) + np.array([weighted[:nodes].sum(),
-                                                        weighted[nodes:].sum()])
+        bound = -0.5 * shift  # D at z = 0: its lower bound if every c ≥ 0, upper if ≤ 0
+        if np.all(c >= 0.0):
+            lo = min(max(lo, bound), hi)  # P(D > t) = 1 below: softplus(lo) holds it
+        if np.all(c <= 0.0):
+            hi = max(min(hi, bound), lo)  # P(D > t) = 0 above
+        bound = min(max(bound, lo), hi)
+        # one rule from the bound to each end of [lo, hi], in u with t = bound + (end − bound) u²
+        t = np.concatenate([bound + (end - bound) * u * u for end in (lo, hi)])
+        dt = np.concatenate([2.0 * abs(end - bound) * u * w for end in (lo, hi)])
+        # quadrature weight times σ(t) P(D > t), both rules and both pieces in one vector
+        weighted = dt / (1.0 + np.exp(-t)) * imhof_upper_tail(c, 2.0 * t + shift)
+        per_rule = weighted.reshape(2, 3 * nodes)
+        sums = sums + np.logaddexp(0.0, lo) + np.array([per_rule[:, :nodes].sum(),
+                                                        per_rule[:, nodes:].sum()])
     value, check = 1.0 - sums / (2.0 * LN2)
     if abs(value - check) > 1e-9:
         raise ValueError(f"{nodes} Gauss-Legendre nodes give JSD {value:.6g}, "

@@ -8,7 +8,7 @@ from repmetric.seeding import standard_normal_blocks
 
 def normal_block(n_draws, dim, seed, stream=0):
     """The (seed, stream) normals that the estimators draw, stacked into one block."""
-    return np.concatenate([z for _, z in standard_normal_blocks(n_draws, dim, seed, stream)])
+    return np.concatenate(list(standard_normal_blocks(n_draws, dim, seed, stream)))
 
 
 def random_representation(rng, n, k, labels=None):
@@ -38,6 +38,17 @@ def mixed_pair(rng, n, k, t, labels=None):
     X2 = np.sqrt(max(1.0 - t * t, 0.0)) * X1 + t * rng.standard_normal((n, k))
     return (RepresentationMatrix.from_array(X1, labels),
             RepresentationMatrix.from_array(X2, labels))
+
+
+def representation_chain(rng, n, k, count, t):
+    """``count`` n x k representations, each mixing the one before with fresh noise.
+
+    X_{j+1} = sqrt(1 - t²) X_j + t E_j, so layers drift apart along the chain.
+    """
+    chain = [rng.standard_normal((n, k))]
+    for _ in range(count - 1):
+        chain.append(np.sqrt(1.0 - t * t) * chain[-1] + t * rng.standard_normal((n, k)))
+    return chain
 
 
 def pooled_kernel_pair(rng, pool_size=1000, k=50, overlap=0.8):

@@ -1,7 +1,9 @@
+import itertools
 import multiprocessing
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from oracles import (LN2, closed_form_tvd_1d_scale, eigenbasis_monte_carlo,
                      grid_quad_2d, imhof_upper_tail, jsd_exact_diag,
                      predictive_pair_eigenvalues, quad_jsd_1d, quad_tvd_1d,
                      tvd_exact_diag)
-from synth import normal_block, random_orthogonal, random_spd
+from synth import normal_block, random_orthogonal, random_spd, representation_chain
 
 from repmetric import bayes_metrics
 from repmetric.bayes_metrics import (BAYES_METRICS, EIGEN_ROUNDING, _span_eigenvalues, estimate,
@@ -200,12 +202,13 @@ class TestFusedEstimate:
 
 
 def per_point(C1, C2, n_draws, seed):
-    """Values and gradients of both estimators from explicit samples.
+    """Values, SEs and gradients of both estimators from explicit samples.
 
     Draws x = L1 z ~ P1 and y = L2 z' ~ P2 from the estimator's z blocks,
-    evaluates all four log densities with triangular solves and sums the
-    per-draw summands and their derivatives: the explicit dependence of
-    log p_j on C_j plus the sampling path x = L z, pulled back through
+    evaluates all four log densities with triangular solves, averages each
+    side's summands, with the SE √((s₁² + s₂²)/(4N)) of that mean of two
+    independent means, and sums their derivatives: the explicit dependence
+    of log p_j on C_j plus the sampling path x = L z, pulled back through
     the Cholesky factor with dense inverses.
     """
     m1, m2 = model(C1), model(C2)
@@ -219,9 +222,10 @@ def per_point(C1, C2, n_draws, seed):
 
     d1 = log_density(m2, Y[0]) - log_density(m1, Y[0])  # log p2/p1 at x
     d2 = log_density(m1, Y[1]) - log_density(m2, Y[1])  # log p1/p2 at y
+    # each side's own summands; the two sides are independent streams
     summands = {
-        "tvd": 0.5 * (np.maximum(0.0, -np.expm1(d1)) + np.maximum(0.0, -np.expm1(d2))),
-        "jsd": 1.0 - 0.5 * (np.logaddexp(0.0, d1) + np.logaddexp(0.0, d2)) / np.log(2.0),
+        "tvd": [np.maximum(0.0, -np.expm1(d)) for d in (d1, d2)],
+        "jsd": [1.0 - np.logaddexp(0.0, d) / np.log(2.0) for d in (d1, d2)],
     }
     # dV/dd per draw: both summands fall as the draw's log ratio rises
     slopes = {
@@ -253,7 +257,9 @@ def per_point(C1, C2, n_draws, seed):
             Li = inv_chol[own]
             grads[own] += Li.T @ phi(chol[own].T @ X_bar.T @ Z[own]) @ Li
         grads = [0.5 * (g + g.T) for g in grads]
-        out[metric] = (float(s.mean()), float(s.std(ddof=1) / np.sqrt(n_draws)), grads)
+        value = 0.5 * (s[0].mean() + s[1].mean())
+        se = np.sqrt((s[0].var(ddof=1) + s[1].var(ddof=1)) / (4 * n_draws))
+        out[metric] = (float(value), float(se), grads)
     return out
 
 
@@ -367,6 +373,20 @@ class TestExactJsdOracle:
         second_order = np.sum(log_lam ** 2) / (16.0 * LN2)
         got = jsd_exact_diag(np.exp(log_lam))
         assert abs(got - second_order) <= 0.1 * np.sum(log_lam ** 2) * second_order
+
+    @pytest.mark.parametrize("s", [0.001, 0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("r", [1, 2, 6, 20])
+    def test_few_coefficients_resolve(self, r, s):
+        # the oracle checks 200 against 400 nodes itself; at s = 0.001 the value is the
+        # second-order term up to a relative term of order Σ(log λ)² (-0.31 Σ(log λ)² at
+        # r = 1, -0.08 Σ(log λ)² at r = 20)
+        log_lam = np.random.default_rng(r).normal(0.0, s, r)
+        got = jsd_exact_diag(np.exp(log_lam))
+        second_order = np.sum(log_lam ** 2) / (16.0 * LN2)
+        if s == 0.001:
+            assert abs(got - second_order) <= 0.5 * np.sum(log_lam ** 2) * second_order
+        else:
+            assert 0.0 < got < 1.0
 
 
 class TestPathSelection:
@@ -648,6 +668,21 @@ class TestPseudoMetricProperties:
         est = jsd(m1, m2, 10_000, seed=8)
         assert est.value > 10 * est.std_error
 
+    def test_triangle_inequality_exact(self):
+        # every ordering of 20 layer triples, on exact TVD and JS distance: n = 200 and
+        # k = 50 give r = 100 coefficients per pair, where the oracles resolve
+        chain = representation_chain(np.random.default_rng(13), 200, 50, 6, t=0.3)
+        dist = {}
+        for i, j in itertools.combinations(range(6), 2):
+            lam = predictive_pair_eigenvalues(chain[i], chain[j], 0.9)
+            assert lam.size == 100
+            dist[i, j] = dist[j, i] = np.array([tvd_exact_diag(lam),
+                                                np.sqrt(jsd_exact_diag(lam))])
+        assert np.all((0.2 < dist[0, 5]) & (dist[0, 5] < 0.9))  # apart, short of the clamps
+        for i, j, k in itertools.combinations(range(6), 3):
+            for x, y, z in ((i, j, k), (j, i, k), (i, k, j)):
+                assert np.all(dist[x, z] <= dist[x, y] + dist[y, z])
+
     def test_triangle_inequality_statistical(self):
         rng = np.random.default_rng(12)
         for trial in range(6):
@@ -681,13 +716,20 @@ class TestBothSidesAtOnce:
         n_draws = 2 * BLOCK_ROWS + 37  # three blocks, the last one short
         threaded_est = estimate(BAYES_METRICS, m1, m2, n_draws, 5)
         threaded_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
-        with mock.patch.object(bayes_metrics, "_on_both_sides",
-                               lambda side: (side(0), side(1))):
-            assert estimate(BAYES_METRICS, m1, m2, n_draws, 5) == threaded_est
-            inline_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
-        for metric, grad in threaded_grad.items():
-            assert np.array_equal(grad.d_cov1, inline_grad[metric].d_cov1)
-            assert np.array_equal(grad.d_cov2, inline_grad[metric].d_cov2)
+
+        def swapped(side):  # side 0 on a new thread, side 1 on this one
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                first = pool.submit(side, 0)
+                second = side(1)
+                return first.result(), second
+
+        for run_sides in (lambda side: (side(0), side(1)), swapped):
+            with mock.patch.object(bayes_metrics, "_on_both_sides", run_sides):
+                assert estimate(BAYES_METRICS, m1, m2, n_draws, 5) == threaded_est
+                other_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
+            for metric, grad in threaded_grad.items():
+                assert np.array_equal(grad.d_cov1, other_grad[metric].d_cov1)
+                assert np.array_equal(grad.d_cov2, other_grad[metric].d_cov2)
 
     def test_side_one_runs_on_another_thread(self):
         m1, m2 = self.pairs()["dense"]
@@ -781,5 +823,22 @@ class TestBothSidesAtOnce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few n-wide blocks per side and a few N-vectors; one N×n block is 240 MB
-        assert peak < 8 * (6 * BLOCK_ROWS * n + 16 * n_draws)
+        # a few n-wide blocks per side; one N×n block is 240 MB
+        assert peak < 8 * 6 * BLOCK_ROWS * n
+
+    @pytest.mark.parametrize("call", [estimate, gradients])
+    def test_memory_does_not_grow_with_draws(self, call):
+        # each side reduces its blocks as they come: no N-vector is held
+        m1, m2 = (model(np.diag(v)) for v in ([1.0, 2.0, 0.5, 1.5], [2.0, 1.0, 1.0, 0.7]))
+        call(("tvd", "jsd"), m1, m2, 2, 3)  # the helper thread and first-call state
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_draws in (10**4, 10**6):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call(("tvd", "jsd"), m1, m2, n_draws, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024, peaks
