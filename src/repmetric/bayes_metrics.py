@@ -48,14 +48,21 @@ Both paths draw different normals for the same seed. Bitwise-equal
 factors (L, or U and a) give a log ratio of exactly zero, and so does a
 dense T within ``EIGEN_ROUNDING``·n·ε of I entrywise.
 
-The two sides of a pair run at once, side 1 on a helper thread. Each
-draws its stream in ``seeding.BLOCK_ROWS``-row blocks that stack to the
-stream's one N-row block and reduces every block as it comes: a
-(count, mean, M2) per metric, merged in block order (Chan, Golub &
-LeVeque 1979), or for ``gradients`` Σr and zᵀ diag(r) z. A side so holds
-O(BLOCK_ROWS·dim) memory whatever N is, and a huge N runs rather than
-being refused by an allocation. Which thread runs a side changes no
-result.
+Each sampled metric is one row of ``SAMPLED_METRICS``: its summand f(d)
+and its sensitivity r = -f'(d)/(2N), which ``estimate`` and ``gradients``
+read, and whose keys are the sampled set.
+
+The two sides of a pair run at once, side 1 on a helper thread.
+``_on_both_sides`` owns a pair's two streams and its stop rule. It makes
+both streams and hands each side its blocks, of ``seeding.BLOCK_ROWS``
+rows that stack to the stream's one N-row block; a side reduces every
+block as it comes: a (count, mean, M2) per metric, merged in block order
+(Chan, Golub & LeVeque 1979), or for ``gradients`` Σr and zᵀ diag(r) z.
+A side so holds O(BLOCK_ROWS·dim) memory whatever N is, and a huge N
+runs rather than being refused by an allocation. Once either side
+raises, or an interrupt (Ctrl-C) lands while the caller waits for side
+1, one flag ends the other side's blocks before its next one, so a run
+stops within one block. Which thread runs a side changes no result.
 This helper is the program's one concurrency mechanism: pairs run one
 at a time. It is one thread per process, made on the first call and
 kept for the next ones, and made again in a child forked after a call.
@@ -75,6 +82,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -90,7 +98,21 @@ LN2 = math.log(2.0)
 # T of covariances equal up to rounding, within 4·n·ε of I
 EIGEN_ROUNDING = 4.0
 
-BAYES_METRICS = ("tvd", "jsd", "js_distance")
+# Each sampled metric's (summand f(d), sensitivity r(d, N) = -f'(d)/(2N)) at one side's
+# draws' d = log p_other/p_own. An estimate is the mean of the two sides' mean summands, and
+# r is how fast that estimate over N draws falls as a draw's d rises: never negative. The jsd
+# summand is log2(2 p_own/(p_own + p_other)) as -max(d, 0) - log1p(expm1(-|d|)/2), exactly 0
+# at d = 0 and relatively accurate for tiny |d|, where 1 + log2(p_own/(p_own + p_other)) would
+# cancel to rounding noise; its r is p_other/(p_own + p_other)/(2N ln 2), from
+# log(p_other/(p_own + p_other)) = -softplus(-d) at unit scale, exactly -log 2 at d = 0.
+SAMPLED_METRICS = {
+    "tvd": (lambda d: 0.0 - np.expm1(np.minimum(d, 0.0)),  # +0.0 where d ≥ 0
+            lambda d, n: np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * n)),
+    "jsd": (lambda d: (-np.maximum(d, 0.0) - np.log1p(0.5 * np.expm1(-np.abs(d)))) / LN2,
+            lambda d, n: np.exp(-(np.maximum(-d, 0.0) + np.log1p(np.exp(-np.abs(d)))))
+            / (2.0 * n * LN2)),
+}
+BAYES_METRICS = (*SAMPLED_METRICS, "js_distance")
 
 
 def _hold_blas_to_one_thread() -> None:
@@ -171,7 +193,13 @@ def check_request(metrics: Sequence[str], n_draws: int) -> None:
 
 
 def _check_pair(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
-                n_draws: int) -> None:
+                n_draws: int, gradient: bool = False) -> None:
+    """A pair's rules: each metric is known (for a gradient, a sampled one), the
+    request's rules hold, and the models' dimensions agree."""
+    unknown = [m for m in metrics if m not in (SAMPLED_METRICS if gradient else BAYES_METRICS)]
+    if unknown:
+        raise ValidationError(f"{'no gradient for' if gradient else 'unknown Bayes'} metric "
+                              f"{unknown[0]!r}")
     check_request(metrics, n_draws)
     if model1.dim != model2.dim:
         raise ValidationError(f"dimension mismatch: {model1.dim} vs {model2.dim}")
@@ -180,25 +208,33 @@ def _check_pair(metrics: Sequence[str], model1: GaussianModel, model2: GaussianM
 _helper = None  # (pid, executor) of side 1's thread; a forked child makes its own
 
 
-def _on_both_sides(side):
-    """(side(0), side(1)) at once: side 1 on the process's helper thread.
+def _on_both_sides(n_draws, dim, seed, side):
+    """(side(0, blocks), side(1, blocks)) at once: side 1 on the process's helper thread.
 
-    The helper is made on first use, through this module's
+    Each side gets the row blocks of its own (seed, side) stream of
+    ``n_draws`` x ``dim`` standard normals; stream 0's generator is made
+    first. Once either side raises, or an interrupt lands while the caller
+    waits for side 1, one flag ends the other side's blocks before its
+    next one. Side 1 has finished when this returns or raises; side 0's
+    error wins. The helper is made on first use, through this module's
     ``ThreadPoolExecutor`` name, and kept. Two threads that find none at
     once each make one, and the one not kept stops once dropped; a lock
     here could be held by another thread at a fork and hang the child.
-    Side 1 has finished when this returns or raises; side 0's error wins.
     """
     global _helper
     helper = _helper
     if helper is None or helper[0] != os.getpid():
         helper = _helper = os.getpid(), ThreadPoolExecutor(max_workers=1)
-    second = helper[1].submit(side, 1)
+    stop = threading.Event()  # zip asks it first, so no block is drawn once it is set
+    blocks = [(z for _, z in zip(iter(stop.is_set, True),
+                                 standard_normal_blocks(n_draws, dim, seed, s))) for s in (0, 1)]
+    second = helper[1].submit(side, 1, blocks[1])
+    second.add_done_callback(lambda done: done.exception() is None or stop.set())  # on an error
     try:
-        first = side(0)
+        return side(0, blocks[0]), second.result()
     finally:
+        stop.set()
         wait((second,))
-    return first, second.result()
 
 
 def _whitened_side(own, other):
@@ -243,34 +279,6 @@ def _span_eigenvalues(model1, model2):
         return np.linalg.eigvalsh(B @ B.T + np.diag(a * w * w))
 
 
-def _log_mixture_fraction(d):
-    """log(p_own / (p_own + p_other)) from d = log p_own - log p_other.
-
-    Working from the difference keeps everything at unit scale, so the
-    result is exactly -log 2 at d = 0 and carries no rounding bias
-    proportional to the log-density magnitude.
-    """
-    return -(np.maximum(-d, 0.0) + np.log1p(np.exp(-np.abs(d))))
-
-
-def _log_twice_mixture_fraction(d):
-    """log(2 p_own / (p_own + p_other)) from d = log p_other - log p_own.
-
-    As -max(d, 0) - log1p(expm1(-|d|)/2) it is exactly 0 at d = 0 and
-    relatively accurate for tiny |d|, where 1 + log2(p_own/(p_own + p_other))
-    would cancel to rounding noise with a bias of its own.
-    """
-    return -np.maximum(d, 0.0) - np.log1p(0.5 * np.expm1(-np.abs(d)))
-
-
-# one side's summand at its draws' d = log p_other/p_own; a metric's estimate is the
-# mean of the two sides' means
-_SUMMANDS = {
-    "tvd": lambda d: 0.0 - np.expm1(np.minimum(d, 0.0)),  # +0.0 where d ≥ 0
-    "jsd": lambda d: _log_twice_mixture_fraction(d) / LN2,
-}
-
-
 def _merge_moments(acc, s):
     """Update each [count, mean, M2] of acc in place with the same row of
     block s (Chan, Golub & LeVeque 1979)."""
@@ -293,11 +301,9 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
     requested; each result equals a separate call with this seed. The
     low-rank path needs U and the same a on both models and μ off zero.
     """
-    unknown = [m for m in metrics if m not in BAYES_METRICS]
-    if unknown:
-        raise ValidationError(f"unknown Bayes metric {unknown[0]!r}")
     _check_pair(metrics, model1, model2, n_draws)
-    sampled = [m for m in ("tvd", "jsd") if m in metrics or m == "jsd" and "js_distance" in metrics]
+    sampled = [m for m in SAMPLED_METRICS
+               if m in metrics or m == "jsd" and "js_distance" in metrics]
     mu, dim = None, model1.dim
     if model1.U is not None and model2.U is not None and model1.a == model2.a:
         mu = _span_eigenvalues(model1, model2)
@@ -307,9 +313,8 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
         gap = 1.0 - mu  # exact by Sterbenz for μ in [1/2, 2]
         half_log_det = 0.5 * float(np.sum(np.log1p(-gap)))
         weights, offsets, dim = (-gap / mu, gap), (-half_log_det, half_log_det), mu.size
-    blocks = [standard_normal_blocks(n_draws, dim, seed, s) for s in (0, 1)]
 
-    def side(s):
+    def side(s, blocks):
         """Side s's (count, mean, M2) of each sampled metric's summands."""
         if mu is None:  # T is solved on this side's thread
             models = (model1, model2)
@@ -318,13 +323,14 @@ def estimate(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMode
             def log_ratio(w):
                 return 0.5 * np.einsum("ij,ij,j->i", w, w, weights[s]) + offsets[s]
         moments = [[0, 0.0, 0.0] for _ in sampled]
-        for z in blocks[s]:
+        for z in blocks:
             d = log_ratio(z)
-            _merge_moments(moments, np.stack([_SUMMANDS[m](d) for m in sampled]))
+            _merge_moments(moments, np.stack([SAMPLED_METRICS[m][0](d) for m in sampled]))
         return moments
 
     out = {}
-    for m, (_, mean1, m2_1), (_, mean2, m2_2) in zip(sampled, *_on_both_sides(side)):
+    sides = _on_both_sides(n_draws, dim, seed, side)
+    for m, (_, mean1, m2_1), (_, mean2, m2_2) in zip(sampled, *sides):
         raw, var = 0.5 * (mean1 + mean2), (m2_1 + m2_2) / (4 * (n_draws - 1))
         out[m] = DistanceEstimate(value=min(max(raw, 0.0), 1.0), std_error=math.sqrt(var / n_draws),
                                   n_samples=int(n_draws), metric=m, seed=int(seed),
@@ -374,16 +380,6 @@ def js_distance_from_jsd(est: DistanceEstimate) -> DistanceEstimate:
 # Reparameterized gradients
 # ---------------------------------------------------------------------------
 
-def _sensitivities(metric: str, d: np.ndarray, n_draws: int) -> np.ndarray:
-    """r_i = -dV/dd_i, how fast the estimate V over n_draws falls as draw i's log ratio rises.
-
-    Both summands decrease in d, so r is never negative.
-    """
-    if metric == "tvd":
-        return np.where(d < 0.0, np.exp(np.minimum(d, 0.0)), 0.0) / (2.0 * n_draws)
-    return np.exp(_log_mixture_fraction(d)) / (2.0 * n_draws * LN2)  # p_other/(p1+p2)
-
-
 def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianModel,
               n_draws: int, seed: int) -> dict[str, DistanceGradient]:
     """Gradients of each requested metric of 'tvd' and 'jsd' w.r.t. C1 and C2.
@@ -398,23 +394,19 @@ def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMod
     each model's dense factor, not the span-path value that ``estimate``
     reports for the same models.
     """
-    unknown = [m for m in metrics if m not in ("tvd", "jsd")]
-    if unknown:
-        raise ValidationError(f"no gradient for metric {unknown[0]!r}")
-    _check_pair(metrics, model1, model2, n_draws)
+    _check_pair(metrics, model1, model2, n_draws, gradient=True)
     models = (model1, model2)
     eye = np.eye(model1.dim)
-    blocks = [standard_normal_blocks(n_draws, model1.dim, seed, s) for s in (0, 1)]
 
-    def side(s):
+    def side(s, blocks):
         """Side s's two terms per metric: (to its own model, to the other)."""
         T, log_ratio = _whitened_side(models[s], models[1 - s])
         G = {m: np.zeros_like(eye) for m in metrics}
         total = dict.fromkeys(metrics, 0.0)
-        for z in blocks[s]:
+        for z in blocks:
             d = log_ratio(z)
             for m in metrics:
-                r = _sensitivities(m, d, n_draws)
+                r = SAMPLED_METRICS[m][1](d, n_draws)
                 total[m] += float(r.sum())
                 S = z * np.sqrt(r)[:, None]
                 G[m] += S.T @ S
@@ -426,7 +418,7 @@ def gradients(metrics: Sequence[str], model1: GaussianModel, model2: GaussianMod
                         0.5 * (total[m] * eye - T @ G[m] @ T.T))
         return terms, solve_lower(models[s].chol, eye)
 
-    (first, W1), (second, W2) = _on_both_sides(side)
+    (first, W1), (second, W2) = _on_both_sides(n_draws, model1.dim, seed, side)
     out = {}
     for m in metrics:
         pairs = (first[m][0], second[m][1]), (first[m][1], second[m][0])

@@ -17,7 +17,7 @@ the data come after.
 after its input's stem. List flags ignore spaces around each item.
 
 Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
-numerical failure.
+numerical failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
+    except click.exceptions.Abort:  # what click makes of Ctrl-C
+        click.echo("interrupted", err=True)
+        return 130
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1

@@ -223,7 +223,7 @@ def check_sweep_args(n_values: Sequence[int], noise_values: Sequence[float], n_s
     """``snr_sweep``'s argument rules, none of which needs a kernel; returns
     each noise value's mixture weight. A sweep estimates jsd and tvd only."""
     for m in metrics:
-        if m not in ("jsd", "tvd"):
+        if m not in bayes_metrics.SAMPLED_METRICS:
             raise ValidationError(f"snr_sweep supports jsd/tvd, got {m!r}")
     check_pairwise_args(metrics, n_samples, seed, b=b)
     if not len(n_values) or not len(noise_values):

@@ -1,5 +1,7 @@
 import itertools
 import multiprocessing
+import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -42,6 +44,9 @@ def exact_oracle_case(case):
     """(model1, model2, λ): a pair whose TVD and JSD are those of (I, diag λ).
 
     "n-spread" is the dense pair I, diag λ with log λ ~ N(0, spread²).
+    "n-spread-dense" is the genuinely dense pair A Aᵀ, A diag(λ) Aᵀ with the
+    same λ and a random, well-conditioned A; the generalized eigenvalues
+    are exactly λ.
     "low-rank" goes through predictive_covariance and the low-rank path:
     two rank-10 diagonal kernels on disjoint stimuli at n = 300, so both
     covariances are diagonal and λ is the ratio of their diagonals.
@@ -57,7 +62,14 @@ def exact_oracle_case(case):
         return m1, m2, c2 / c1
     n, spread = int(case.split("-")[0]), float(case.split("-")[1])
     lam = np.exp(np.random.default_rng(n).normal(0.0, spread, n))
+    if case.endswith("-dense"):
+        # singular values of G/√n lie in [0, 2], so those of A in about [0.5, 1.5]
+        A = np.eye(n) + np.random.default_rng(n + 1).standard_normal((n, n)) / (4.0 * np.sqrt(n))
+        return model(A @ A.T), model((A * lam) @ A.T), lam
     return model(np.eye(n)), model(np.diag(lam)), lam
+
+
+ORACLE_DRAWS = {"1000-0.05-dense": 4000}  # per-case draws; 20,000 otherwise
 
 
 class TestTvd:
@@ -331,12 +343,12 @@ class TestExactTvdOracle:
         want = chi2.sf(q, 6) if scale > 0 else chi2.cdf(q, 6)
         assert imhof_upper_tail(np.full(6, scale), x) == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("case", ["100-0.2", "300-0.12", "low-rank"])
+    @pytest.mark.parametrize("case", ["100-0.2", "300-0.12", "low-rank", "1000-0.05-dense"])
     def test_within_four_se(self, case):
         m1, m2, lam = exact_oracle_case(case)
         exact = tvd_exact_diag(lam)
         assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
-        est = tvd(m1, m2, 20_000, seed=73)
+        est = tvd(m1, m2, ORACLE_DRAWS.get(case, 20_000), seed=73)
         assert abs(est.raw_value - exact) < 4.0 * est.std_error
 
 
@@ -358,11 +370,11 @@ class TestExactJsdOracle:
         assert jsd_exact_diag(np.full(k, s)) == pytest.approx(want, abs=1e-9)
 
     def test_within_four_se(self):
-        for case in ("300-0.12", "low-rank"):  # TestExactTvdOracle's inputs
+        for case in ("300-0.12", "low-rank", "1000-0.05-dense"):  # TestExactTvdOracle's inputs
             m1, m2, lam = exact_oracle_case(case)
             exact = jsd_exact_diag(lam)
             assert 0.05 < exact < 0.95  # away from the clamps, where the SE holds
-            est = jsd(m1, m2, 20_000, seed=73)
+            est = jsd(m1, m2, ORACLE_DRAWS.get(case, 20_000), seed=73)
             assert abs(est.raw_value - exact) < 4.0 * est.std_error, case
 
     @pytest.mark.parametrize("s", [0.01, 0.001])
@@ -699,6 +711,36 @@ def _estimate_in_child(queue, models, n_draws, seed):
     queue.put(estimate(("tvd", "jsd"), *models, n_draws, seed))
 
 
+def inline(n_draws, dim, seed, side):
+    """``_on_both_sides`` on the calling thread: side 0, then side 1, each on its stream."""
+    return tuple(side(s, standard_normal_blocks(n_draws, dim, seed, s)) for s in (0, 1))
+
+
+def swapped(n_draws, dim, seed, side):
+    """``_on_both_sides`` with side 0 on a new thread and side 1 on this one."""
+    blocks = [standard_normal_blocks(n_draws, dim, seed, s) for s in (0, 1)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(side, 0, blocks[0])
+        second = side(1, blocks[1])
+        return first.result(), second
+
+
+def counted_blocks(drawn):
+    """``standard_normal_blocks`` that counts each stream's drawn blocks in drawn[stream]."""
+    def blocks(n_draws, dim, seed, stream):
+        for z in standard_normal_blocks(n_draws, dim, seed, stream):
+            drawn[stream] += 1
+            yield z
+    return blocks
+
+
+def wait_until(condition, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
 class TestBothSidesAtOnce:
     """A pair's two sides run at once, side 1 on a helper thread, in row blocks."""
 
@@ -716,14 +758,7 @@ class TestBothSidesAtOnce:
         n_draws = 2 * BLOCK_ROWS + 37  # three blocks, the last one short
         threaded_est = estimate(BAYES_METRICS, m1, m2, n_draws, 5)
         threaded_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
-
-        def swapped(side):  # side 0 on a new thread, side 1 on this one
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                first = pool.submit(side, 0)
-                second = side(1)
-                return first.result(), second
-
-        for run_sides in (lambda side: (side(0), side(1)), swapped):
+        for run_sides in (inline, swapped):
             with mock.patch.object(bayes_metrics, "_on_both_sides", run_sides):
                 assert estimate(BAYES_METRICS, m1, m2, n_draws, 5) == threaded_est
                 other_grad = gradients(("tvd", "jsd"), m1, m2, n_draws, 5)
@@ -792,8 +827,80 @@ class TestBothSidesAtOnce:
             with pytest.raises(KeyError, match="side 1"):
                 estimate(("jsd",), m1, m2, 200, 5)
         want = estimate(("jsd",), m1, m2, 200, 5)
-        with mock.patch.object(bayes_metrics, "_on_both_sides", lambda side: (side(0), side(1))):
+        with mock.patch.object(bayes_metrics, "_on_both_sides", inline):
             assert estimate(("jsd",), m1, m2, 200, 5) == want
+
+    # one block of side s takes 50 ms; an unstopped side would draw all 200
+    N_SLOW = 200 * BLOCK_ROWS
+
+    def test_side_zero_error_stops_side_one_within_a_block(self):
+        drawn, at_raise = [0, 0], []
+
+        def side(s, blocks):
+            for _ in blocks:
+                if s == 0:
+                    wait_until(lambda: drawn[1] >= 3)  # side 1 is mid-stream
+                    at_raise.append(drawn[1])
+                    raise KeyError("side 0")
+                time.sleep(0.05)
+            return s
+
+        with mock.patch.object(bayes_metrics, "standard_normal_blocks", counted_blocks(drawn)):
+            with pytest.raises(KeyError, match="side 0"):
+                bayes_metrics._on_both_sides(self.N_SLOW, 2, 5, side)
+        assert drawn[0] == 1
+        assert drawn[1] <= at_raise[0] + 1, (drawn, at_raise)
+
+    def test_side_one_error_stops_side_zero_within_a_block(self):
+        drawn, at_raise = [0, 0], []
+
+        def side(s, blocks):
+            for _ in blocks:
+                if s == 1:
+                    wait_until(lambda: drawn[0] >= 3)  # side 0 is mid-stream
+                    at_raise.append(drawn[0])
+                    raise KeyError("side 1")
+                time.sleep(0.05)
+            return s
+
+        with mock.patch.object(bayes_metrics, "standard_normal_blocks", counted_blocks(drawn)):
+            with pytest.raises(KeyError, match="side 1"):
+                bayes_metrics._on_both_sides(self.N_SLOW, 2, 5, side)
+        assert drawn[1] == 1
+        assert drawn[0] <= at_raise[0] + 1, (drawn, at_raise)
+
+    def test_interrupt_while_waiting_for_side_one_stops_it_within_a_block(self):
+        # a real SIGINT: it wakes the caller blocked in side 1's result, which a
+        # KeyboardInterrupt injected any other way does not
+        assert threading.current_thread() is threading.main_thread()
+        drawn, sent = [0, 0], []
+
+        def side(s, blocks):
+            for _ in blocks:
+                if s == 0:
+                    return s  # side 0 is done; the caller waits for side 1
+                time.sleep(0.05)
+            return s
+
+        def interrupt():
+            sent.append(drawn[1])
+            os.kill(os.getpid(), signal.SIGINT)
+
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        timer = threading.Timer(0.5, interrupt)
+        try:
+            with mock.patch.object(bayes_metrics, "standard_normal_blocks", counted_blocks(drawn)):
+                with pytest.raises(KeyboardInterrupt):
+                    timer.start()
+                    bayes_metrics._on_both_sides(self.N_SLOW, 2, 5, side)
+        finally:
+            timer.cancel()
+            timer.join()
+            signal.signal(signal.SIGINT, previous)
+        stopped_at = drawn[1]
+        time.sleep(0.1)
+        assert drawn[1] == stopped_at  # side 1 has finished
+        assert sent[0] >= 3 and stopped_at <= sent[0] + 1, (drawn, sent)
 
     def test_side_zero_error_waits_for_side_one(self):
         m1, m2 = self.pairs()["dense"]

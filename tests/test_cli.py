@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +573,32 @@ class TestSingleLineValidationErrors:
                      MatrixKind.DISTANCE)
         assert main(["embed", "--input", str(tmp_path / "d.csv"), "--seed", str(seed),
                      "--restarts", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestInterrupt:
+    def test_ctrl_c_ends_a_huge_run_with_one_line(self, tmp_path):
+        rng = np.random.default_rng(33)
+        mpath = write_manifest_dir(tmp_path, kernels_same_stimuli(rng, 8, 4, 2))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("before")
+        import repmetric
+        env = dict(os.environ, PYTHONPATH=str(Path(repmetric.__file__).resolve().parent.parent))
+        proc = subprocess.Popen([sys.executable, "-m", "repmetric.cli", "compare", "--manifest",
+                                 str(mpath), "--samples", str(10 ** 9), "--out", str(out)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            time.sleep(2.0)  # inside the pair's draws, which would take minutes
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert err.splitlines()[-1] == "interrupted"
+        assert "Traceback" not in err
+        assert tree_bytes(out) == {"keep.txt": b"before"}
 
 
 SEED_2_130 = str(2 ** 130)
