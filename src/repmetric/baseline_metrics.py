@@ -1,10 +1,20 @@
 """Kernel-based baseline dissimilarity measures.
 
-All four baselines are functions of the two Gram matrices alone:
-centered kernel alignment (reported as 1 - CKA), its arccos (a shape
-metric), and two representational-similarity measures comparing the
-vectorized squared-Euclidean distance matrices (1 - Pearson
-correlation, and the angle between the distance vectors).
+Every baseline is one transform of one cosine c, between the same operand
+of the two kernels, clamped below (``BASELINES``):
+
+    metric      operand              c in       value
+    cka         centered kernel      [0, 1]     1 - c     (1 - linear CKA)
+    shape       centered kernel      [0, 1]     arccos c  (a shape metric)
+    rsa_corr    centered distances   [-1, 1]    1 - c     (1 - Pearson r)
+    rsa_arccos  distances            [-1, 1]    arccos c
+
+The distances are the upper triangle of the squared-Euclidean distance
+matrix, or of the plain Euclidean one when ``rsa_squared`` is False. One
+rule leaves an operand undefined: its RMS entry, judged on its
+squared-distance form (also when the RSA measures compare plain
+distances), is at most DEGENERATE_RTOL times the kernel's largest
+diagonal entry.
 """
 
 from __future__ import annotations
@@ -18,7 +28,14 @@ import numpy as np
 from .errors import DegenerateRepresentationError, ValidationError
 from .kernel import KernelMatrix, centered_kernel, squared_distance_matrix
 
-BASELINE_METRICS = ("cka", "shape", "rsa_corr", "rsa_arccos")
+# metric: (operand, lower clamp of the cosine c, value as a function of c)
+BASELINES = {
+    "cka": ("centered kernel", 0.0, lambda c: 1.0 - c),
+    "shape": ("centered kernel", 0.0, math.acos),
+    "rsa_corr": ("centered distances", -1.0, lambda c: 1.0 - c),
+    "rsa_arccos": ("distances", -1.0, math.acos),
+}
+BASELINE_METRICS = tuple(BASELINES)
 
 DEGENERATE_RTOL = 1e-12  # spreads this small against the data's scale are rounding noise
 
@@ -51,50 +68,51 @@ class PreparedKernel:
     """One kernel's operands for the requested baseline metrics, built once
     and shared by every pair the kernel is in.
 
-    ``errors`` maps each requested metric the kernel leaves undefined to its
-    DegenerateRepresentationError. Every rule judges its operand against one
-    scale, the kernel's largest diagonal entry s: cka and shape are undefined
-    when the centered kernel's RMS entry (norm / n) is at most
-    DEGENERATE_RTOL * s, rsa_corr when the squared-distance vector's standard
-    deviation is, rsa_arccos when its RMS is. Both RSA rules look at squared
-    distances, also when the measure compares plain ones. Malformed input
-    raises ValidationError.
+    ``operands`` maps each operand a requested metric reads to its unit
+    vector, or to the DegenerateRepresentationError that the module's one
+    rule gives it; ``errors`` maps each requested metric whose operand is
+    undefined to that error. Malformed input raises ValidationError.
     """
 
     def __init__(self, kernel, metrics: Sequence[str], rsa_squared: bool = True):
-        unknown = [m for m in metrics if m not in BASELINE_METRICS]
+        unknown = [m for m in metrics if m not in BASELINES]
         if unknown:
             raise ValidationError(f"unknown baseline metric {unknown[0]!r}")
         k = _scaled(kernel if isinstance(kernel, KernelMatrix)
                     else KernelMatrix.from_array(kernel))
         self.n = k.n
-        self.errors: dict[str, DegenerateRepresentationError] = {}
         tol = DEGENERATE_RTOL * np.abs(k.K.diagonal()).max()
-        if "cka" in metrics or "shape" in metrics:
-            self.Kc = centered_kernel(k)
-            self.Kc_norm = np.linalg.norm(self.Kc)
-            if self.Kc_norm <= k.n * tol:
-                self.errors["cka"] = self.errors["shape"] = DegenerateRepresentationError(
-                    "centered kernel has zero norm (constant representation)")
-        if "rsa_corr" in metrics or "rsa_arccos" in metrics:
+        needed = {BASELINES[m][0] for m in metrics}
+        forms = {}  # operand: (its squared-distance form, the vector compared, why undefined)
+        if "centered kernel" in needed:
+            Kc = centered_kernel(k).ravel()
+            forms["centered kernel"] = (
+                Kc, Kc, "centered kernel has zero norm (constant representation)")
+        if needed - {"centered kernel"}:  # the squared distances, once for both RSA operands
             if k.n < 3:
                 raise ValidationError("RSA measures need at least 3 stimuli")
             d2 = squared_distance_matrix(k)[np.triu_indices(k.n, k=1)]
             v = d2 if rsa_squared else np.sqrt(d2)
-            if "rsa_corr" in metrics:
-                self.v_centered, self.v_sd = v - v.mean(), v.std()
-                if d2.std() <= tol:
-                    self.errors["rsa_corr"] = DegenerateRepresentationError(
-                        "distance vector has zero variance")
-            if "rsa_arccos" in metrics:
-                self.v, self.v_norm = v, np.linalg.norm(v)
-                if np.linalg.norm(d2) <= tol * math.sqrt(d2.size):
-                    self.errors["rsa_arccos"] = DegenerateRepresentationError(
-                        "distance vector is zero")
+            if "centered distances" in needed:
+                forms["centered distances"] = (
+                    d2 - d2.mean(), v - v.mean(), "distance vector has zero variance")
+            if "distances" in needed:
+                forms["distances"] = (d2, v, "distance vector is zero")
+        self.operands: dict[str, np.ndarray | DegenerateRepresentationError] = {
+            op: DegenerateRepresentationError(why)
+            if np.linalg.norm(judged) <= tol * math.sqrt(judged.size)
+            else np.divide(compared, np.linalg.norm(compared), out=compared)
+            for op, (judged, compared, why) in forms.items()}
+        self.errors: dict[str, DegenerateRepresentationError] = {
+            m: e for m in metrics
+            if isinstance(e := self.operands[BASELINES[m][0]], DegenerateRepresentationError)}
 
-    def _alignment(self, other: "PreparedKernel") -> float:
-        return min(max(float(np.sum(self.Kc * other.Kc) / (self.Kc_norm * other.Kc_norm)),
-                       0.0), 1.0)
+    def _cosine(self, other: "PreparedKernel", metric: str) -> float:
+        """The cosine between both kernels' operands for ``metric``, clamped;
+        einsum, unlike dot, starts no BLAS threads."""
+        operand, lower, _ = BASELINES[metric]
+        c = float(np.einsum("i,i->", self.operands[operand], other.operands[operand]))
+        return min(max(c, lower), 1.0)
 
     def compare(self, other: "PreparedKernel", metrics: Sequence[str]
                 ) -> dict[str, BaselineResult | DegenerateRepresentationError]:
@@ -103,20 +121,9 @@ class PreparedKernel:
         to its DegenerateRepresentationError."""
         if self.n != other.n:
             raise ValidationError(f"kernel sizes differ: {self.n} vs {other.n}")
-        out = {m: self.errors.get(m) or other.errors.get(m) for m in metrics}
-        defined = [m for m in metrics if out[m] is None]
-        if "cka" in defined or "shape" in defined:
-            c = self._alignment(other)
-            out["cka"] = BaselineResult(value=1.0 - c, metric="cka")
-            out["shape"] = BaselineResult(value=math.acos(c), metric="shape")
-        if "rsa_corr" in defined:
-            r = float(np.mean(self.v_centered * other.v_centered) / (self.v_sd * other.v_sd))
-            out["rsa_corr"] = BaselineResult(value=1.0 - min(max(r, -1.0), 1.0), metric="rsa_corr")
-        if "rsa_arccos" in defined:  # einsum, unlike dot, starts no BLAS threads
-            c = float(np.einsum("i,i->", self.v, other.v) / (self.v_norm * other.v_norm))
-            out["rsa_arccos"] = BaselineResult(value=math.acos(min(max(c, -1.0), 1.0)),
-                                               metric="rsa_arccos")
-        return {m: out[m] for m in metrics}
+        return {m: self.errors.get(m) or other.errors.get(m)
+                or BaselineResult(value=BASELINES[m][2](self._cosine(other, m)), metric=m)
+                for m in metrics}
 
 
 def distances(metrics: Sequence[str], kernel1, kernel2, rsa_squared: bool = True
@@ -134,7 +141,7 @@ def cka(kernel1, kernel2) -> float:
     """Linear centered kernel alignment, in [0, 1]."""
     p1, p2 = (PreparedKernel(K, ("cka",)) for K in (kernel1, kernel2))
     _raised(p1.compare(p2, ("cka",))["cka"])  # the size and degeneracy checks
-    return p1._alignment(p2)
+    return p1._cosine(p2, "cka")
 
 
 def cka_distance(kernel1, kernel2) -> BaselineResult:

@@ -20,7 +20,7 @@ from . import baseline_metrics, bayes_metrics
 from .bayes_metrics import DistanceEstimate
 from .errors import RepmetricError, ValidationError
 from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix,
-                     check_finite_nonnegative, check_mixture_weight, gram,
+                     check_finite_nonnegative, check_mixture_weight, default_labels, gram,
                      predictive_covariance)
 from .matrix_io import LayerManifest, MatrixKind, read_matrix
 from .seeding import derive_seed, pair_seed, stream_generator
@@ -81,7 +81,9 @@ def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]
             for e in manifest.entries]
 
 
-def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
+def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]
+                  ) -> tuple[int, tuple[str, ...] | None]:
+    """(stimulus count, the labels the layers list or None) of layers that agree."""
     if len(layers) < 2:
         raise ValidationError("need at least 2 layers")
     names = [name for name, _ in layers]
@@ -90,7 +92,23 @@ def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
     sizes = {k.n for _, k in layers}
     if len(sizes) != 1:
         raise ValidationError(f"layers have mixed stimulus counts: {sorted(sizes)}")
-    return sizes.pop()
+    return sizes.pop(), _check_stimuli([(f"layer {name!r}", k) for name, k in layers])
+
+
+def _check_stimuli(kernels: Sequence[tuple[str, KernelMatrix]]) -> tuple[str, ...] | None:
+    """Every kernel whose labels are not the defaults ``s0, s1, ...`` lists
+    the same labels in the same order, which are returned (None when there
+    are none); ``what`` names a kernel in the message. A default-labelled
+    kernel (every binary file is one) is taken in row order. The kernels
+    are of one size."""
+    labelled = [(what, k.labels) for what, k in kernels if k.labels != default_labels(k.n)]
+    for what, labels in labelled[1:]:
+        first, want = labelled[0]
+        if labels != want:
+            row = next(i for i, (got, exp) in enumerate(zip(labels, want)) if got != exp)
+            raise ValidationError(f"{what}: stimulus labels differ from {first}'s "
+                                  f"(row {row}: {labels[row]!r} vs {want[row]!r})")
+    return labelled[0][1] if labelled else None
 
 
 def split_metrics(metrics: Sequence[str], n_samples: int):
@@ -155,8 +173,7 @@ def pairwise_matrix(layers: Sequence[tuple[str, KernelMatrix]], metrics: Sequenc
             except RepmetricError as exc:
                 errors = dict.fromkeys(metrics_bayes, exc)
         prepared[name] = baseline_metrics.PreparedKernel(kern, metrics_base, rsa_squared)
-        errors |= {m: prepared[name].errors[m] for m in metrics_base
-                   if m in prepared[name].errors}
+        errors |= prepared[name].errors
         undefined[name] = {m: type(e)(f"layer {name!r}: {e}") for m, e in errors.items()}
         if undefined[name] and on_error == "abort":
             raise next(iter(undefined[name].values()))
@@ -246,6 +263,7 @@ def snr_sweep(pool1: KernelMatrix, pool2: KernelMatrix, n_values: Sequence[int],
     a_grid = check_sweep_args(n_values, noise_values, n_samples, seed, b, metrics, noise_kind)
     if pool1.n != pool2.n:
         raise ValidationError("kernel pools have different sizes")
+    _check_stimuli(list(zip(SWEEP_LABELS, (pool1, pool2))))
     n_values = [int(n) for n in n_values]
     if max(n_values) > pool1.n:
         raise ValidationError(f"n={max(n_values)} exceeds pool size {pool1.n}")
@@ -349,9 +367,12 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
     if threads != 1:
         raise ValidationError(f"threads={threads}: pairs run one at a time, only 1 is accepted")
     a = check_stability_args(n_images, n_repeats, metrics, b, n_samples, seed)
-    pool_size = _check_layers(layers)
+    pool_size, labels = _check_layers(layers)
     if n_images > pool_size:
         raise ValidationError(f"n_images={n_images} exceeds pool size {pool_size}")
+    if labels is not None:  # every layer takes the agreed labels, so that the subsets of a
+        # default-labelled layer (labelled s3, s7, ...) agree with the others' in every repeat
+        layers = [(name, KernelMatrix(K=kern.K, labels=labels)) for name, kern in layers]
 
     names = [name for name, _ in layers]
     pair_labels = list(itertools.combinations(names, 2))

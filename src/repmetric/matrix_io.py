@@ -23,7 +23,8 @@ reading one yields default labels ``s0, s1, ...``.
 
 A layer manifest is a JSON file mapping layer names to matrix files,
 with optional run-level defaults (seed, a, b, n_samples). Paths are
-resolved relative to the manifest's directory.
+resolved relative to the manifest's directory. CSV and manifest readers
+drop a leading UTF-8 byte-order mark, as Windows editors write one.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def _read_binary(path: Path, expected: MatrixKind):
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not UTF-8 text") from None
 

@@ -434,11 +434,61 @@ class TestEmbedCommand:
         assert lines[0] == "label,dim0,dim1"
         assert lines[1].startswith("p0,")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one; the first row stays data
+        (tmp_path / "d.csv").write_text("\ufeff0,1\n1,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["embed", "--input", str(tmp_path / "d.csv"), "--out", str(out)]) == 0
+        lines = (out / "embedding.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["label", "s0", "s1"]
+
     def test_invalid_distance_matrix_exit_code(self, tmp_path):
         (tmp_path / "d.csv").write_text("0.0,1.0\n2.0,0.0\n")
         code = main(["embed", "--input", str(tmp_path / "d.csv"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestStimulusOrder:
+    """Layers with labels other than s0, s1, ... list their stimuli in one order."""
+
+    @staticmethod
+    def files(tmp_path, second):
+        # k2 is k1 with its rows and columns reversed; k3 is k1 with default labels
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((6, 3))
+        K, labels = X @ X.T, list("abcdef")
+        write_matrix(K, tmp_path / "k1.csv", MatrixKind.KERNEL, labels=labels)
+        write_matrix(K[::-1, ::-1], tmp_path / "k2.csv", MatrixKind.KERNEL, labels=labels[::-1])
+        write_matrix(K, tmp_path / "k3.csv", MatrixKind.KERNEL)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"entries": [
+            {"name": name, "path": f"{name}.csv", "kind": "kernel"} for name in ("k1", second)]}))
+        return {"compare": ["compare", "--manifest", str(mpath), "--metrics", "cka,jsd",
+                            "--samples", "2000"],
+                "stability": ["stability", "--manifest", str(mpath), "--n-images", "4",
+                              "--repeats", "2", "--metrics", "cka,jsd", "--samples", "100"],
+                "sweep": ["sweep", "--kernel1", str(tmp_path / "k1.csv"), "--kernel2",
+                          str(tmp_path / f"{second}.csv"), "--n-values", "4",
+                          "--noise-values", "0.5", "--samples", "100"]}
+
+    @pytest.mark.parametrize("command, names", [
+        ("compare", ("layer 'k2'", "layer 'k1'")), ("stability", ("layer 'k2'", "layer 'k1'")),
+        ("sweep", ("kernel2", "kernel1"))])
+    def test_permuted_labelled_layer_refused(self, tmp_path, capsys, command, names):
+        out = tmp_path / "out"
+        assert main(self.files(tmp_path, "k2")[command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {names[0]}: stimulus labels differ from {names[1]}'s "
+            "(row 0: 'f' vs 'a')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "stability", "sweep"])
+    def test_default_labelled_layer_beside_a_labelled_one_runs(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(self.files(tmp_path, "k3")[command] + ["--out", str(out)]) == 0
+        if command == "compare":  # the same kernel, taken in row order
+            assert read_matrix(out / "cka.csv", MatrixKind.DISTANCE).values[0, 1] == 0.0
 
 
 BIG_SEED = str(2 ** 200)

@@ -217,6 +217,20 @@ class TestPairwiseMatrix:
                             n_samples=10, seed=25)
         assert centered.call_count == dist.call_count == 3  # once per layer, not 2 per pair
 
+    @pytest.mark.parametrize("metrics, centerings, distance_builds", [
+        (["rsa_corr"], 0, 3), (["rsa_arccos"], 0, 3), (["rsa_arccos", "rsa_corr"], 0, 3),
+        (["cka"], 3, 0), (["shape"], 3, 0), (["shape", "cka"], 3, 0)])
+    def test_baselines_build_only_the_operands_they_read(self, metrics, centerings,
+                                                         distance_builds):
+        rng = np.random.default_rng(24)
+        layers = kernels_same_stimuli(rng, 8, 4, 3)
+        with mock.patch.object(baseline_metrics, "centered_kernel",
+                               wraps=baseline_metrics.centered_kernel) as centered, \
+                mock.patch.object(baseline_metrics, "squared_distance_matrix",
+                                  wraps=baseline_metrics.squared_distance_matrix) as dist:
+            pairwise_matrix(layers, metrics, a=0.5, n_samples=10, seed=25)
+        assert (centered.call_count, dist.call_count) == (centerings, distance_builds)
+
     @pytest.mark.parametrize("squared", [True, False])
     def test_baselines_match_per_pair_distances(self, squared):
         rng = np.random.default_rng(28)
@@ -568,3 +582,62 @@ class TestStabilityStudy:
             stability_study(layers, 50, 3, ["cka"], 0.01, 100, seed=0)
         with pytest.raises(ValidationError):
             stability_study(layers, 5, 1, ["cka"], 0.01, 100, seed=0)
+
+
+def relabelled(kern, labels, reverse=False):
+    """kern with the given stimulus labels; with reverse, the same stimuli in
+    reverse order: rows, columns and labels all turn around."""
+    if reverse:
+        return KernelMatrix(K=kern.K[::-1, ::-1].copy(), labels=tuple(labels[::-1]))
+    return KernelMatrix(K=kern.K, labels=tuple(labels))
+
+
+class TestStimulusLabels:
+    """Kernels with labels other than s0, s1, ... list them in one order;
+    a default-labelled kernel is taken in row order."""
+
+    LABELS = [f"img{i}" for i in range(10)]
+    PIPELINES = {
+        "pairwise": lambda layers: pairwise_matrix(layers, ["cka", "jsd"], a=0.5,
+                                                   n_samples=50, seed=1),
+        "stability": lambda layers: stability_study(layers, 5, 2, ["cka", "jsd"], 0.01,
+                                                    50, seed=1)}
+
+    def layers(self):
+        return kernels_same_stimuli(np.random.default_rng(41), 10, 4, 3)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_permuted_labelled_layer_refused(self, pipeline):
+        (n0, k0), (n1, k1), (n2, k2) = self.layers()
+        layers = [(n0, relabelled(k0, self.LABELS)), (n1, relabelled(k1, self.LABELS, True)),
+                  (n2, k2)]
+        with pytest.raises(ValidationError) as info:
+            self.PIPELINES[pipeline](layers)
+        assert str(info.value) == ("layer 'layer1': stimulus labels differ from layer "
+                                   "'layer0''s (row 0: 'img9' vs 'img0')")
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_default_labelled_layer_beside_labelled_ones_runs(self, pipeline):
+        # labels name the stimuli and change no value
+        (n0, k0), (n1, k1), (n2, k2) = layers = self.layers()
+        mixed = [(n0, relabelled(k0, self.LABELS)), (n1, k1), (n2, relabelled(k2, self.LABELS))]
+        got, want = (self.PIPELINES[pipeline](ls) for ls in (mixed, layers))
+        if pipeline == "pairwise":
+            got, want = ({m: d.values.tolist() for m, d in r.items()} for r in (got, want))
+        else:
+            got, want = got.values, want.values
+        assert got == want
+
+    def test_sweep_refuses_permuted_pools(self):
+        (_, k0), (_, k1), _ = self.layers()
+        with pytest.raises(ValidationError) as info:
+            snr_sweep(relabelled(k0, self.LABELS), relabelled(k1, self.LABELS, True), [5],
+                      [0.5], 50, seed=1)
+        assert str(info.value) == ("kernel2: stimulus labels differ from kernel1's "
+                                   "(row 0: 'img9' vs 'img0')")
+
+    def test_sweep_takes_a_default_labelled_pool_in_row_order(self):
+        (_, k0), (_, k1), _ = self.layers()
+        got, want = (snr_sweep(p0, k1, [5], [0.5], 50, seed=1)
+                     for p0 in (relabelled(k0, self.LABELS), k0))
+        assert got == want

@@ -384,3 +384,28 @@ class TestManifest:
         (tmp_path / "m.json").write_text(f'{{"entries": [{entry}]}}')
         with pytest.raises(ValidationError, match="needs name, path and kind"):
             read_manifest(tmp_path / "m.json")
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Windows editors and Excel write, is dropped."""
+
+    def test_manifest(self, tmp_path):
+        doc = {"entries": [{"name": "a", "path": "x.csv", "kind": "kernel"}], "seed": 3}
+        (tmp_path / "m.json").write_text(BOM + json.dumps(doc), encoding="utf-8")
+        got = read_manifest(tmp_path / "m.json")
+        assert got.entries[0].name == "a" and got.seed == 3
+
+    def test_kernel_csv_without_label_row(self, tmp_path):
+        (tmp_path / "k.csv").write_text(BOM + "2,1\n1,2\n", encoding="utf-8")
+        got = read_matrix(tmp_path / "k.csv", MatrixKind.KERNEL)
+        assert np.array_equal(got.values, [[2.0, 1.0], [1.0, 2.0]])
+        assert got.labels == ("s0", "s1")
+
+    def test_kernel_csv_label_row(self, tmp_path):
+        (tmp_path / "k.csv").write_text(BOM + "a,b\n2,1\n1,2\n", encoding="utf-8")
+        got = read_matrix(tmp_path / "k.csv", MatrixKind.KERNEL)
+        assert got.labels == ("a", "b")
+        assert np.array_equal(got.values, [[2.0, 1.0], [1.0, 2.0]])
