@@ -320,7 +320,10 @@ def cmd_embed(input_path, dims, restarts, max_iter, tol, seed, out_dir):
                         max_iter=max_iter, tol=tol)
     header = "label," + ",".join(f"dim{i}" for i in range(dims))
     lines = [header]
-    for lab, row in zip(loaded.labels, emb.coords):
+    labels = loaded.labels
+    if labels is None:  # unlabelled rows are named s0, s1, ... in the label column
+        labels = [f"s{i}" for i in range(len(emb.coords))]
+    for lab, row in zip(labels, emb.coords):
         lines.append(lab + "," + ",".join(format_value(x) for x in row))
     (out_dir / "embedding.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"stress={emb.stress:.8g} iterations={emb.n_iterations}")

@@ -20,7 +20,7 @@ from . import baseline_metrics, bayes_metrics
 from .bayes_metrics import DistanceEstimate
 from .errors import RepmetricError, ValidationError
 from .kernel import (GaussianModel, KernelMatrix, RepresentationMatrix,
-                     check_finite_nonnegative, check_mixture_weight, default_labels, gram,
+                     check_finite_nonnegative, check_mixture_weight, gram,
                      predictive_covariance)
 from .matrix_io import LayerManifest, MatrixKind, read_matrix
 from .seeding import derive_seed, pair_seed, stream_generator
@@ -81,9 +81,8 @@ def load_layer_kernels(manifest: LayerManifest) -> list[tuple[str, KernelMatrix]
             for e in manifest.entries]
 
 
-def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]
-                  ) -> tuple[int, tuple[str, ...] | None]:
-    """(stimulus count, the labels the layers list or None) of layers that agree."""
+def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]) -> int:
+    """The stimulus count of layers that agree."""
     if len(layers) < 2:
         raise ValidationError("need at least 2 layers")
     names = [name for name, _ in layers]
@@ -92,23 +91,22 @@ def _check_layers(layers: Sequence[tuple[str, KernelMatrix]]
     sizes = {k.n for _, k in layers}
     if len(sizes) != 1:
         raise ValidationError(f"layers have mixed stimulus counts: {sorted(sizes)}")
-    return sizes.pop(), _check_stimuli([(f"layer {name!r}", k) for name, k in layers])
+    _check_stimuli([(f"layer {name!r}", k) for name, k in layers])
+    return sizes.pop()
 
 
-def _check_stimuli(kernels: Sequence[tuple[str, KernelMatrix]]) -> tuple[str, ...] | None:
-    """Every kernel whose labels are not the defaults ``s0, s1, ...`` lists
-    the same labels in the same order, which are returned (None when there
-    are none); ``what`` names a kernel in the message. A default-labelled
-    kernel (every binary file is one) is taken in row order. The kernels
-    are of one size."""
-    labelled = [(what, k.labels) for what, k in kernels if k.labels != default_labels(k.n)]
+def _check_stimuli(kernels: Sequence[tuple[str, KernelMatrix]]) -> None:
+    """Every kernel with labels lists the same labels in the same order;
+    ``what`` names a kernel in the message. A kernel whose labels are None
+    (every binary file and every CSV without a label row) is taken in row
+    order. The kernels are of one size."""
+    labelled = [(what, k.labels) for what, k in kernels if k.labels is not None]
     for what, labels in labelled[1:]:
         first, want = labelled[0]
         if labels != want:
             row = next(i for i, (got, exp) in enumerate(zip(labels, want)) if got != exp)
             raise ValidationError(f"{what}: stimulus labels differ from {first}'s "
                                   f"(row {row}: {labels[row]!r} vs {want[row]!r})")
-    return labelled[0][1] if labelled else None
 
 
 def split_metrics(metrics: Sequence[str], n_samples: int):
@@ -303,7 +301,8 @@ def _leading(pool: KernelMatrix, n: int) -> KernelMatrix:
     n = pool.n the pool itself, with the factor it already holds."""
     if n == pool.n:
         return pool
-    return KernelMatrix(K=pool.K[:n, :n], labels=pool.labels[:n])
+    labels = None if pool.labels is None else pool.labels[:n]
+    return KernelMatrix(K=pool.K[:n, :n], labels=labels)
 
 
 def _sweep_cell(k1, k2, a, metrics, n_samples, seed, where):
@@ -367,12 +366,9 @@ def stability_study(layers: Sequence[tuple[str, KernelMatrix]], n_images: int,
     if threads != 1:
         raise ValidationError(f"threads={threads}: pairs run one at a time, only 1 is accepted")
     a = check_stability_args(n_images, n_repeats, metrics, b, n_samples, seed)
-    pool_size, labels = _check_layers(layers)
+    pool_size = _check_layers(layers)
     if n_images > pool_size:
         raise ValidationError(f"n_images={n_images} exceeds pool size {pool_size}")
-    if labels is not None:  # every layer takes the agreed labels, so that the subsets of a
-        # default-labelled layer (labelled s3, s7, ...) agree with the others' in every repeat
-        layers = [(name, KernelMatrix(K=kern.K, labels=labels)) for name, kern in layers]
 
     names = [name for name, _ in layers]
     pair_labels = list(itertools.combinations(names, 2))

@@ -44,14 +44,9 @@ RESIDUAL_ROWS = 64  # rows per block of the PSD certificate's residual
 LOW_RANK_TVD_BOUND = 1e-9
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    """Stimulus labels ``s0, s1, ...`` for rows that carry none."""
-    return tuple(f"s{i}" for i in range(n))
-
-
-def _as_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
+def _as_labels(labels: Optional[Sequence[str]], n: int) -> Optional[tuple[str, ...]]:
     if labels is None:
-        return default_labels(n)
+        return None
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} labels for {n} rows")
@@ -103,10 +98,10 @@ def _symmetrize(M: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RepresentationMatrix:
-    """n stimuli by k features, rows labelled by stimulus."""
+    """n stimuli by k features, rows labelled by stimulus (labels None: in row order)."""
 
     X: np.ndarray
-    labels: tuple[str, ...]
+    labels: Optional[tuple[str, ...]]
 
     @classmethod
     def from_array(cls, X, labels: Optional[Sequence[str]] = None) -> "RepresentationMatrix":
@@ -215,10 +210,10 @@ def _check_floor(K: np.ndarray, floor: float) -> None:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric PSD Gram matrix over stimuli."""
+    """Symmetric PSD Gram matrix over stimuli (labels None: in row order)."""
 
     K: np.ndarray
-    labels: tuple[str, ...]
+    labels: Optional[tuple[str, ...]]
 
     @classmethod
     def from_array(cls, K, labels: Optional[Sequence[str]] = None) -> "KernelMatrix":
@@ -283,7 +278,7 @@ class KernelMatrix:
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValidationError("subset index out of range")
         K = self.K[np.ix_(idx, idx)]
-        labels = tuple(self.labels[i] for i in idx)
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
         # principal submatrix of a PSD matrix is PSD, skip re-validation
         return KernelMatrix(K=K, labels=labels)
 

@@ -14,12 +14,13 @@ Two on-disk formats are supported, selected by file extension:
   digits, so every finite double round-trips exactly, and read by
   ``np.loadtxt``, which rejects ``_`` separators, non-ASCII digits and empty
   cells; ``#`` is not a comment. Kernel and distance files may carry a first
-  row of labels. It is read as labels when it does not parse as numbers or,
-  for kernel and distance files, when the file has one more row than columns.
+  row of labels. It is read as labels when it does not parse as numbers or
+  when the file has one more row than columns. Representation files carry
+  no label row.
 
 Values must be finite; kernel and distance matrices must be square and
-distance entries nonnegative. Binary files do not store labels, so
-reading one yields default labels ``s0, s1, ...``.
+distance entries nonnegative. Binary files do not store labels. A matrix
+read without labels has ``labels`` None: its rows are taken in order.
 
 A layer manifest is a JSON file mapping layer names to matrix files,
 with optional run-level defaults (seed, a, b, n_samples). Paths are
@@ -40,7 +41,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import default_labels
 
 MAGIC = b"RMX1"
 _HEADER = struct.Struct("<4sBII")
@@ -62,10 +62,10 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 @dataclass(frozen=True)
 class LoadedMatrix:
-    """A matrix read from disk, with row labels and its declared kind."""
+    """A matrix read from disk, with row labels (None when it has none) and its declared kind."""
 
     values: np.ndarray
-    labels: tuple[str, ...]
+    labels: Optional[tuple[str, ...]]
     kind: MatrixKind
 
 
@@ -101,7 +101,8 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
 
     The format is auto-detected from the extension. Binary files carry
     their kind and it must match; CSV files are validated against
-    ``expected_kind`` directly.
+    ``expected_kind`` directly. ``labels`` is None for a binary file and
+    for a CSV without a label row.
     """
     path = Path(path)
     kind = _coerce_kind(expected_kind)
@@ -112,13 +113,11 @@ def read_matrix(path, expected_kind) -> LoadedMatrix:
     else:
         values, labels = _read_binary(path, kind)
     _validate_values(values, kind, str(path))
-    if labels is None:
-        labels = default_labels(values.shape[0])
-    elif len(labels) != values.shape[0]:
+    if labels is not None and len(labels) != values.shape[0]:
         raise ValidationError(
             f"{path}: header has {len(labels)} labels for {values.shape[0]} rows"
         )
-    return LoadedMatrix(values=values, labels=tuple(labels), kind=kind)
+    return LoadedMatrix(values=values, labels=labels, kind=kind)
 
 
 def _read_binary(path: Path, expected: MatrixKind):
@@ -167,15 +166,16 @@ def _read_csv(path: Path, kind: MatrixKind):
         raise ValidationError(f"{path}: empty CSV file")
     labels = None
     first = lines[0].split(",")
-    try:
-        _parse_rows(lines[:1])
-        # numeric labels: the row is a header when it leaves a square matrix
-        is_header = (kind in (MatrixKind.KERNEL, MatrixKind.DISTANCE)
-                     and len(lines) == len(first) + 1)
-    except ValueError:
-        is_header = True
+    is_header = False
+    if kind is not MatrixKind.REPRESENTATION:  # only kernels and distances carry labels
+        try:
+            _parse_rows(lines[:1])
+            # numeric labels: the row is a header when it leaves a square matrix
+            is_header = len(lines) == len(first) + 1
+        except ValueError:
+            is_header = True
     if is_header:
-        labels = [tok.strip() for tok in first]
+        labels = tuple(tok.strip() for tok in first)
         lines = lines[1:]
         if not lines:
             raise ValidationError(f"{path}: CSV has a header but no data rows")

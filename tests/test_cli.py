@@ -75,6 +75,24 @@ class TestGramCommand:
         assert np.array_equal(loaded.values, np.eye(4))
         assert "rank=4" in capsys.readouterr().out
 
+    def test_unlabelled_input_gives_no_label_row(self, tmp_path):
+        # a kernel without a label row is taken in row order beside labelled layers
+        rep = tmp_path / "rep.csv"
+        rep.write_text("1,0\n0,2\n")
+        out = tmp_path / "out"
+        assert main(["gram", str(rep), "--out", str(out)]) == 0
+        assert (out / "rep.kernel.csv").read_text() == "1,0\n0,4\n"
+        assert read_matrix(out / "rep.kernel.csv", MatrixKind.KERNEL).labels is None
+
+    def test_feature_name_row_refused(self, tmp_path, capsys):
+        rep = tmp_path / "rep.csv"
+        rep.write_text("x,y\n1,2\n3,4\n")
+        out = tmp_path / "out"
+        assert main(["gram", str(rep), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {rep}: could not convert string 'x' to float64 "
+            "at row 0, column 1.\n")
+
     def test_two_inputs_two_outputs(self, tmp_path):
         rng = np.random.default_rng(0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -450,14 +468,17 @@ class TestEmbedCommand:
 
 
 class TestStimulusOrder:
-    """Layers with labels other than s0, s1, ... list their stimuli in one order."""
+    """Layers with label rows list their stimuli in one order."""
+
+    REFUSALS = [("compare", ("layer 'k2'", "layer 'k1'")),
+                ("stability", ("layer 'k2'", "layer 'k1'")), ("sweep", ("kernel2", "kernel1"))]
 
     @staticmethod
-    def files(tmp_path, second):
-        # k2 is k1 with its rows and columns reversed; k3 is k1 with default labels
+    def files(tmp_path, second, labels="abcdef"):
+        # k2 is k1 with its rows and columns reversed; k3 is k1 without a label row
         rng = np.random.default_rng(42)
         X = rng.standard_normal((6, 3))
-        K, labels = X @ X.T, list("abcdef")
+        K, labels = X @ X.T, list(labels)
         write_matrix(K, tmp_path / "k1.csv", MatrixKind.KERNEL, labels=labels)
         write_matrix(K[::-1, ::-1], tmp_path / "k2.csv", MatrixKind.KERNEL, labels=labels[::-1])
         write_matrix(K, tmp_path / "k3.csv", MatrixKind.KERNEL)
@@ -472,9 +493,7 @@ class TestStimulusOrder:
                           str(tmp_path / f"{second}.csv"), "--n-values", "4",
                           "--noise-values", "0.5", "--samples", "100"]}
 
-    @pytest.mark.parametrize("command, names", [
-        ("compare", ("layer 'k2'", "layer 'k1'")), ("stability", ("layer 'k2'", "layer 'k1'")),
-        ("sweep", ("kernel2", "kernel1"))])
+    @pytest.mark.parametrize("command, names", REFUSALS)
     def test_permuted_labelled_layer_refused(self, tmp_path, capsys, command, names):
         out = tmp_path / "out"
         assert main(self.files(tmp_path, "k2")[command] + ["--out", str(out)]) == 2
@@ -483,8 +502,19 @@ class TestStimulusOrder:
             "(row 0: 'f' vs 'a')\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, names", REFUSALS)
+    def test_label_row_spelling_row_names_refused(self, tmp_path, capsys, command, names):
+        # a label row s0, s1, ... names stimuli like any other label row
+        out = tmp_path / "out"
+        labels = [f"s{i}" for i in range(6)]
+        assert main(self.files(tmp_path, "k2", labels)[command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {names[0]}: stimulus labels differ from {names[1]}'s "
+            "(row 0: 's5' vs 's0')\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compare", "stability", "sweep"])
-    def test_default_labelled_layer_beside_a_labelled_one_runs(self, tmp_path, command):
+    def test_unlabelled_layer_beside_a_labelled_one_runs(self, tmp_path, command):
         out = tmp_path / "out"
         assert main(self.files(tmp_path, "k3")[command] + ["--out", str(out)]) == 0
         if command == "compare":  # the same kernel, taken in row order

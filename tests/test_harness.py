@@ -593,8 +593,8 @@ def relabelled(kern, labels, reverse=False):
 
 
 class TestStimulusLabels:
-    """Kernels with labels other than s0, s1, ... list them in one order;
-    a default-labelled kernel is taken in row order."""
+    """Kernels with labels list them in one order; an unlabelled kernel
+    (labels None) is taken in row order."""
 
     LABELS = [f"img{i}" for i in range(10)]
     PIPELINES = {
@@ -617,7 +617,7 @@ class TestStimulusLabels:
                                    "'layer0''s (row 0: 'img9' vs 'img0')")
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
-    def test_default_labelled_layer_beside_labelled_ones_runs(self, pipeline):
+    def test_unlabelled_layer_beside_labelled_ones_runs(self, pipeline):
         # labels name the stimuli and change no value
         (n0, k0), (n1, k1), (n2, k2) = layers = self.layers()
         mixed = [(n0, relabelled(k0, self.LABELS)), (n1, k1), (n2, relabelled(k2, self.LABELS))]
@@ -627,6 +627,25 @@ class TestStimulusLabels:
         else:
             got, want = got.values, want.values
         assert got == want
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_labels_spelling_row_names_refused(self, pipeline):
+        # labels s0, s1, ... name stimuli like any others
+        names = [f"s{i}" for i in range(10)]
+        (n0, k0), (n1, k1), (n2, k2) = self.layers()
+        layers = [(n0, relabelled(k0, names)), (n1, relabelled(k1, names, True)), (n2, k2)]
+        with pytest.raises(ValidationError) as info:
+            self.PIPELINES[pipeline](layers)
+        assert str(info.value) == ("layer 'layer1': stimulus labels differ from layer "
+                                   "'layer0''s (row 0: 's9' vs 's0')")
+
+    def test_sweep_refuses_pools_labelled_with_row_names_permuted(self):
+        names = [f"s{i}" for i in range(10)]
+        (_, k0), (_, k1), _ = self.layers()
+        with pytest.raises(ValidationError) as info:
+            snr_sweep(relabelled(k0, names), relabelled(k1, names, True), [5], [0.5], 50, seed=1)
+        assert str(info.value) == ("kernel2: stimulus labels differ from kernel1's "
+                                   "(row 0: 's9' vs 's0')")
 
     def test_sweep_refuses_permuted_pools(self):
         (_, k0), (_, k1), _ = self.layers()

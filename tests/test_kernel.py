@@ -556,7 +556,9 @@ class TestKernelValidation:
         idx = [3, 5, 11, 17]
         sub = K.subset(idx)
         assert np.array_equal(sub.K, K.K[np.ix_(idx, idx)])
-        assert sub.labels == tuple(K.labels[i] for i in idx)
+        assert sub.labels is None  # an unlabelled kernel's subset stays unlabelled
+        labels = tuple(f"r{i}" for i in range(20))
+        assert KernelMatrix(K=K.K, labels=labels).subset(idx).labels == ("r3", "r5", "r11", "r17")
         # matches the gram of the subsetted representation up to BLAS rounding
         Ksub = gram(RepresentationMatrix.from_array(X[idx]))
         assert np.abs(sub.K - Ksub.K).max() < 1e-12

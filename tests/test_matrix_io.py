@@ -31,7 +31,7 @@ class TestBinaryRoundTrip:
         m = rng.standard_normal((100, 512))
         loaded = roundtrip(tmp_path, m, MatrixKind.REPRESENTATION, ".rmx")
         assert loaded.values.tobytes() == m.tobytes()
-        assert loaded.labels == tuple(f"s{i}" for i in range(100))
+        assert loaded.labels is None  # binary files store no labels
 
     def test_values_owned_writeable_and_bit_exact(self, tmp_path):
         m = np.random.default_rng(3).standard_normal((1000, 1000))
@@ -105,7 +105,7 @@ class TestNumpyTextFormat:
         loaded = roundtrip(tmp_path, m, kind, ".csv", labels=labels)
         assert loaded.values.tobytes() == m.tobytes()
         if kind is MatrixKind.REPRESENTATION:  # representation CSVs carry no label row
-            assert loaded.labels == tuple(f"s{i}" for i in range(10))
+            assert loaded.labels is None
         else:
             assert loaded.labels == tuple(labels)
             assert (tmp_path / "m.csv").read_bytes().startswith("层1,s1,".encode("utf-8"))
@@ -256,7 +256,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("name, content, kind, match", [
         ("m.csv", "1,2\n3,4\n", "tensor", "unknown matrix kind: 'tensor'"),
-        ("m.csv", "x,y,z\n1,2,3\n", MatrixKind.REPRESENTATION, "header has 3 labels for 1 rows"),
+        ("m.csv", "x,y,z\n1,2,3\n", MatrixKind.REPRESENTATION,  # no label row: a bad cell
+         r"m\.csv: could not convert string 'x' to float64 at row 0, column 1\.$"),
         ("m.rmx", struct.pack("<4sBII", MAGIC, 9, 1, 1) + bytes(8), MatrixKind.KERNEL,
          "unknown kind code 9"),
         ("m.csv", "x,y\n", MatrixKind.KERNEL, "header but no data rows"),
@@ -271,6 +272,16 @@ class TestValidation:
             path.write_bytes(content)
         with pytest.raises(ValidationError, match=match):
             read_matrix(path, kind)
+
+    def test_representation_csv_has_no_label_row(self, tmp_path):
+        # a first row of feature names fails as any bad cell, even when it is as
+        # wide as the file is long
+        path = tmp_path / "m.csv"
+        path.write_text("x,y\n1,2\n3,4\n")
+        with pytest.raises(ValidationError,
+                           match=r"m\.csv: could not convert string 'x' to float64 at row 0, "
+                                 r"column 1\.$"):
+            read_matrix(path, MatrixKind.REPRESENTATION)
 
     @pytest.mark.parametrize("values, labels, match", [
         (np.ones(3), None, "expected a 2-D matrix, got ndim=1"),
@@ -402,7 +413,7 @@ class TestByteOrderMark:
         (tmp_path / "k.csv").write_text(BOM + "2,1\n1,2\n", encoding="utf-8")
         got = read_matrix(tmp_path / "k.csv", MatrixKind.KERNEL)
         assert np.array_equal(got.values, [[2.0, 1.0], [1.0, 2.0]])
-        assert got.labels == ("s0", "s1")
+        assert got.labels is None
 
     def test_kernel_csv_label_row(self, tmp_path):
         (tmp_path / "k.csv").write_text(BOM + "a,b\n2,1\n1,2\n", encoding="utf-8")
